@@ -5,6 +5,13 @@ self-attention/feed-forward blocks; PAD positions are masked out of
 attention and the final layer-normed states are mean-pooled over the
 non-PAD positions. Everything is plain numpy so the backward pass can be
 checked against finite differences in 64-bit arithmetic.
+
+Inputs arrive PAD-filled to ``max_len``, but a batch is cut to its longest
+real sequence before embedding, so encoder cost scales with
+``max(attn_lens)`` per batch and ``max_len`` is only the cap (and the size
+of the positional table). The cut is exact: PAD keys are masked and PAD
+queries are never pooled, so the dropped columns move no output or
+gradient.
 """
 
 from __future__ import annotations
@@ -131,17 +138,22 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def forward_batch(params: Params, config: EncoderConfig, ids: np.ndarray, attn_lens: np.ndarray):
     """Pooled embeddings for a batch; returns (pooled (B,d), cache).
 
-    ids is (B, max_len) int; attn_lens (B,) counts of non-PAD positions.
+    ids is (B, max_len) int; attn_lens (B,) counts of non-PAD positions,
+    each in [1, max_len]. Only the first max(attn_lens) columns are
+    encoded; the cache holds that width.
     """
     if ids.shape[1] != config.max_len:
         raise ValueError("sequence length does not match config max_len")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
+    if attn_lens.shape != ids.shape[:1] or attn_lens.min() < 1 or attn_lens.max() > ids.shape[1]:
+        raise ValueError("attn_lens must have shape (B,) with entries in [1, max_len]")
     dtype = params["tok_emb"].dtype
-    B, T = ids.shape
+    T = int(attn_lens.max())
+    ids = ids[:, :T]
     key_mask = np.arange(T)[None, :] < attn_lens[:, None]  # (B,T)
 
-    x = params["tok_emb"][ids] + params["pos_emb"][None, :, :]
+    x = params["tok_emb"][ids] + params["pos_emb"][None, :T, :]
     x = x.astype(dtype)
     layer_caches = []
     for i in range(config.layers):
@@ -187,7 +199,7 @@ def backward_batch(params: Params, config: EncoderConfig, cache, d_pooled: np.nd
     ids = cache["ids"]
     attn_lens = cache["attn_lens"]
     key_mask = cache["key_mask"]
-    B, T = ids.shape
+    T = ids.shape[1]
     grads: Params = {name: np.zeros_like(params[name]) for name in params}
 
     pool_mask = key_mask.astype(dtype)
@@ -237,7 +249,7 @@ def backward_batch(params: Params, config: EncoderConfig, cache, d_pooled: np.nd
         dx = dx + dx_in  # residual
 
     np.add.at(grads["tok_emb"], ids, dx)
-    grads["pos_emb"] += dx.sum(axis=0)
+    grads["pos_emb"][:T] += dx.sum(axis=0)
     return grads
 
 

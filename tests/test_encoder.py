@@ -113,6 +113,31 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, CFG, ids, np.array([3]))
 
+    def test_zero_attn_len_rejected(self):
+        params = init_params(CFG, seed=0)
+        ids = np.zeros((2, CFG.max_len), dtype=np.int64)
+        with pytest.raises(ValueError, match="attn_lens"):
+            forward(params, CFG, ids, np.array([3, 0]))
+
+    def test_attn_len_past_max_len_rejected(self):
+        params = init_params(CFG, seed=0)
+        ids = np.zeros((2, CFG.max_len), dtype=np.int64)
+        with pytest.raises(ValueError, match="attn_lens"):
+            forward(params, CFG, ids, np.array([3, CFG.max_len + 1]))
+
+    def test_attn_lens_shape_must_match_batch(self):
+        params = init_params(CFG, seed=0)
+        ids = np.zeros((2, CFG.max_len), dtype=np.int64)
+        with pytest.raises(ValueError, match="attn_lens"):
+            forward(params, CFG, ids, np.array([3]))
+
+    def test_out_of_range_id_past_longest_row_rejected(self):
+        params = init_params(CFG, seed=0)
+        ids = np.zeros((1, CFG.max_len), dtype=np.int64)
+        ids[0, -1] = CFG.vocab_size  # in a PAD column the encoder never reads
+        with pytest.raises(ValueError, match="vocabulary"):
+            forward(params, CFG, ids, np.array([3]))
+
     def test_deterministic(self):
         params = init_params(CFG, seed=4)
         ids = np.zeros((2, CFG.max_len), dtype=np.int64)
@@ -171,6 +196,52 @@ class TestBackward:
                 analytic = grads[name].reshape(-1)[i]
                 worst = max(worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-8))
         assert worst <= 1e-3
+
+
+class TestTrimEquivalence:
+    """The batch is cut to its longest real row; a max_len-wide batch is the
+    padded path it replaces. Rows must encode (and back-propagate) the same
+    whether they run at their own width or padded to max_len."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_trimmed_matches_padded(self, dtype, tol):
+        params = init_params(CFG, seed=3, dtype=dtype)
+        rng = np.random.default_rng(11)
+        lens = np.array([2, 7, 4, 9, 5])
+        ids = rng.integers(1, CFG.vocab_size, size=(len(lens), CFG.max_len))
+        ids[np.arange(CFG.max_len)[None, :] >= lens[:, None]] = 0
+        d_pooled = rng.normal(size=(len(lens), CFG.dim)).astype(dtype)
+
+        alone_pooled = []
+        alone_grads = {name: np.zeros_like(v) for name, v in params.items()}
+        for i, n in enumerate(lens):
+            pooled, cache = forward_batch(params, CFG, ids[i : i + 1], lens[i : i + 1])
+            assert cache["y"].shape[1] == n
+            alone_pooled.append(pooled[0])
+            for name, g in backward_batch(params, CFG, cache, d_pooled[i : i + 1]).items():
+                alone_grads[name] += g
+
+        long_row = rng.integers(1, CFG.vocab_size, size=(1, CFG.max_len))
+        padded_ids = np.concatenate([ids, long_row])
+        padded_lens = np.append(lens, CFG.max_len)
+        pooled, cache = forward_batch(params, CFG, padded_ids, padded_lens)
+        assert cache["y"].shape[1] == CFG.max_len
+        padded_grads = backward_batch(params, CFG, cache, np.vstack([d_pooled, np.zeros((1, CFG.dim), dtype)]))
+
+        alone_pooled = np.array(alone_pooled)
+        assert np.abs(pooled[:-1] - alone_pooled).max() <= tol * np.abs(alone_pooled).max()
+        scale = max(np.abs(g).max() for g in padded_grads.values())
+        for name, g in padded_grads.items():
+            assert np.abs(g - alone_grads[name]).max() <= tol * scale, name
+
+    def test_cache_width_is_longest_real_row(self):
+        params = init_params(CFG, seed=0)
+        ids = np.zeros((3, CFG.max_len), dtype=np.int64)
+        _, cache = forward_batch(params, CFG, ids, np.array([3, 6, 2]))
+        assert cache["ids"].shape == (3, 6)
+        assert cache["y"].shape[:2] == (3, 6)
+        for layer in cache["layers"]:
+            assert layer["attn"].shape[-2:] == (6, 6)
 
 
 class TestInit:
