@@ -218,22 +218,10 @@ def _accumulate(model: DeltaModel, batch: EncodedBatch, micro: int | None):
 
 
 def predict_in_chunks(model: DeltaModel, batch: EncodedBatch, chunk: int = 256) -> np.ndarray:
-    """Probabilities in input order, scored in chunks of rows of similar length.
-
-    Rows are stably sorted by their longest stream, so one long row widens
-    only the chunk it lands in (the encoder runs each chunk at its longest
-    real sequence).
-    """
-    if batch.size == 0:
-        return np.zeros(0)
-    lens = batch.lens_a if batch.lens_b is None else np.maximum(batch.lens_a, batch.lens_b)
-    order = np.argsort(lens, kind="stable")
-    by_length = np.concatenate(
-        [dm.predict_batch(model, batch.take(order[lo : lo + chunk])) for lo in range(0, batch.size, chunk)]
-    )
-    probs = np.empty_like(by_length)
-    probs[order] = by_length
-    return probs
+    out = []
+    for lo in range(0, batch.size, chunk):
+        out.append(dm.predict_batch(model, batch.slice(lo, min(lo + chunk, batch.size))))
+    return np.concatenate(out) if out else np.zeros(0)
 
 
 def train(
