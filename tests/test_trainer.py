@@ -19,6 +19,7 @@ from fixhound.trainer import (
     TrainingError,
     f1_at_half,
     load_checkpoint,
+    predict_in_chunks,
     save_checkpoint,
     split_dataset,
     train,
@@ -251,6 +252,33 @@ class TestTrainLoop:
         lines = path.read_text().splitlines()
         assert lines[0] == "step,epoch,loss,split"
         assert lines[1] == "1,0,0.5,train"
+
+
+class TestPredictInChunks:
+    @pytest.mark.parametrize("variant", [EMBED_SUBTRACT_DUO, RAW_GIT_DIFF])
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_chunks_match_one_batch_in_input_order(self, variant, dtype, tol):
+        # shuffled lengths give each chunk its own trimmed width
+        rng = np.random.default_rng(4)
+        n = 9
+        lens_a = rng.permutation(np.linspace(2, CFG.max_len, n).astype(np.int64))
+        kw = {}
+        if variant == EMBED_SUBTRACT_DUO:
+            kw = {"ids_b": rng.integers(0, CFG.vocab_size, size=(n, CFG.max_len)), "lens_b": rng.permutation(lens_a)}
+        batch = EncodedBatch(ids_a=rng.integers(0, CFG.vocab_size, size=(n, CFG.max_len)), lens_a=lens_a, **kw)
+        model = init_model(variant, CFG, seed=2, dtype=dtype)
+        model.head["w2"] *= 50  # spread the probabilities away from 0.5
+
+        expected = predict_batch(model, batch)
+        # rows are told apart far beyond the tolerance, so a permutation shows
+        assert np.diff(np.sort(expected)).min() > 10 * tol
+        chunked = predict_in_chunks(model, batch, chunk=2)
+        assert chunked.dtype == expected.dtype
+        assert np.abs(chunked - expected).max() <= tol * np.abs(expected).max()
+
+    def test_empty_batch(self):
+        batch = EncodedBatch(ids_a=np.zeros((0, CFG.max_len), dtype=np.int64), lens_a=np.zeros(0, dtype=np.int64))
+        assert predict_in_chunks(init_model(RAW_GIT_DIFF, CFG, seed=0), batch).shape == (0,)
 
 
 class TestCheckpoints:
