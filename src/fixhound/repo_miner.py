@@ -4,17 +4,26 @@ Commits are decomposed into per-file line diffs (hunks) together with the
 full pre- and post-change file contents, so downstream stages can cut
 context windows of any size without touching git again. Labels come from
 an offline CSV feed mapping (repo_id, commit_hash) to a vulnerability id.
+
+Mining starts a fixed number of git processes, however long the history:
+`git log` lists the commits, one `git diff-tree --stdin` pass gives every
+commit's file statuses with full object ids, and one long-lived
+`git cat-file --batch` process streams the blobs by object id. Because
+blobs are read by id rather than by `commit:path`, a file whose name is not
+valid UTF-8 is mined like any other (its stored path is decoded with
+errors="replace").
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
 import math
 import random
 import subprocess
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from difflib import SequenceMatcher
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -34,6 +43,10 @@ class MiningError(Exception):
 
 class LabelError(Exception):
     """Malformed or inconsistent label feed."""
+
+
+class _UnreadableObject(Exception):
+    """An object id the blob stream cannot return as a blob."""
 
 
 @dataclass(frozen=True)
@@ -124,17 +137,6 @@ class CommitRecord:
         )
 
 
-@dataclass
-class LabelMap:
-    entries: dict[tuple[str, str], str] = field(default_factory=dict)
-
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def diff_lines(old: tuple[str, ...] | list[str], new: tuple[str, ...] | list[str]) -> tuple[Hunk, ...]:
     """Line-level diff of two file versions as a tuple of hunks.
 
@@ -178,9 +180,10 @@ def _split_lines(text: str) -> tuple[str, ...]:
     return tuple(text.split("\n"))
 
 
-def _git(repo_path: Path, *args: str) -> bytes:
+def _git(repo_path: Path, *args: str, stdin: bytes | None = None) -> bytes:
     proc = subprocess.run(
         ["git", "-C", str(repo_path), *args],
+        input=stdin,
         capture_output=True,
         check=True,
     )
@@ -191,9 +194,61 @@ def _is_binary(blob: bytes) -> bool:
     return b"\x00" in blob[:_BINARY_SNIFF_BYTES]
 
 
-def _file_change(repo_path: Path, commit: str, status: str, path: str) -> FileChange | None:
-    old_blob = b"" if status == "A" else _git(repo_path, "show", f"{commit}^:{path}")
-    new_blob = b"" if status == "D" else _git(repo_path, "show", f"{commit}:{path}")
+def _file_statuses(repo_path: Path, shas: list[str]) -> dict[str, list[tuple[str, str, str, str]]]:
+    """Map each commit to its (status, old_oid, new_oid, path) entries, from one diff-tree pass.
+
+    For each commit, diff-tree prints the commit id and then one
+    `:oldmode newmode oldoid newoid status\\0path\\0` entry per changed file;
+    a commit that changes nothing prints nothing. Object ids are always full.
+    """
+    raw = _git(
+        repo_path, "diff-tree", "--stdin", "-r", "--root", "--no-renames", "-z",
+        stdin="".join(f"{sha}\n" for sha in shas).encode(),
+    )
+    statuses: dict[str, list[tuple[str, str, str, str]]] = {}
+    fields = iter(raw.split(b"\0"))
+    for field in fields:
+        if field.startswith(b":"):
+            _, _, old_oid, new_oid, status = field.decode().split(" ")
+            path = next(fields).decode("utf-8", errors="replace")
+            entries.append((status[0], old_oid, new_oid, path))
+        elif field:
+            entries = statuses.setdefault(field.decode(), [])
+    return statuses
+
+
+def _read_blob(cat_file: subprocess.Popen, oid: str) -> bytes:
+    """Read one blob by object id from a `git cat-file --batch` process.
+
+    Each request waits for its whole reply before the next one is sent, so
+    neither pipe can fill up. A missing object (a submodule gitlink, a
+    shallow or partial clone) or one that is not a blob raises
+    _UnreadableObject; a reply that is cut short means the process died.
+    """
+    try:
+        cat_file.stdin.write(f"{oid}\n".encode())
+        cat_file.stdin.flush()
+    except BrokenPipeError:
+        header = []
+    else:
+        header = cat_file.stdout.readline().split()
+    if header[1:] == [b"missing"]:
+        raise _UnreadableObject(f"object {oid} missing")
+    if len(header) == 3:
+        size = int(header[2]) + 1  # the content is followed by a newline
+        data = cat_file.stdout.read(size)
+        if len(data) == size:
+            if header[1] != b"blob":
+                raise _UnreadableObject(f"object {oid} is a {header[1].decode()}, not a blob")
+            return data[:-1]
+    raise MiningError(f"git cat-file --batch stopped answering while reading object {oid}")
+
+
+def _file_change(
+    cat_file: subprocess.Popen, status: str, old_oid: str, new_oid: str, path: str
+) -> FileChange | None:
+    old_blob = b"" if status == "A" else _read_blob(cat_file, old_oid)
+    new_blob = b"" if status == "D" else _read_blob(cat_file, new_oid)
     if _is_binary(old_blob) or _is_binary(new_blob):
         return None
     old_lines = _split_lines(old_blob.decode("utf-8", errors="replace"))
@@ -224,7 +279,17 @@ def mine_repository(
     Records come out in ascending (timestamp, commit_hash) order. Merge
     commits, binary files, and files with zero changed lines are skipped;
     commits left with no files are dropped. Renames are not followed, so a
-    rename appears as a delete plus an add.
+    rename appears as a delete plus an add. A commit with an object that
+    cannot be read as a blob (a submodule gitlink, a shallow or partial
+    clone) is skipped with a warning.
+
+    The number of git processes does not grow with the history: after two
+    `rev-parse` checks, one `git log` lists the commits, one
+    `git diff-tree --stdin` gives every in-window commit's file statuses and
+    object ids, and one `git cat-file --batch` process streams the blobs by
+    object id. Reading by id also mines files whose names are not UTF-8; the
+    stored path is decoded with errors="replace". The cat-file process is
+    closed and reaped when the generator finishes or is closed.
     """
     repo_path = Path(repo_path)
     if repo_id is None:
@@ -247,37 +312,38 @@ def mine_repository(
         if since <= ts <= until:
             commits.append((ts, sha))
     commits.sort()
+    if not commits:
+        return
 
-    for ts, sha in commits:
-        try:
-            record = _mine_commit(repo_path, repo_id, sha, ts)
-        except subprocess.CalledProcessError as exc:
-            log.warning("skipping unreadable commit %s in %s: %s", sha, repo_path, exc)
-            continue
-        if record is not None:
-            yield record
+    statuses = _file_statuses(repo_path, [sha for _, sha in commits])
+    cat_file = subprocess.Popen(
+        ["git", "-C", str(repo_path), "cat-file", "--batch"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        for ts, sha in commits:
+            files = []
+            try:
+                for status, old_oid, new_oid, path in statuses.get(sha, ()):
+                    fc = _file_change(cat_file, status, old_oid, new_oid, path)
+                    if fc is not None:
+                        files.append(fc)
+            except _UnreadableObject as exc:
+                log.warning("skipping unreadable commit %s in %s: %s", sha, repo_path, exc)
+                continue
+            if files:
+                files.sort(key=lambda f: f.path)
+                yield CommitRecord(repo_id=repo_id, commit_hash=sha, timestamp=ts, label=NVF, files=tuple(files))
+    finally:
+        cat_file.stdout.close()
+        with contextlib.suppress(BrokenPipeError):  # unsent bytes of a request to a dead process
+            cat_file.stdin.close()
+        cat_file.wait()
 
 
-def _mine_commit(repo_path: Path, repo_id: str, sha: str, ts: int) -> CommitRecord | None:
-    raw = _git(repo_path, "diff-tree", "-r", "--root", "--no-renames", "--name-status", "-z", sha)
-    fields = raw.decode("utf-8", errors="replace").split("\0")
-    # diff-tree echoes the commit id first when given a commit object
-    if fields and fields[0] == sha:
-        fields = fields[1:]
-    files = []
-    for status, path in zip(fields[::2], fields[1::2]):
-        if not status:
-            continue
-        fc = _file_change(repo_path, sha, status[0], path)
-        if fc is not None:
-            files.append(fc)
-    if not files:
-        return None
-    files.sort(key=lambda f: f.path)
-    return CommitRecord(repo_id=repo_id, commit_hash=sha, timestamp=ts, label=NVF, files=tuple(files))
-
-
-def load_labels(labels_file: str | Path) -> LabelMap:
+def load_labels(labels_file: str | Path) -> dict[tuple[str, str], str]:
     """Parse the label feed CSV (header repo_id,commit_hash,vuln_id)."""
     labels_file = Path(labels_file)
     entries: dict[tuple[str, str], str] = {}
@@ -297,10 +363,12 @@ def load_labels(labels_file: str | Path) -> LabelMap:
                     f"{entries[key]!r} vs {vuln_id!r}"
                 )
             entries[key] = vuln_id
-    return LabelMap(entries=entries)
+    return entries
 
 
-def attach_labels(records: Iterable[CommitRecord], labels: LabelMap) -> Iterator[CommitRecord]:
+def attach_labels(
+    records: Iterable[CommitRecord], labels: dict[tuple[str, str], str]
+) -> Iterator[CommitRecord]:
     """Mark each record VF iff its (repo_id, commit_hash) is in the label map."""
     for rec in records:
         label = VF if (rec.repo_id, rec.commit_hash) in labels else NVF

@@ -10,7 +10,6 @@ from fixhound.repo_miner import (
     VF,
     CommitRecord,
     LabelError,
-    LabelMap,
     MiningError,
     apply_hunks,
     attach_labels,
@@ -174,14 +173,14 @@ def _record(repo, sha, ts, label=NVF):
 
 class TestAttachLabels:
     def test_labelled_and_unlabelled(self):
-        labels = LabelMap(entries={("r", "a" * 40): "CVE-1"})
+        labels = {("r", "a" * 40): "CVE-1"}
         recs = [_record("r", "a" * 40, 1), _record("r", "b" * 40, 2)]
         out = list(attach_labels(recs, labels))
         assert [r.label for r in out] == [VF, NVF]
         assert [r.commit_hash for r in out] == [r.commit_hash for r in recs]
 
     def test_empty_stream(self):
-        assert list(attach_labels([], LabelMap())) == []
+        assert list(attach_labels([], {})) == []
 
 
 class TestDownsample:
