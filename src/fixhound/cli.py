@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from . import delta_model as dm
 from . import trainer as tr
-from .change_builder import EMBED_SUBTRACT_DUO, VARIANTS, BuiltExample, build_example
+from .change_builder import EMBED_SUBTRACT_DUO, VARIANTS, BuiltExample, VariantInput, build_example
 from .delta_model import EncodedBatch
 from .encoder import EncoderConfig
 from .evaluation import EvalReport, emit_report, evaluate, write_report
@@ -239,15 +239,9 @@ def cmd_build(cfg: RunConfig, workdir: Path) -> int:
 # ---------------------------------------------------------------- train
 
 def _encode_examples(examples: list[BuiltExample], variant: str, vocab: Vocabulary, max_len: int) -> EncodedBatch:
-    from .change_builder import VariantInput
-
-    seqs = []
-    labels = []
-    for ex in examples:
-        vi = VariantInput(variant=variant, texts=ex.variant_texts(variant))
-        seqs.append(dm.encode_input(vi, vocab, max_len))
-        labels.append(1.0 if ex.label == VF else 0.0)
-    return dm.batch_from_sequences(seqs, labels)
+    vis = [VariantInput(variant=variant, texts=ex.variant_texts(variant)) for ex in examples]
+    labels = [1.0 if ex.label == VF else 0.0 for ex in examples]
+    return dm.batch_from_sequences(dm.encode_inputs(vis, vocab, max_len), labels)
 
 
 def _train_one(
@@ -278,7 +272,7 @@ def cmd_train(cfg: RunConfig, workdir: Path) -> int:
         raise DataError(f"built dataset not found in {workdir} (run build first)")
     train_examples = read_examples_jsonl(train_path)
     val_examples = read_examples_jsonl(val_path)
-    vocab = train_vocab(_corpus(train_examples), cfg.vocab_size, cfg.seed)
+    vocab = train_vocab(_corpus(train_examples), cfg.vocab_size)
     vocab.save(workdir / "vocab.json")
     result = _train_one(cfg, cfg.variant, train_examples, val_examples, vocab)
     extra = {"k": cfg.k, "max_len": cfg.max_len, "seed": cfg.seed}
@@ -310,7 +304,14 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
     vocab_path = workdir / "vocab.json"
     if not vocab_path.exists():
         raise DataError(f"vocabulary not found: {vocab_path}")
-    vocab = Vocabulary.load(vocab_path)
+    try:
+        vocab = Vocabulary.load(vocab_path)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read vocabulary {vocab_path}: {exc}") from exc
+    if vocab.size != model.config.vocab_size:
+        raise DataError(
+            f"vocabulary {vocab_path} has {vocab.size} tokens but the checkpoint embeds {model.config.vocab_size}"
+        )
     test_path = workdir / "test_commits.jsonl"
     if not test_path.exists():
         raise DataError(f"test commits not found: {test_path} (run build first)")
@@ -366,7 +367,7 @@ def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
     commits = read_commits_jsonl(commits_path)
     parts = _split_and_downsample(cfg, commits)
     base_train = _build_examples(parts["train"], cfg.k)
-    vocab = train_vocab(_corpus(base_train), cfg.vocab_size, cfg.seed)
+    vocab = train_vocab(_corpus(base_train), cfg.vocab_size)
     vocab.save(workdir / "vocab.json")
 
     if sweep_k is not None:

@@ -29,7 +29,7 @@ from .change_builder import (
     VariantInput,
 )
 from .encoder import EncoderConfig, Params
-from .tokenizer import TokenSequence, Vocabulary, encode, encode_pair
+from .tokenizer import TokenSequence, Vocabulary, encode, encode_pair, tokenize_batch
 
 FUSION_SUBTRACT = "Subtract"
 FUSION_CONCAT = "Concat"
@@ -129,19 +129,41 @@ def fuse(e_before: np.ndarray, e_after: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown fusion mode {mode!r}")
 
 
-def encode_input(vi: VariantInput, vocab: Vocabulary, max_len: int) -> tuple[TokenSequence, ...]:
-    """Tokenize a rendered variant input into its model-facing sequence(s).
+def encode_inputs(vis: list[VariantInput], vocab: Vocabulary, max_len: int) -> list[tuple[TokenSequence, ...]]:
+    """Tokenize rendered variant inputs into their model-facing sequence(s).
 
-    Single-stream texts containing the separator marker are encoded as a
-    SEP-joined pair; the marker itself is never tokenized literally.
+    All texts go through one `tokenize_batch` call. Single-stream texts
+    containing the separator marker are encoded as a SEP-joined pair; the
+    marker itself is never tokenized literally.
     """
-    if vi.variant in DUAL_STREAM_VARIANTS:
-        return (encode(vi.texts[0], vocab, max_len), encode(vi.texts[1], vocab, max_len))
-    text = vi.texts[0]
-    if SEP_MARKER in text:
-        a, _, b = text.partition(SEP_MARKER)
-        return (encode_pair(a, b, vocab, max_len),)
-    return (encode(text, vocab, max_len),)
+    kinds: list[str] = []
+    texts: list[str] = []
+    for vi in vis:
+        if vi.variant in DUAL_STREAM_VARIANTS:
+            kinds.append("dual")
+            texts.extend(vi.texts)
+        elif SEP_MARKER in vi.texts[0]:
+            a, _, b = vi.texts[0].partition(SEP_MARKER)
+            kinds.append("pair")
+            texts.extend((a, b))
+        else:
+            kinds.append("single")
+            texts.append(vi.texts[0])
+    tokens = iter(tokenize_batch(texts, vocab))
+    out: list[tuple[TokenSequence, ...]] = []
+    for kind in kinds:
+        if kind == "dual":
+            out.append((encode(next(tokens), max_len), encode(next(tokens), max_len)))
+        elif kind == "pair":
+            out.append((encode_pair(next(tokens), next(tokens), max_len),))
+        else:
+            out.append((encode(next(tokens), max_len),))
+    return out
+
+
+def encode_input(vi: VariantInput, vocab: Vocabulary, max_len: int) -> tuple[TokenSequence, ...]:
+    """`encode_inputs` for one rendered variant input."""
+    return encode_inputs([vi], vocab, max_len)[0]
 
 
 def _stack(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
@@ -290,13 +312,9 @@ def predict_batch(model: DeltaModel, batch: EncodedBatch) -> np.ndarray:
     return probs
 
 
-def predict_file(vi: VariantInput, model: DeltaModel, vocab: Vocabulary) -> float:
-    """Probability that one rendered file change is vulnerability-fixing."""
-    if vi.variant != model.variant:
-        raise ValueError(f"input variant {vi.variant} does not match model variant {model.variant}")
-    seqs = encode_input(vi, vocab, model.config.max_len)
-    batch = batch_from_sequences([seqs])
-    return float(predict_batch(model, batch)[0])
+def predict_file(seqs: tuple[TokenSequence, ...], model: DeltaModel) -> float:
+    """Probability that one encoded file change is vulnerability-fixing."""
+    return float(predict_batch(model, batch_from_sequences([seqs]))[0])
 
 
 def equivalent_concat_model(m: DeltaModel) -> DeltaModel:

@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .change_builder import build_contextual_change, render_variant_input
-from .delta_model import DeltaModel, predict_file
+from .delta_model import DeltaModel, encode_inputs, predict_file
 from .repo_miner import NVF, VF, CommitRecord
 from .tokenizer import Vocabulary
 
@@ -44,37 +44,50 @@ class CommitPrediction:
         )
 
 
-def predict_commit(commit: CommitRecord, model: DeltaModel, vocab: Vocabulary, k: int) -> CommitPrediction:
-    """Mean file probability, strict > 0.5 for a VF verdict.
-
-    Files are processed in sorted-path order and summed in 64-bit, so the
-    result is bitwise independent of the input file order.
-    """
-    if not commit.files:
-        raise ValueError(f"commit {commit.commit_hash} has no file changes")
-    file_probs: list[tuple[str, float]] = []
-    for fc in sorted(commit.files, key=lambda f: f.path):
-        cc = build_contextual_change(fc, k, commit.label, commit.repo_id, commit.commit_hash)
-        vi = render_variant_input(cc, fc, model.variant)
-        file_probs.append((fc.path, predict_file(vi, model, vocab)))
-    total = 0.0
-    for _, p in file_probs:
-        total += p
-    commit_prob = total / len(file_probs)
-    loc = sum(fc.removed_loc + fc.added_loc for fc in commit.files)
-    return CommitPrediction(
-        repo_id=commit.repo_id,
-        commit_hash=commit.commit_hash,
-        file_probs=tuple(file_probs),
-        commit_prob=commit_prob,
-        predicted=VF if commit_prob > 0.5 else NVF,
-        commit_loc=loc,
-    )
-
-
 def predict_corpus(commits: Iterable[CommitRecord], model: DeltaModel, vocab: Vocabulary, k: int) -> list[CommitPrediction]:
-    """One prediction per commit, input order preserved."""
-    return [predict_commit(c, model, vocab, k) for c in commits]
+    """One prediction per commit, input order preserved.
+
+    Every file of every commit is rendered and encoded in one batched
+    tokenizer call, then scored on its own. A commit's probability is the
+    mean of its file probabilities, strict > 0.5 for a VF verdict. Files
+    are processed in sorted-path order and summed in 64-bit, so the result
+    is bitwise independent of the input file order.
+    """
+    commits = list(commits)
+    files_by_commit = []
+    for commit in commits:
+        if not commit.files:
+            raise ValueError(f"commit {commit.commit_hash} has no file changes")
+        files_by_commit.append(sorted(commit.files, key=lambda f: f.path))
+    vis = [
+        render_variant_input(build_contextual_change(fc, k, c.label, c.repo_id, c.commit_hash), fc, model.variant)
+        for c, files in zip(commits, files_by_commit)
+        for fc in files
+    ]
+    seqs = iter(encode_inputs(vis, vocab, model.config.max_len))
+    preds = []
+    for commit, files in zip(commits, files_by_commit):
+        file_probs = [(fc.path, predict_file(next(seqs), model)) for fc in files]
+        total = 0.0
+        for _, p in file_probs:
+            total += p
+        commit_prob = total / len(file_probs)
+        preds.append(
+            CommitPrediction(
+                repo_id=commit.repo_id,
+                commit_hash=commit.commit_hash,
+                file_probs=tuple(file_probs),
+                commit_prob=commit_prob,
+                predicted=VF if commit_prob > 0.5 else NVF,
+                commit_loc=sum(fc.removed_loc + fc.added_loc for fc in files),
+            )
+        )
+    return preds
+
+
+def predict_commit(commit: CommitRecord, model: DeltaModel, vocab: Vocabulary, k: int) -> CommitPrediction:
+    """`predict_corpus` for one commit."""
+    return predict_corpus([commit], model, vocab, k)[0]
 
 
 def write_predictions_jsonl(preds: Iterable[CommitPrediction], path: str | Path) -> int:

@@ -131,6 +131,7 @@ def test_criterion_3_aggregation_exactness(capfd, monkeypatch):
 
     class FakeModel:
         variant = "RawGitDiff"
+        config = EncoderConfig(vocab_size=vocab.size, dim=8, layers=1, heads=2, max_len=32)
 
     failures = 0
     for case in range(1000):
@@ -140,7 +141,7 @@ def test_criterion_3_aggregation_exactness(capfd, monkeypatch):
         commit = CommitRecord(repo_id="r", commit_hash=f"{case:040x}", timestamp=case, label=NVF, files=files)
 
         calls = iter(probs)
-        monkeypatch.setattr(inf, "predict_file", lambda vi, m, v: next(calls))
+        monkeypatch.setattr(inf, "predict_file", lambda seqs, m: next(calls))
         pred = predict_commit(commit, FakeModel(), vocab, 3)
         expected = float(np.sum(np.array(probs, dtype=np.float64)) / n)
         if abs(pred.commit_prob - expected) > np.spacing(max(expected, 1e-300)):
@@ -152,7 +153,7 @@ def test_criterion_3_aggregation_exactness(capfd, monkeypatch):
         by_path = dict(zip([f.path for f in files], probs))
         shuffled_files = tuple(files[i] for i in order)
         monkeypatch.setattr(
-            inf, "predict_file", lambda vi, m, v, it=iter(sorted(by_path)): by_path[next(it)]
+            inf, "predict_file", lambda seqs, m, it=iter(sorted(by_path)): by_path[next(it)]
         )
         shuffled = CommitRecord(
             repo_id="r", commit_hash=commit.commit_hash, timestamp=case, label=NVF, files=shuffled_files
@@ -162,7 +163,7 @@ def test_criterion_3_aggregation_exactness(capfd, monkeypatch):
             failures += 1
     # explicit boundary case
     calls = iter([0.2, 0.8])
-    monkeypatch.setattr(inf, "predict_file", lambda vi, m, v: next(calls))
+    monkeypatch.setattr(inf, "predict_file", lambda seqs, m: next(calls))
     files = tuple(make_planted_file_change(rng, vf=False, path=f"g{i}.c") for i in range(2))
     boundary = predict_commit(
         CommitRecord(repo_id="r", commit_hash="b" * 40, timestamp=0, label=NVF, files=files),

@@ -198,6 +198,27 @@ class TestPipeline:
         assert main(["--config", str(config), "train"]) == EXIT_OK
         assert main(["--config", str(config), "--k", "1", "predict"]) == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text[: len(text) // 2],  # truncated file
+            lambda text: json.dumps({**json.loads(text), "merges": [[9999, 5]] + json.loads(text)["merges"][1:]}),
+            lambda text: json.dumps({**json.loads(text), "merges": json.loads(text)["merges"][:-10]}),
+        ],
+        ids=["truncated", "unknown-id", "fewer-merges-than-checkpoint"],
+    )
+    def test_bad_vocabulary_is_data_error(self, tmp_path, capsys, corrupt):
+        workdir, _ = seeded_workdir(tmp_path)
+        config = write_config(tmp_path, workdir)
+        assert main(["--config", str(config), "build"]) == EXIT_OK
+        assert main(["--config", str(config), "train"]) == EXIT_OK
+        vocab_path = workdir / "vocab.json"
+        vocab_path.write_text(corrupt(vocab_path.read_text()))
+        capsys.readouterr()
+        assert main(["--config", str(config), "predict"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "vocabulary" in err and "Traceback" not in err
+
     def test_predict_without_checkpoint_is_data_error(self, tmp_path):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)

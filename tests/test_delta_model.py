@@ -261,14 +261,14 @@ class TestEncodeInput:
 
     def test_predict_file_variant_mismatch(self):
         m = init_model(CODE_CONCAT, EncoderConfig(vocab_size=VOCAB.size, dim=8, layers=0, heads=1, max_len=16), seed=0)
-        vi = VariantInput(variant=RAW_GIT_DIFF, texts=("x",))
+        vi = VariantInput(variant=EMBED_SUBTRACT_DUO, texts=("x", "y"))
         with pytest.raises(ValueError):
-            predict_file(vi, m, VOCAB)
+            predict_file(encode_input(vi, VOCAB, 16), m)
 
     def test_predict_file_returns_probability(self):
         m = init_model(RAW_GIT_DIFF, EncoderConfig(vocab_size=VOCAB.size, dim=8, layers=1, heads=2, max_len=16, ffn_mult=2), seed=0)
         vi = VariantInput(variant=RAW_GIT_DIFF, texts=("if (x < 0) return -1;",))
-        p = predict_file(vi, m, VOCAB)
+        p = predict_file(encode_input(vi, VOCAB, 16), m)
         assert 0.0 < p < 1.0
 
     def test_batch_from_sequences_shapes(self):

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
+import bpe_oracle
 import fixhound.inference as inf
 from conftest import make_planted_commits, make_planted_file_change
-from fixhound.change_builder import RAW_GIT_DIFF
-from fixhound.delta_model import init_model
+from fixhound.change_builder import (
+    CODE_CONCAT,
+    DUAL_STREAM_VARIANTS,
+    EMBED_SUBTRACT_DUO,
+    RAW_GIT_DIFF,
+    SEP_MARKER,
+    build_contextual_change,
+    render_variant_input,
+)
+from fixhound.delta_model import batch_from_sequences, init_model, predict_batch
 from fixhound.encoder import EncoderConfig
 from fixhound.inference import (
     CommitPrediction,
@@ -14,7 +23,7 @@ from fixhound.inference import (
     write_predictions_jsonl,
 )
 from fixhound.repo_miner import NVF, VF, CommitRecord
-from fixhound.tokenizer import train_vocab
+from fixhound.tokenizer import encode, encode_pair, train_vocab
 
 VOCAB = train_vocab(["alpha beta gamma delta_ omega sigma kappa theta VULNCHECK"], 300)
 CFG = EncoderConfig(vocab_size=VOCAB.size, dim=8, layers=1, heads=2, max_len=32, ffn_mult=2)
@@ -28,12 +37,13 @@ def commit_with_files(n_files, repo="r", sha="a" * 40, ts=1):
 
 class _FakeModel:
     variant = RAW_GIT_DIFF
+    config = CFG
 
 
 def patch_probs(monkeypatch, probs):
     """Stub the file-level scorer to return the given probs in call order."""
     calls = iter(probs)
-    monkeypatch.setattr(inf, "predict_file", lambda vi, model, vocab: next(calls))
+    monkeypatch.setattr(inf, "predict_file", lambda seqs, model: next(calls))
 
 
 class TestAggregation:
@@ -112,6 +122,65 @@ class TestCorpus:
         fwd = predict_corpus(commits, model, VOCAB, 3)
         rev = predict_corpus(list(reversed(commits)), model, VOCAB, 3)
         assert rev == list(reversed(fwd))
+
+
+def per_file_sequences(vi, vocab, max_len):
+    """The replaced `encode_input`: each text of one file tokenized on its own by the oracle."""
+    if vi.variant in DUAL_STREAM_VARIANTS:
+        return tuple(encode(bpe_oracle.tokenize(t, vocab), max_len) for t in vi.texts)
+    if SEP_MARKER in vi.texts[0]:
+        a, _, b = vi.texts[0].partition(SEP_MARKER)
+        return (encode_pair(bpe_oracle.tokenize(a, vocab), bpe_oracle.tokenize(b, vocab), max_len),)
+    return (encode(bpe_oracle.tokenize(vi.texts[0], vocab), max_len),)
+
+
+def per_file_prediction(commit, model, vocab, k):
+    """The replaced inference path: each file rendered, encoded and scored on its own."""
+    file_probs = []
+    for fc in sorted(commit.files, key=lambda f: f.path):
+        cc = build_contextual_change(fc, k, commit.label, commit.repo_id, commit.commit_hash)
+        seqs = per_file_sequences(render_variant_input(cc, fc, model.variant), vocab, model.config.max_len)
+        file_probs.append((fc.path, float(predict_batch(model, batch_from_sequences([seqs]))[0])))
+    total = 0.0
+    for _, p in file_probs:
+        total += p
+    commit_prob = total / len(file_probs)
+    return CommitPrediction(
+        repo_id=commit.repo_id,
+        commit_hash=commit.commit_hash,
+        file_probs=tuple(file_probs),
+        commit_prob=commit_prob,
+        predicted=VF if commit_prob > 0.5 else NVF,
+        commit_loc=sum(fc.removed_loc + fc.added_loc for fc in commit.files),
+    )
+
+
+class TestBatchedEquivalence:
+    """One batched encode for the whole corpus scores exactly like the per-file path."""
+
+    @pytest.mark.parametrize("variant,max_len", [(EMBED_SUBTRACT_DUO, 96), (CODE_CONCAT, 180)])
+    def test_matches_per_file_path_bit_for_bit(self, variant, max_len):
+        commits = [
+            commit_with_files(3, sha="a" * 40, ts=1),
+            *make_planted_commits(3, seed=5),
+            commit_with_files(2, sha="c" * 40, ts=7),
+        ]
+        cfg = EncoderConfig(vocab_size=VOCAB.size, dim=8, layers=1, heads=2, max_len=max_len, ffn_mult=2)
+        model = init_model(variant, cfg, seed=0)
+        truncated = {
+            seq.truncated
+            for c in commits
+            for fc in c.files
+            for seq in per_file_sequences(
+                render_variant_input(build_contextual_change(fc, 3, c.label, c.repo_id, c.commit_hash), fc, variant),
+                VOCAB,
+                max_len,
+            )
+        }
+        assert truncated == {True, False}  # the fixture has truncated and whole views
+        expected = [per_file_prediction(c, model, VOCAB, 3).to_dict() for c in commits]
+        assert [p.to_dict() for p in predict_corpus(commits, model, VOCAB, 3)] == expected
+        assert [p.to_dict() for p in predict_corpus(commits[::-1], model, VOCAB, 3)] == expected[::-1]
 
 
 class TestSerialization:

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bpe_oracle
 from fixhound.tokenizer import (
     BOS,
+    BYTE_BASE,
     EOS,
     MIN_VOCAB,
     PAD,
@@ -16,6 +18,7 @@ from fixhound.tokenizer import (
     encode,
     encode_pair,
     tokenize,
+    tokenize_batch,
     train_vocab,
 )
 
@@ -73,13 +76,13 @@ def vocab():
 
 class TestEncode:
     def test_empty_text(self, vocab):
-        seq = encode("", vocab, 8)
+        seq = encode(tokenize("", vocab), 8)
         assert seq.ids == (BOS, EOS, PAD, PAD, PAD, PAD, PAD, PAD)
         assert seq.attention_length == 2
         assert not seq.truncated
 
     def test_structure(self, vocab):
-        seq = encode("the fox", vocab, 32)
+        seq = encode(tokenize("the fox", vocab), 32)
         assert seq.ids[0] == BOS
         assert seq.ids[seq.attention_length - 1] == EOS
         assert all(i == PAD for i in seq.ids[seq.attention_length :])
@@ -87,7 +90,7 @@ class TestEncode:
 
     def test_round_trip_when_untruncated(self, vocab):
         for text in ["the quick brown fox", "zebra!", "tab\tand\nnewline"]:
-            seq = encode(text, vocab, 128)
+            seq = encode(tokenize(text, vocab), 128)
             assert not seq.truncated
             assert decode(seq, vocab) == text
 
@@ -95,18 +98,18 @@ class TestEncode:
         text = "q" * 100  # 'q' never merges fully in this corpus
         n_content = len(tokenize(text, vocab))
         assert n_content > 14
-        seq = encode(text, vocab, 16)
+        seq = encode(tokenize(text, vocab), 16)
         assert seq.truncated
         assert seq.attention_length == 16  # BOS + 14 content + EOS
 
     def test_id_range(self, vocab):
-        seq = encode("the dog", vocab, 32)
+        seq = encode(tokenize("the dog", vocab), 32)
         assert all(0 <= i < vocab.size for i in seq.ids)
 
 
 class TestEncodePair:
     def test_both_empty(self, vocab):
-        seq = encode_pair("", "", vocab, 8)
+        seq = encode_pair(tokenize("", vocab), tokenize("", vocab), 8)
         assert seq.ids[:3] == (BOS, SEP, EOS)
         assert all(i == PAD for i in seq.ids[3:])
 
@@ -115,7 +118,7 @@ class TestEncodePair:
         a = "q" * 10
         b = "z" * 10
         assert len(tokenize(a, vocab)) == 10 and len(tokenize(b, vocab)) == 10
-        seq = encode_pair(a, b, vocab, 16)  # budget 13
+        seq = encode_pair(tokenize(a, vocab), tokenize(b, vocab), 16)  # budget 13
         ids = list(seq.ids)
         sep_pos = ids.index(SEP)
         assert sep_pos - 1 == 7  # 7 kept from a
@@ -125,13 +128,13 @@ class TestEncodePair:
     def test_short_side_untouched(self, vocab):
         a = "q" * 5
         b = "z" * 100
-        seq = encode_pair(a, b, vocab, 64)
+        seq = encode_pair(tokenize(a, vocab), tokenize(b, vocab), 64)
         ids = list(seq.ids)
         sep_pos = ids.index(SEP)
         assert sep_pos - 1 == 5  # a kept whole, only b truncated
 
     def test_no_truncation_when_fits(self, vocab):
-        seq = encode_pair("ab", "cd", vocab, 64)
+        seq = encode_pair(tokenize("ab", vocab), tokenize("cd", vocab), 64)
         assert not seq.truncated
         assert decode(seq, vocab) == "ab ⟨SEP⟩ cd"
 
@@ -143,10 +146,57 @@ class TestSerialization:
         loaded = Vocabulary.load(path)
         assert loaded.merges == vocab.merges
         text = "the quick brown fox"
-        assert encode(text, loaded, 64) == encode(text, vocab, 64)
+        assert encode(tokenize(text, loaded), 64) == encode(tokenize(text, vocab), 64)
+
+    @pytest.mark.parametrize(
+        "merges",
+        [[[9999, 5]], [[4, 5]], [[MIN_VOCAB, 5]], [[5, 6], [5, MIN_VOCAB + 1]], [[5]], [[5, "6"]], [[True, 5]], "x"],
+    )
+    def test_bad_merge_rejected(self, merges):
+        with pytest.raises(ValueError):
+            Vocabulary.from_dict({**Vocabulary().to_dict(), "merges": merges})
 
     def test_specials_occupy_first_ids(self):
         assert (PAD, BOS, EOS, SEP) == (0, 1, 2, 3)
+
+
+# Texts over a small alphabet built from runs (`aaaa`, `ééé`), so that
+# overlapping pairs, multi-byte UTF-8 and empty strings all come up.
+_texts = st.lists(
+    st.tuples(st.sampled_from(["a", "b", " ", "é", "中"]), st.integers(min_value=1, max_value=9)), max_size=8
+).map(lambda runs: "".join(ch * n for ch, n in runs))
+_corpora = st.lists(_texts, min_size=1, max_size=5)
+_vocab_sizes = st.integers(min_value=MIN_VOCAB, max_value=MIN_VOCAB + 40)
+
+
+class TestAgainstOracle:
+    """The vectorised engine against the pure-Python BPE it replaced."""
+
+    @given(_corpora, _vocab_sizes)
+    @settings(max_examples=150, deadline=None)
+    def test_merges_equal_oracle(self, corpus, vocab_size):
+        assert train_vocab(corpus, vocab_size).merges == bpe_oracle.train_vocab(corpus, vocab_size).merges
+
+    @given(_corpora, _corpora, _vocab_sizes)
+    @settings(max_examples=150, deadline=None)
+    def test_tokenize_batch_equals_oracle(self, corpus, texts, vocab_size):
+        vocab = bpe_oracle.train_vocab(corpus, vocab_size)
+        assert tokenize_batch(texts, vocab) == [bpe_oracle.tokenize(t, vocab) for t in texts]
+
+    @given(_texts, _texts, _vocab_sizes)
+    @settings(max_examples=150, deadline=None)
+    def test_no_merge_crosses_text_boundary(self, a, b, vocab_size):
+        vocab = train_vocab([a + b], vocab_size)  # merges that span the join exist
+        assert tokenize_batch([a, b], vocab) == [tokenize(a, vocab), tokenize(b, vocab)]
+
+    def test_overlapping_run_merges_left_to_right(self):
+        a = BYTE_BASE + ord("a")
+        vocab = Vocabulary(merges=[(a, a)])
+        assert tokenize("aaaaa", vocab) == [MIN_VOCAB, MIN_VOCAB, a]
+        assert tokenize_batch(["aaaaa", "", "aaaa"], vocab) == [[MIN_VOCAB, MIN_VOCAB, a], [], [MIN_VOCAB, MIN_VOCAB]]
+
+    def test_empty_batch(self, vocab):
+        assert tokenize_batch([], vocab) == []
 
 
 class TestEncodingProperties:
@@ -154,8 +204,8 @@ class TestEncodingProperties:
     @settings(max_examples=150)
     def test_total_and_deterministic(self, text, max_len):
         v = _PROP_VOCAB
-        s1 = encode(text, v, max_len)
-        s2 = encode(text, v, max_len)
+        s1 = encode(tokenize(text, v), max_len)
+        s2 = encode(tokenize(text, v), max_len)
         assert s1 == s2
         assert len(s1.ids) == max_len
         assert s1.attention_length <= max_len
