@@ -5,7 +5,8 @@ lines, with regions whose context windows touch or overlap merged into one.
 code_before renders the regions from the pre-change file, code_after from
 the post-change file. The alternative single-stream renderings used by the
 ablation variants (code concatenation with and without context, raw-diff
-ordering) are derived from the same regions.
+ordering) are derived from the same regions. `build_example` renders all of
+them once, and training, validation and prediction all encode its output.
 """
 
 from __future__ import annotations
@@ -34,11 +35,8 @@ VARIANTS = (
 # Variants whose model consumes two separate text streams.
 DUAL_STREAM_VARIANTS = (EMBED_SUBTRACT_DUO, EMBED_SUBTRACT_SINGLE, EMBED_CONCAT_DUO)
 
-# Separator marker inside single-stream texts; replaced by the tokenizer's
-# SEP special token at encode time, never tokenized literally.
-SEP_MARKER = " ⟨SEP⟩ "
-
-DEFAULT_CONTEXT = 3
+# Single-stream variants whose two text segments are joined by one SEP token.
+PAIR_VARIANTS = (CODE_CONCAT, CODE_CONCAT_NOCONTEXT)
 
 
 @dataclass(frozen=True)
@@ -54,30 +52,6 @@ class Region:
     new_lo: int
     new_hi: int
     hunks: tuple[Hunk, ...]
-
-
-@dataclass(frozen=True)
-class ContextualChange:
-    repo_id: str
-    commit_hash: str
-    path: str
-    k: int
-    code_before: str
-    code_after: str
-    removed_loc: int
-    added_loc: int
-    label: str
-
-
-@dataclass(frozen=True)
-class VariantInput:
-    variant: str
-    texts: tuple[str, ...]
-
-    def __post_init__(self):
-        expected = 2 if self.variant in DUAL_STREAM_VARIANTS else 1
-        if len(self.texts) != expected:
-            raise ValueError(f"{self.variant} requires {expected} text segment(s), got {len(self.texts)}")
 
 
 def _hunk_spans(h: Hunk, k: int) -> tuple[int, int, int, int]:
@@ -150,30 +124,6 @@ def _join_regions(line_groups: Iterable[tuple[str, ...]], k: int) -> str:
     return "\n".join(lines)
 
 
-def build_contextual_change(
-    fc: FileChange,
-    k: int,
-    label: str,
-    repo_id: str = "",
-    commit_hash: str = "",
-) -> ContextualChange:
-    """Cut the paper-style (code_before, code_after) pair at window size k."""
-    regions = context_regions(fc, k)
-    code_before = _join_regions((region_old_lines(r, fc) for r in regions), k)
-    code_after = _join_regions((region_new_lines(r, fc) for r in regions), k)
-    return ContextualChange(
-        repo_id=repo_id,
-        commit_hash=commit_hash,
-        path=fc.path,
-        k=k,
-        code_before=code_before,
-        code_after=code_after,
-        removed_loc=fc.removed_loc,
-        added_loc=fc.added_loc,
-        label=label,
-    )
-
-
 def removed_code(fc: FileChange) -> str:
     return "\n".join(line for h in fc.hunks for line in h.removed_lines)
 
@@ -182,11 +132,11 @@ def added_code(fc: FileChange) -> str:
     return "\n".join(line for h in fc.hunks for line in h.added_lines)
 
 
-def raw_diff_text(fc: FileChange, k: int) -> str:
+def raw_diff_text(regions: tuple[Region, ...], fc: FileChange, k: int) -> str:
     """Single-stream rendering in raw-diff order: context-before, added,
     removed, context-after, per merged region."""
     groups = []
-    for r in context_regions(fc, k):
+    for r in regions:
         first = r.hunks[0]
         last = r.hunks[-1]
         pre = fc.old_file_lines[r.old_lo - 1 : first.old_start - 1]
@@ -195,19 +145,6 @@ def raw_diff_text(fc: FileChange, k: int) -> str:
         removed = [line for h in r.hunks for line in h.removed_lines]
         groups.append(tuple(pre) + tuple(added) + tuple(removed) + tuple(post))
     return _join_regions(groups, k)
-
-
-def render_variant_input(cc: ContextualChange, fc: FileChange, variant: str) -> VariantInput:
-    """Render the model input for one ablation variant."""
-    if variant in DUAL_STREAM_VARIANTS:
-        return VariantInput(variant=variant, texts=(cc.code_before, cc.code_after))
-    if variant == CODE_CONCAT:
-        return VariantInput(variant=variant, texts=(cc.code_before + SEP_MARKER + cc.code_after,))
-    if variant == CODE_CONCAT_NOCONTEXT:
-        return VariantInput(variant=variant, texts=(removed_code(fc) + SEP_MARKER + added_code(fc),))
-    if variant == RAW_GIT_DIFF:
-        return VariantInput(variant=variant, texts=(raw_diff_text(fc, cc.k),))
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -229,12 +166,13 @@ class BuiltExample:
     raw_diff: str
 
     def variant_texts(self, variant: str) -> tuple[str, ...]:
-        if variant in DUAL_STREAM_VARIANTS:
+        """The text segments `variant` encodes: two streams for the dual
+        variants, the two sides of one SEP-joined sequence for the pair
+        variants, one text for RawGitDiff."""
+        if variant in DUAL_STREAM_VARIANTS or variant == CODE_CONCAT:
             return (self.code_before, self.code_after)
-        if variant == CODE_CONCAT:
-            return (self.code_before + SEP_MARKER + self.code_after,)
         if variant == CODE_CONCAT_NOCONTEXT:
-            return (self.removed_code + SEP_MARKER + self.added_code,)
+            return (self.removed_code, self.added_code)
         if variant == RAW_GIT_DIFF:
             return (self.raw_diff,)
         raise ValueError(f"unknown variant {variant!r}")
@@ -254,7 +192,9 @@ def build_example(
     repo_id: str = "",
     commit_hash: str = "",
 ) -> BuiltExample:
-    cc = build_contextual_change(fc, k, label, repo_id, commit_hash)
+    """Cut the paper-style (code_before, code_after) pair at window size k
+    and render every variant's text from the same regions."""
+    regions = context_regions(fc, k)
     return BuiltExample(
         repo_id=repo_id,
         commit_hash=commit_hash,
@@ -263,9 +203,9 @@ def build_example(
         label=label,
         removed_loc=fc.removed_loc,
         added_loc=fc.added_loc,
-        code_before=cc.code_before,
-        code_after=cc.code_after,
+        code_before=_join_regions((region_old_lines(r, fc) for r in regions), k),
+        code_after=_join_regions((region_new_lines(r, fc) for r in regions), k),
         removed_code=removed_code(fc),
         added_code=added_code(fc),
-        raw_diff=raw_diff_text(fc, k),
+        raw_diff=raw_diff_text(regions, fc, k),
     )

@@ -20,8 +20,7 @@ from pathlib import Path
 from . import __version__
 from . import delta_model as dm
 from . import trainer as tr
-from .change_builder import EMBED_SUBTRACT_DUO, VARIANTS, BuiltExample, VariantInput, build_example
-from .delta_model import EncodedBatch
+from .change_builder import EMBED_SUBTRACT_DUO, VARIANTS, BuiltExample, build_example
 from .encoder import EncoderConfig
 from .evaluation import EvalReport, emit_report, evaluate, write_report
 from .inference import predict_corpus, read_predictions_jsonl, write_predictions_jsonl
@@ -88,10 +87,8 @@ class RunConfig:
     def digest(self) -> str:
         return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
 
-    def train_config(self, seed: int | None = None) -> TrainConfig:
-        tc = TrainConfig(**self.train)
-        tc.seed = self.seed if seed is None else seed
-        return tc
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(**{**self.train, "seed": self.seed})
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
         return EncoderConfig(vocab_size=vocab_size, max_len=self.max_len, **self.encoder)
@@ -194,7 +191,7 @@ def _build_examples(commits: list[CommitRecord], k: int) -> list[BuiltExample]:
 
 
 def _split_and_downsample(cfg: RunConfig, commits: list[CommitRecord]):
-    parts = tr.split_dataset(commits, cfg.split_spec(), cfg.seed)
+    parts = tr.split_dataset(commits, cfg.split_spec())
     for name in ("train", "val"):
         if any(r.label == VF for r in parts[name]):
             parts[name] = downsample_nvf(parts[name], cfg.downsample_ratio, cfg.seed)
@@ -238,12 +235,6 @@ def cmd_build(cfg: RunConfig, workdir: Path) -> int:
 
 # ---------------------------------------------------------------- train
 
-def _encode_examples(examples: list[BuiltExample], variant: str, vocab: Vocabulary, max_len: int) -> EncodedBatch:
-    vis = [VariantInput(variant=variant, texts=ex.variant_texts(variant)) for ex in examples]
-    labels = [1.0 if ex.label == VF else 0.0 for ex in examples]
-    return dm.batch_from_sequences(dm.encode_inputs(vis, vocab, max_len), labels)
-
-
 def _train_one(
     cfg: RunConfig,
     variant: str,
@@ -252,8 +243,8 @@ def _train_one(
     vocab: Vocabulary,
 ) -> tr.TrainResult:
     enc_config = cfg.encoder_config(vocab.size)
-    train_batch = _encode_examples(train_examples, variant, vocab, cfg.max_len)
-    val_batch = _encode_examples(val_examples, variant, vocab, cfg.max_len)
+    train_batch = dm.encode_examples(train_examples, variant, vocab, cfg.max_len)
+    val_batch = dm.encode_examples(val_examples, variant, vocab, cfg.max_len)
     return tr.train(variant, enc_config, train_batch, val_batch, cfg.train_config())
 
 
@@ -316,7 +307,7 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
     if not test_path.exists():
         raise DataError(f"test commits not found: {test_path} (run build first)")
     commits = read_commits_jsonl(test_path)
-    preds = predict_corpus(commits, model, vocab, extra["k"])
+    preds = predict_corpus(commits, model, vocab, extra["k"], cfg.train_config().batch_size)
     write_predictions_jsonl(preds, workdir / "predictions.jsonl")
     write_manifest(workdir, "predict", cfg, ["predictions.jsonl"])
     print(f"predicted {len(preds)} commits")
@@ -347,14 +338,12 @@ def cmd_evaluate(cfg: RunConfig, workdir: Path, predictions: str | None) -> int:
 
 # ---------------------------------------------------------------- ablate
 
-def _run_variant(cfg: RunConfig, variant: str, parts, vocab: Vocabulary, workdir: Path, tag: str | None = None) -> EvalReport:
-    tag = tag or variant
-    train_examples = _build_examples(parts["train"], cfg.k)
-    val_examples = _build_examples(parts["val"], cfg.k)
-    result = _train_one(cfg, variant, train_examples, val_examples, vocab)
+def _run_variant(cfg: RunConfig, variant: str, examples, parts, vocab: Vocabulary, workdir: Path, tag: str) -> EvalReport:
+    """Train, predict and evaluate one variant on (train, val) built examples and the test commits."""
+    result = _train_one(cfg, variant, *examples, vocab)
     tr.save_checkpoint(result.model, workdir / f"checkpoint_{tag}.bin", {"k": cfg.k, "max_len": cfg.max_len, "seed": cfg.seed})
     tr.write_loss_log(result.loss_log, workdir / f"loss_log_{tag}.csv")
-    preds = predict_corpus(parts["test"], result.model, vocab, cfg.k)
+    preds = predict_corpus(parts["test"], result.model, vocab, cfg.k, cfg.train_config().batch_size)
     write_predictions_jsonl(preds, workdir / f"predictions_{tag}.jsonl")
     labels = _labels_from_commits(parts["test"])
     return evaluate(preds, labels, cfg.cost_effort_levels)
@@ -374,15 +363,18 @@ def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
         reports: dict[str, EvalReport] = {}
         for k in sweep_k:
             sub = RunConfig(**{**cfg.to_dict(), "k": k})
-            reports[f"{cfg.variant}@k={k}"] = _run_variant(sub, cfg.variant, parts, vocab, workdir, tag=f"{cfg.variant}_k{k}")
+            examples = (_build_examples(parts["train"], k), _build_examples(parts["val"], k))
+            tag = f"{cfg.variant}_k{k}"
+            reports[f"{cfg.variant}@k={k}"] = _run_variant(sub, cfg.variant, examples, parts, vocab, workdir, tag)
             write_report(reports, workdir / "sweep_report.csv", "csv", cfg.cost_effort_levels)
         print(emit_report(reports, "text", cfg.cost_effort_levels), end="")
         write_manifest(workdir, "ablate", cfg, ["sweep_report.csv"])
         return EXIT_OK
 
+    examples = (base_train, _build_examples(parts["val"], cfg.k))
     reports = {}
     for variant in VARIANTS:
-        reports[variant] = _run_variant(cfg, variant, parts, vocab, workdir)
+        reports[variant] = _run_variant(cfg, variant, examples, parts, vocab, workdir, variant)
         # partial results stay on disk if a later variant fails
         write_report(reports, workdir / "ablation_report.csv", "csv", cfg.cost_effort_levels)
     write_report(reports, workdir / "ablation_report.json", "json", cfg.cost_effort_levels)

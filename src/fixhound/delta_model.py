@@ -23,12 +23,13 @@ from .change_builder import (
     EMBED_CONCAT_DUO,
     EMBED_SUBTRACT_DUO,
     EMBED_SUBTRACT_SINGLE,
+    PAIR_VARIANTS,
     RAW_GIT_DIFF,
-    SEP_MARKER,
     VARIANTS,
-    VariantInput,
+    BuiltExample,
 )
 from .encoder import EncoderConfig, Params
+from .repo_miner import VF
 from .tokenizer import TokenSequence, Vocabulary, encode, encode_pair, tokenize_batch
 
 FUSION_SUBTRACT = "Subtract"
@@ -129,43 +130,6 @@ def fuse(e_before: np.ndarray, e_after: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown fusion mode {mode!r}")
 
 
-def encode_inputs(vis: list[VariantInput], vocab: Vocabulary, max_len: int) -> list[tuple[TokenSequence, ...]]:
-    """Tokenize rendered variant inputs into their model-facing sequence(s).
-
-    All texts go through one `tokenize_batch` call. Single-stream texts
-    containing the separator marker are encoded as a SEP-joined pair; the
-    marker itself is never tokenized literally.
-    """
-    kinds: list[str] = []
-    texts: list[str] = []
-    for vi in vis:
-        if vi.variant in DUAL_STREAM_VARIANTS:
-            kinds.append("dual")
-            texts.extend(vi.texts)
-        elif SEP_MARKER in vi.texts[0]:
-            a, _, b = vi.texts[0].partition(SEP_MARKER)
-            kinds.append("pair")
-            texts.extend((a, b))
-        else:
-            kinds.append("single")
-            texts.append(vi.texts[0])
-    tokens = iter(tokenize_batch(texts, vocab))
-    out: list[tuple[TokenSequence, ...]] = []
-    for kind in kinds:
-        if kind == "dual":
-            out.append((encode(next(tokens), max_len), encode(next(tokens), max_len)))
-        elif kind == "pair":
-            out.append((encode_pair(next(tokens), next(tokens), max_len),))
-        else:
-            out.append((encode(next(tokens), max_len),))
-    return out
-
-
-def encode_input(vi: VariantInput, vocab: Vocabulary, max_len: int) -> tuple[TokenSequence, ...]:
-    """`encode_inputs` for one rendered variant input."""
-    return encode_inputs([vi], vocab, max_len)[0]
-
-
 def _stack(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
     ids = np.array([s.ids for s in seqs], dtype=np.int64)
     lens = np.array([s.attention_length for s in seqs], dtype=np.int64)
@@ -186,16 +150,7 @@ class EncodedBatch:
     def size(self) -> int:
         return self.ids_a.shape[0]
 
-    def slice(self, lo: int, hi: int) -> "EncodedBatch":
-        return EncodedBatch(
-            ids_a=self.ids_a[lo:hi],
-            lens_a=self.lens_a[lo:hi],
-            ids_b=None if self.ids_b is None else self.ids_b[lo:hi],
-            lens_b=None if self.lens_b is None else self.lens_b[lo:hi],
-            labels=None if self.labels is None else self.labels[lo:hi],
-        )
-
-    def take(self, idx: np.ndarray) -> "EncodedBatch":
+    def take(self, idx: np.ndarray | slice) -> "EncodedBatch":
         return EncodedBatch(
             ids_a=self.ids_a[idx],
             lens_a=self.lens_a[idx],
@@ -206,13 +161,28 @@ class EncodedBatch:
 
 
 def batch_from_sequences(seq_pairs: list[tuple[TokenSequence, ...]], labels=None) -> EncodedBatch:
-    dual = len(seq_pairs[0]) == 2
     ids_a, lens_a = _stack([p[0] for p in seq_pairs])
     ids_b = lens_b = None
-    if dual:
+    if seq_pairs and len(seq_pairs[0]) == 2:
         ids_b, lens_b = _stack([p[1] for p in seq_pairs])
     lab = None if labels is None else np.asarray(labels, dtype=np.float64)
     return EncodedBatch(ids_a=ids_a, lens_a=lens_a, ids_b=ids_b, lens_b=lens_b, labels=lab)
+
+
+def encode_examples(examples: list[BuiltExample], variant: str, vocab: Vocabulary, max_len: int) -> EncodedBatch:
+    """The examples' `variant` segments and labels as one batch, tokenized in one call.
+
+    The variant alone picks the encoding: two sequences for the dual-stream
+    variants, one SEP-joined pair for the pair variants, else one sequence."""
+    segments = [ex.variant_texts(variant) for ex in examples]
+    tokens = iter(tokenize_batch([t for seg in segments for t in seg], vocab))
+    if variant in DUAL_STREAM_VARIANTS:
+        seqs = [(encode(next(tokens), max_len), encode(next(tokens), max_len)) for _ in segments]
+    elif variant in PAIR_VARIANTS:
+        seqs = [(encode_pair(next(tokens), next(tokens), max_len),) for _ in segments]
+    else:
+        seqs = [(encode(next(tokens), max_len),) for _ in segments]
+    return batch_from_sequences(seqs, [1.0 if ex.label == VF else 0.0 for ex in examples])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -302,19 +272,15 @@ def batch_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(-labels * np.log(p) - (1.0 - labels) * np.log(1.0 - p)))
 
 
-def loss(model: DeltaModel, batch: EncodedBatch) -> float:
-    probs, _ = forward_model(model, batch)
-    return batch_loss(probs, batch.labels)
-
-
 def predict_batch(model: DeltaModel, batch: EncodedBatch) -> np.ndarray:
     probs, _ = forward_model(model, batch)
     return probs
 
 
-def predict_file(seqs: tuple[TokenSequence, ...], model: DeltaModel) -> float:
-    """Probability that one encoded file change is vulnerability-fixing."""
-    return float(predict_batch(model, batch_from_sequences([seqs]))[0])
+def predict_in_chunks(model: DeltaModel, batch: EncodedBatch, chunk: int) -> np.ndarray:
+    """Probabilities of every row in input order, `chunk` rows per `predict_batch` call."""
+    out = [predict_batch(model, batch.take(slice(lo, lo + chunk))) for lo in range(0, batch.size, chunk)]
+    return np.concatenate(out) if out else np.zeros(0)
 
 
 def equivalent_concat_model(m: DeltaModel) -> DeltaModel:

@@ -252,8 +252,3 @@ def backward_batch(params: Params, config: EncoderConfig, cache, d_pooled: np.nd
     grads["pos_emb"][:T] += dx.sum(axis=0)
     return grads
 
-
-def forward(params: Params, config: EncoderConfig, ids: np.ndarray, attn_lens: np.ndarray) -> np.ndarray:
-    """Pooled embeddings without keeping the backward cache."""
-    pooled, _ = forward_batch(params, config, ids, attn_lens)
-    return pooled

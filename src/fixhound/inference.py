@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .change_builder import build_contextual_change, render_variant_input
-from .delta_model import DeltaModel, encode_inputs, predict_file
+from .change_builder import build_example
+from .delta_model import DeltaModel, encode_examples, predict_in_chunks
 from .repo_miner import NVF, VF, CommitRecord
 from .tokenizer import Vocabulary
 
@@ -44,14 +44,16 @@ class CommitPrediction:
         )
 
 
-def predict_corpus(commits: Iterable[CommitRecord], model: DeltaModel, vocab: Vocabulary, k: int) -> list[CommitPrediction]:
+def predict_corpus(
+    commits: Iterable[CommitRecord], model: DeltaModel, vocab: Vocabulary, k: int, chunk: int
+) -> list[CommitPrediction]:
     """One prediction per commit, input order preserved.
 
-    Every file of every commit is rendered and encoded in one batched
-    tokenizer call, then scored on its own. A commit's probability is the
-    mean of its file probabilities, strict > 0.5 for a VF verdict. Files
-    are processed in sorted-path order and summed in 64-bit, so the result
-    is bitwise independent of the input file order.
+    Files take training's path: `build_example`, one `encode_examples`
+    call, then `predict_in_chunks` at `chunk` rows per call. A commit's
+    probability is the mean of its file probabilities, strict > 0.5 for a
+    VF verdict. Files are processed in sorted-path order and summed in
+    64-bit, so the result is bitwise independent of the input file order.
     """
     commits = list(commits)
     files_by_commit = []
@@ -59,15 +61,14 @@ def predict_corpus(commits: Iterable[CommitRecord], model: DeltaModel, vocab: Vo
         if not commit.files:
             raise ValueError(f"commit {commit.commit_hash} has no file changes")
         files_by_commit.append(sorted(commit.files, key=lambda f: f.path))
-    vis = [
-        render_variant_input(build_contextual_change(fc, k, c.label, c.repo_id, c.commit_hash), fc, model.variant)
-        for c, files in zip(commits, files_by_commit)
-        for fc in files
+    examples = [
+        build_example(fc, k, c.label, c.repo_id, c.commit_hash) for c, files in zip(commits, files_by_commit) for fc in files
     ]
-    seqs = iter(encode_inputs(vis, vocab, model.config.max_len))
+    batch = encode_examples(examples, model.variant, vocab, model.config.max_len)
+    probs = iter(predict_in_chunks(model, batch, chunk).tolist())
     preds = []
     for commit, files in zip(commits, files_by_commit):
-        file_probs = [(fc.path, predict_file(next(seqs), model)) for fc in files]
+        file_probs = [(fc.path, next(probs)) for fc in files]
         total = 0.0
         for _, p in file_probs:
             total += p
@@ -83,11 +84,6 @@ def predict_corpus(commits: Iterable[CommitRecord], model: DeltaModel, vocab: Vo
             )
         )
     return preds
-
-
-def predict_commit(commit: CommitRecord, model: DeltaModel, vocab: Vocabulary, k: int) -> CommitPrediction:
-    """`predict_corpus` for one commit."""
-    return predict_corpus([commit], model, vocab, k)[0]
 
 
 def write_predictions_jsonl(preds: Iterable[CommitPrediction], path: str | Path) -> int:

@@ -25,6 +25,9 @@ NUM_SPECIALS = 5
 BYTE_BASE = NUM_SPECIALS  # byte b maps to id BYTE_BASE + b
 MIN_VOCAB = NUM_SPECIALS + 256
 
+# How `decode` renders the SEP token; texts are never split at it.
+SEP_MARKER = " ⟨SEP⟩ "
+
 
 @dataclass
 class Vocabulary:
@@ -213,9 +216,7 @@ def _pad(ids: list[int], max_len: int, truncated: bool) -> TokenSequence:
 
 def decode(seq: TokenSequence | Iterable[int], vocab: Vocabulary) -> str:
     """Inverse of encode for untruncated sequences; SEP renders as the
-    textual separator marker used by the single-stream variants."""
-    from .change_builder import SEP_MARKER
-
+    textual separator marker."""
     ids = seq.ids if isinstance(seq, TokenSequence) else tuple(seq)
     out = bytearray()
     for i in ids:

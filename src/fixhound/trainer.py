@@ -11,13 +11,12 @@ from __future__ import annotations
 import copy
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import delta_model as dm
-from .change_builder import EMBED_SUBTRACT_DUO
 from .delta_model import DeltaModel, EncodedBatch
 from .encoder import EncoderConfig, Params
 from .repo_miner import VF, CommitRecord
@@ -34,10 +33,7 @@ class SplitError(Exception):
 
 
 class TrainingError(Exception):
-    def __init__(self, message: str, step: int | None = None, batch_indices=None):
-        super().__init__(message)
-        self.step = step
-        self.batch_indices = batch_indices
+    pass
 
 
 class CheckpointError(Exception):
@@ -55,17 +51,6 @@ class SplitSpec:
     train_frac: float = 0.9
     val_frac: float = 0.1
     test_start: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "train_repos": list(self.train_repos),
-            "val_repos": list(self.val_repos),
-            "test_repos": list(self.test_repos),
-            "train_frac": self.train_frac,
-            "val_frac": self.val_frac,
-            "test_start": self.test_start,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SplitSpec":
@@ -92,17 +77,9 @@ class TrainConfig:
     micro_batch: int | None = None  # gradient-accumulation chunk size
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
-
-def split_dataset(records: list[CommitRecord], spec: SplitSpec, seed: int = 0) -> dict[str, list[CommitRecord]]:
+def split_dataset(records: list[CommitRecord], spec: SplitSpec) -> dict[str, list[CommitRecord]]:
     """Partition commit records per the split spec; deterministic."""
-    del seed  # both strategies are deterministic given the spec
     if spec.strategy == CROSS_PROJECT:
         return _split_cross_project(records, spec)
     if spec.strategy == TEMPORAL:
@@ -205,7 +182,7 @@ def _accumulate(model: DeltaModel, batch: EncodedBatch, micro: int | None):
     total_loss = 0.0
     total_grads: Params | None = None
     for lo in range(0, n, micro):
-        chunk = batch.slice(lo, min(lo + micro, n))
+        chunk = batch.take(slice(lo, lo + micro))
         loss, grads, _ = dm.loss_and_grads(model, chunk)
         w = chunk.size / n
         total_loss += loss * w
@@ -215,13 +192,6 @@ def _accumulate(model: DeltaModel, batch: EncodedBatch, micro: int | None):
             for k, g in grads.items():
                 total_grads[k] += g * w
     return total_loss, total_grads
-
-
-def predict_in_chunks(model: DeltaModel, batch: EncodedBatch, chunk: int = 256) -> np.ndarray:
-    out = []
-    for lo in range(0, batch.size, chunk):
-        out.append(dm.predict_batch(model, batch.slice(lo, min(lo + chunk, batch.size))))
-    return np.concatenate(out) if out else np.zeros(0)
 
 
 def train(
@@ -260,11 +230,7 @@ def train(
             batch = train_batch.take(perm[lo : lo + config.batch_size])
             loss, grads = _accumulate(model, batch, config.micro_batch)
             if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss {loss} at step {step}",
-                    step=step,
-                    batch_indices=perm[lo : lo + config.batch_size].tolist(),
-                )
+                raise TrainingError(f"non-finite loss {loss} at step {step}")
             step += 1
             opt.step(grads)
             loss_log.append((step, epoch, float(loss), "train"))
@@ -272,7 +238,7 @@ def train(
                 stop = True
                 break
 
-        val_probs = predict_in_chunks(model, val_batch)
+        val_probs = dm.predict_in_chunks(model, val_batch, config.batch_size)
         val_loss = dm.batch_loss(val_probs, val_batch.labels)
         val_f1 = f1_at_half(val_probs, val_batch.labels)
         loss_log.append((step, epoch, float(val_loss), "val"))

@@ -16,7 +16,6 @@ from fixhound.change_builder import (
     DUAL_STREAM_VARIANTS,
     EMBED_SUBTRACT_DUO,
     VARIANTS,
-    VariantInput,
     build_example,
     context_regions,
     region_old_lines,
@@ -24,9 +23,8 @@ from fixhound.change_builder import (
 from fixhound.cli import EXIT_OK, main
 from fixhound.delta_model import (
     EncodedBatch,
-    batch_from_sequences,
     cast_model,
-    encode_input,
+    encode_examples,
     equivalent_concat_model,
     forward_model,
     init_model,
@@ -35,7 +33,7 @@ from fixhound.delta_model import (
 )
 from fixhound.encoder import EncoderConfig
 from fixhound.evaluation import cost_effort
-from fixhound.inference import CommitPrediction, predict_commit
+from fixhound.inference import CommitPrediction, predict_corpus
 from fixhound.repo_miner import NVF, VF, CommitRecord, mine_repository, write_commits_jsonl
 from fixhound.tokenizer import train_vocab
 from fixhound.trainer import (
@@ -140,9 +138,8 @@ def test_criterion_3_aggregation_exactness(capfd, monkeypatch):
         files = tuple(make_planted_file_change(rng, vf=False, path=f"f{i}.c") for i in range(n))
         commit = CommitRecord(repo_id="r", commit_hash=f"{case:040x}", timestamp=case, label=NVF, files=files)
 
-        calls = iter(probs)
-        monkeypatch.setattr(inf, "predict_file", lambda seqs, m: next(calls))
-        pred = predict_commit(commit, FakeModel(), vocab, 3)
+        monkeypatch.setattr(inf, "predict_in_chunks", lambda m, batch, chunk, out=np.array(probs): out)
+        pred = predict_corpus([commit], FakeModel(), vocab, 3, 4)[0]
         expected = float(np.sum(np.array(probs, dtype=np.float64)) / n)
         if abs(pred.commit_prob - expected) > np.spacing(max(expected, 1e-300)):
             failures += 1
@@ -153,24 +150,24 @@ def test_criterion_3_aggregation_exactness(capfd, monkeypatch):
         by_path = dict(zip([f.path for f in files], probs))
         shuffled_files = tuple(files[i] for i in order)
         monkeypatch.setattr(
-            inf, "predict_file", lambda seqs, m, it=iter(sorted(by_path)): by_path[next(it)]
+            inf, "predict_in_chunks", lambda m, batch, chunk, out=np.array([by_path[p] for p in sorted(by_path)]): out
         )
         shuffled = CommitRecord(
             repo_id="r", commit_hash=commit.commit_hash, timestamp=case, label=NVF, files=shuffled_files
         )
-        pred2 = predict_commit(shuffled, FakeModel(), vocab, 3)
+        pred2 = predict_corpus([shuffled], FakeModel(), vocab, 3, 4)[0]
         if pred2.commit_prob != pred.commit_prob:
             failures += 1
     # explicit boundary case
-    calls = iter([0.2, 0.8])
-    monkeypatch.setattr(inf, "predict_file", lambda seqs, m: next(calls))
+    monkeypatch.setattr(inf, "predict_in_chunks", lambda m, batch, chunk: np.array([0.2, 0.8]))
     files = tuple(make_planted_file_change(rng, vf=False, path=f"g{i}.c") for i in range(2))
-    boundary = predict_commit(
-        CommitRecord(repo_id="r", commit_hash="b" * 40, timestamp=0, label=NVF, files=files),
+    boundary = predict_corpus(
+        [CommitRecord(repo_id="r", commit_hash="b" * 40, timestamp=0, label=NVF, files=files)],
         FakeModel(),
         vocab,
         3,
-    )
+        4,
+    )[0]
     if not (boundary.commit_prob == 0.5 and boundary.predicted == NVF):
         failures += 1
     ok = failures == 0
@@ -227,16 +224,6 @@ def _planted_dataset(rng, n):
     return examples
 
 
-def _encode(examples, variant, vocab, max_len):
-    seqs = []
-    labels = []
-    for ex in examples:
-        vi = VariantInput(variant=variant, texts=ex.variant_texts(variant))
-        seqs.append(encode_input(vi, vocab, max_len))
-        labels.append(1.0 if ex.label == VF else 0.0)
-    return batch_from_sequences(seqs, labels)
-
-
 def test_criterion_5_planted_pattern_learnability(capfd):
     """EmbedSubtract_Duo: train F1 1.0 in <= 200 steps, held-out F1 >= 0.9, 3 seeds."""
     t0 = time.monotonic()
@@ -248,8 +235,8 @@ def test_criterion_5_planted_pattern_learnability(capfd):
         corpus = [t for ex in train_examples for t in (ex.code_before, ex.code_after)]
         vocab = train_vocab(corpus, 300)
         cfg = EncoderConfig(vocab_size=vocab.size, dim=16, layers=1, heads=2, max_len=64, ffn_mult=2)
-        train_batch = _encode(train_examples, EMBED_SUBTRACT_DUO, vocab, 64)
-        heldout_batch = _encode(heldout_examples, EMBED_SUBTRACT_DUO, vocab, 64)
+        train_batch = encode_examples(train_examples, EMBED_SUBTRACT_DUO, vocab, 64)
+        heldout_batch = encode_examples(heldout_examples, EMBED_SUBTRACT_DUO, vocab, 64)
         tc = TrainConfig(learning_rate=3e-3, epochs=100, batch_size=32, seed=seed)
         result = train(EMBED_SUBTRACT_DUO, cfg, train_batch, heldout_batch, tc, max_steps=200)
         train_f1 = f1_at_half(predict_batch(result.model, train_batch), train_batch.labels)
@@ -301,7 +288,7 @@ def test_criterion_7_determinism(capfd, tmp_path):
     examples = _planted_dataset(rng, 32)
     vocab = train_vocab([t for ex in examples for t in (ex.code_before, ex.code_after)], 280)
     cfg = EncoderConfig(vocab_size=vocab.size, dim=8, layers=1, heads=2, max_len=48, ffn_mult=2)
-    batch = _encode(examples, EMBED_SUBTRACT_DUO, vocab, 48)
+    batch = encode_examples(examples, EMBED_SUBTRACT_DUO, vocab, 48)
     tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=16, seed=9)
 
     paths = []
@@ -344,15 +331,13 @@ def test_criterion_8_context_golden_and_monotone(capfd):
     new = list(old)
     new[4] = "L5x"
     fc = make_fc(old, new)
-    from fixhound.change_builder import build_contextual_change
-
-    cc3 = build_contextual_change(fc, 3, NVF)
-    cc0 = build_contextual_change(fc, 0, NVF)
+    ex3 = build_example(fc, 3, NVF)
+    ex0 = build_example(fc, 0, NVF)
     golden_ok = (
-        cc3.code_before == (data / "golden_before_k3.txt").read_text()
-        and cc3.code_after == (data / "golden_after_k3.txt").read_text()
-        and cc0.code_before == (data / "golden_before_k0.txt").read_text()
-        and cc0.code_after == (data / "golden_after_k0.txt").read_text()
+        ex3.code_before == (data / "golden_before_k3.txt").read_text()
+        and ex3.code_after == (data / "golden_after_k3.txt").read_text()
+        and ex0.code_before == (data / "golden_before_k0.txt").read_text()
+        and ex0.code_after == (data / "golden_after_k0.txt").read_text()
     )
 
     def content_lines(fc, k):

@@ -9,18 +9,14 @@ from fixhound.change_builder import (
     CODE_CONCAT_NOCONTEXT,
     EMBED_CONCAT_DUO,
     EMBED_SUBTRACT_DUO,
+    EMBED_SUBTRACT_SINGLE,
     RAW_GIT_DIFF,
-    SEP_MARKER,
     VARIANTS,
-    VariantInput,
     added_code,
-    build_contextual_change,
     build_example,
     context_regions,
-    raw_diff_text,
     region_old_lines,
     removed_code,
-    render_variant_input,
 )
 from fixhound.repo_miner import FileChange, Hunk, diff_lines
 
@@ -49,21 +45,21 @@ def single_edit_fc():
 
 class TestContextCut:
     def test_k3_matches_golden(self, single_edit_fc):
-        cc = build_contextual_change(single_edit_fc, 3, "NVF")
-        assert cc.code_before == (DATA / "golden_before_k3.txt").read_text()
-        assert cc.code_after == (DATA / "golden_after_k3.txt").read_text()
+        ex = build_example(single_edit_fc, 3, "NVF")
+        assert ex.code_before == (DATA / "golden_before_k3.txt").read_text()
+        assert ex.code_after == (DATA / "golden_after_k3.txt").read_text()
 
     def test_k0_matches_golden(self, single_edit_fc):
-        cc = build_contextual_change(single_edit_fc, 0, "NVF")
-        assert cc.code_before == (DATA / "golden_before_k0.txt").read_text()
-        assert cc.code_after == (DATA / "golden_after_k0.txt").read_text()
+        ex = build_example(single_edit_fc, 0, "NVF")
+        assert ex.code_before == (DATA / "golden_before_k0.txt").read_text()
+        assert ex.code_after == (DATA / "golden_after_k0.txt").read_text()
 
     def test_k0_is_exactly_removed_and_added(self):
         old = ["a", "b", "c", "d", "e"]
         new = ["a", "X", "c", "Y", "e"]
-        cc = build_contextual_change(make_fc(old, new), 0, "VF")
-        assert cc.code_before == "b\nd"
-        assert cc.code_after == "X\nY"
+        ex = build_example(make_fc(old, new), 0, "VF")
+        assert ex.code_before == "b\nd"
+        assert ex.code_after == "X\nY"
 
     def test_touching_contexts_merge(self):
         old = [f"L{i}" for i in range(1, 13)]
@@ -81,8 +77,8 @@ class TestContextCut:
             expected |= set(range(max(1, lo), min(len(old), hi) + 1))
         got = set(range(regions[0].old_lo, regions[0].old_hi + 1))
         assert got == expected
-        cc = build_contextual_change(fc, 3, "NVF")
-        assert cc.code_before == "\n".join(old[1:12])
+        ex = build_example(fc, 3, "NVF")
+        assert ex.code_before == "\n".join(old[1:12])
 
     def test_far_hunks_stay_separate(self):
         old = [f"L{i}" for i in range(1, 30)]
@@ -92,27 +88,27 @@ class TestContextCut:
         fc = make_fc(old, new)
         regions = context_regions(fc, 3)
         assert len(regions) == 2
-        cc = build_contextual_change(fc, 3, "NVF")
-        assert "\n\n" in cc.code_before  # blank-line separator between regions
+        ex = build_example(fc, 3, "NVF")
+        assert "\n\n" in ex.code_before  # blank-line separator between regions
 
     def test_k_clamped_at_file_boundaries(self):
         old = ["a", "b"]
         new = ["a", "B"]
-        cc = build_contextual_change(make_fc(old, new), 99, "NVF")
-        assert cc.code_before == "a\nb"
-        assert cc.code_after == "a\nB"
+        ex = build_example(make_fc(old, new), 99, "NVF")
+        assert ex.code_before == "a\nb"
+        assert ex.code_after == "a\nB"
 
     def test_pure_addition_before_is_context_only(self):
         old = ["a", "b", "c", "d"]
         new = ["a", "b", "NEW", "c", "d"]
         fc = make_fc(old, new)
-        cc = build_contextual_change(fc, 2, "NVF")
-        for line in cc.code_before.split("\n"):
+        ex = build_example(fc, 2, "NVF")
+        for line in ex.code_before.split("\n"):
             assert line in old
 
     def test_deterministic(self, single_edit_fc):
-        a = build_contextual_change(single_edit_fc, 3, "VF", "r", "h")
-        b = build_contextual_change(single_edit_fc, 3, "VF", "r", "h")
+        a = build_example(single_edit_fc, 3, "VF", "r", "h")
+        b = build_example(single_edit_fc, 3, "VF", "r", "h")
         assert a == b
 
     def test_negative_k_rejected(self, single_edit_fc):
@@ -146,39 +142,33 @@ class TestMonotonicity:
 
 class TestVariantRendering:
     def test_embed_variants_pass_through(self, single_edit_fc):
-        cc = build_contextual_change(single_edit_fc, 3, "NVF")
+        ex = build_example(single_edit_fc, 3, "NVF")
         for variant in (EMBED_SUBTRACT_DUO, EMBED_CONCAT_DUO):
-            vi = render_variant_input(cc, single_edit_fc, variant)
-            assert vi.texts == (cc.code_before, cc.code_after)
+            assert ex.variant_texts(variant) == (ex.code_before, ex.code_after)
 
     def test_code_concat_is_exact_concatenation(self, single_edit_fc):
-        cc = build_contextual_change(single_edit_fc, 3, "NVF")
-        vi = render_variant_input(cc, single_edit_fc, CODE_CONCAT)
-        assert vi.texts == (cc.code_before + SEP_MARKER + cc.code_after,)
+        # the two sides of one SEP-joined sequence: the same cut as the dual variants
+        ex = build_example(single_edit_fc, 3, "NVF")
+        assert ex.variant_texts(CODE_CONCAT) == (ex.code_before, ex.code_after)
 
     def test_nocontext_drops_context(self):
         fc = make_fc(["a"], ["b"])
-        cc = build_contextual_change(fc, 3, "NVF")
-        vi = render_variant_input(cc, fc, CODE_CONCAT_NOCONTEXT)
-        assert vi.texts == ("a ⟨SEP⟩ b",)
+        ex = build_example(fc, 3, "NVF")
+        assert ex.variant_texts(CODE_CONCAT_NOCONTEXT) == ("a", "b")
 
     def test_raw_git_diff_order(self, single_edit_fc):
-        cc = build_contextual_change(single_edit_fc, 3, "NVF")
-        vi = render_variant_input(cc, single_edit_fc, RAW_GIT_DIFF)
+        ex = build_example(single_edit_fc, 3, "NVF")
         expected = "\n".join(["L2", "L3", "L4", "L5x", "L5", "L6", "L7", "L8"])
-        assert vi.texts == (expected,)
+        assert ex.variant_texts(RAW_GIT_DIFF) == (expected,)
 
     def test_segment_count_invariant(self, single_edit_fc):
-        cc = build_contextual_change(single_edit_fc, 3, "NVF")
+        ex = build_example(single_edit_fc, 3, "NVF")
         for variant in VARIANTS:
-            vi = render_variant_input(cc, single_edit_fc, variant)
-            assert len(vi.texts) == (2 if variant.startswith("Embed") else 1)
+            assert len(ex.variant_texts(variant)) == (1 if variant == RAW_GIT_DIFF else 2)
 
-    def test_variant_input_arity_enforced(self):
+    def test_unknown_variant_rejected(self, single_edit_fc):
         with pytest.raises(ValueError):
-            VariantInput(variant=EMBED_SUBTRACT_DUO, texts=("only one",))
-        with pytest.raises(ValueError):
-            VariantInput(variant=RAW_GIT_DIFF, texts=("a", "b"))
+            build_example(single_edit_fc, 3, "NVF").variant_texts("Nonsense")
 
     def test_removed_added_code(self):
         fc = make_fc(["a", "b", "c"], ["a", "X", "Y", "c"])
@@ -189,10 +179,17 @@ class TestVariantRendering:
 class TestBuiltExample:
     def test_variant_texts_cover_all_variants(self, single_edit_fc):
         ex = build_example(single_edit_fc, 3, "VF", "r", "h")
-        cc = build_contextual_change(single_edit_fc, 3, "VF", "r", "h")
+        expected = {
+            EMBED_SUBTRACT_DUO: (ex.code_before, ex.code_after),
+            EMBED_SUBTRACT_SINGLE: (ex.code_before, ex.code_after),
+            EMBED_CONCAT_DUO: (ex.code_before, ex.code_after),
+            CODE_CONCAT: (ex.code_before, ex.code_after),
+            CODE_CONCAT_NOCONTEXT: (removed_code(single_edit_fc), added_code(single_edit_fc)),
+            RAW_GIT_DIFF: (ex.raw_diff,),
+        }
+        assert expected.keys() == set(VARIANTS)
         for variant in VARIANTS:
-            vi = render_variant_input(cc, single_edit_fc, variant)
-            assert ex.variant_texts(variant) == vi.texts
+            assert ex.variant_texts(variant) == expected[variant]
 
     def test_round_trip(self, single_edit_fc):
         ex = build_example(single_edit_fc, 3, "VF", "r", "h")
@@ -202,4 +199,4 @@ class TestBuiltExample:
 
     def test_raw_diff_text_k0(self):
         fc = make_fc(["a", "b", "c"], ["a", "B", "c"])
-        assert raw_diff_text(fc, 0) == "B\nb"
+        assert build_example(fc, 0, "NVF").raw_diff == "B\nb"

@@ -11,10 +11,10 @@ from fixhound.change_builder import (
     EMBED_CONCAT_DUO,
     EMBED_SUBTRACT_DUO,
     EMBED_SUBTRACT_SINGLE,
+    PAIR_VARIANTS,
     RAW_GIT_DIFF,
-    SEP_MARKER,
     VARIANTS,
-    VariantInput,
+    build_example,
 )
 from fixhound.delta_model import (
     DUAL_ENCODER_VARIANTS,
@@ -24,7 +24,7 @@ from fixhound.delta_model import (
     batch_from_sequences,
     batch_loss,
     cast_model,
-    encode_input,
+    encode_examples,
     equivalent_concat_model,
     forward_model,
     fuse,
@@ -32,10 +32,12 @@ from fixhound.delta_model import (
     init_model,
     loss_and_grads,
     predict_batch,
-    predict_file,
+    predict_in_chunks,
 )
 from fixhound.encoder import EncoderConfig
-from fixhound.tokenizer import SEP, train_vocab
+from fixhound.repo_miner import NVF, VF
+from fixhound.tokenizer import SEP, SEP_MARKER, encode, tokenize, train_vocab
+from test_change_builder import make_fc
 
 CFG = EncoderConfig(vocab_size=280, dim=8, layers=1, heads=2, max_len=16, ffn_mult=2)
 
@@ -244,36 +246,60 @@ class TestEquivalence:
 
 
 class TestEncodeInput:
-    def test_dual_stream_yields_two_sequences(self):
-        vi = VariantInput(variant=EMBED_SUBTRACT_DUO, texts=("int a;", "int b;"))
-        seqs = encode_input(vi, VOCAB, 16)
-        assert len(seqs) == 2
+    """`encode_examples`: one batch per variant, the encoding picked by the variant alone."""
 
-    def test_separator_marker_maps_to_sep_token(self):
-        vi = VariantInput(variant=CODE_CONCAT, texts=(f"int a;{SEP_MARKER}int b;",))
-        (seq,) = encode_input(vi, VOCAB, 32)
-        assert seq.ids.count(SEP) == 1
+    def test_dual_stream_yields_two_sequences(self):
+        ex = build_example(make_fc(["int a;"], ["int b;"]), 3, VF)
+        batch = encode_examples([ex, ex], EMBED_SUBTRACT_DUO, VOCAB, 16)
+        assert batch.ids_a.shape == batch.ids_b.shape == (2, 16)
+        assert batch.labels.tolist() == [1.0, 1.0]
+
+    def test_sep_token_only_at_segment_boundary(self):
+        # the file's own text holds the marker that `decode` renders SEP as,
+        # on a context line and on the changed line
+        old = ["int a;", "// x ⟨SEP⟩ y", "f(x ⟨SEP⟩ y);", "int b;"]
+        new = ["int a;", "// x ⟨SEP⟩ y", "f(x ⟨SEP⟩ z);", "int b;"]
+        ex = build_example(make_fc(old, new), 3, NVF)
+        assert SEP_MARKER in ex.raw_diff and SEP_MARKER in ex.removed_code
+        for variant in VARIANTS:
+            batch = encode_examples([ex], variant, VOCAB, 256)
+            assert (batch.ids_b is not None) == (variant in DUAL_STREAM_VARIANTS), variant
+            rows = [batch.ids_a[0]] if batch.ids_b is None else [batch.ids_a[0], batch.ids_b[0]]
+            assert not any(row[-1] for row in rows), variant  # nothing truncated
+            seps = [np.flatnonzero(row == SEP).tolist() for row in rows]
+            if variant in PAIR_VARIANTS:
+                first = ex.variant_texts(variant)[0]
+                assert seps == [[1 + len(tokenize(first, VOCAB))]], variant
+            else:
+                assert seps == [[]] * len(rows), variant
 
     def test_plain_single_stream_has_no_sep(self):
-        vi = VariantInput(variant=RAW_GIT_DIFF, texts=("just a diff body",))
-        (seq,) = encode_input(vi, VOCAB, 32)
-        assert SEP not in seq.ids
+        ex = build_example(make_fc(["just a"], ["diff body"]), 3, NVF)
+        batch = encode_examples([ex], RAW_GIT_DIFF, VOCAB, 32)
+        assert batch.ids_b is None
+        assert SEP not in batch.ids_a[0]
 
-    def test_predict_file_variant_mismatch(self):
+    def test_empty_example_list(self):
+        batch = encode_examples([], CODE_CONCAT, VOCAB, 16)
+        assert batch.size == 0
+        assert predict_in_chunks(init_model(CODE_CONCAT, CFG, seed=0), batch, 4).shape == (0,)
+
+    def test_predict_in_chunks_variant_mismatch(self):
         m = init_model(CODE_CONCAT, EncoderConfig(vocab_size=VOCAB.size, dim=8, layers=0, heads=1, max_len=16), seed=0)
-        vi = VariantInput(variant=EMBED_SUBTRACT_DUO, texts=("x", "y"))
+        ex = build_example(make_fc(["x"], ["y"]), 3, NVF)
         with pytest.raises(ValueError):
-            predict_file(encode_input(vi, VOCAB, 16), m)
+            predict_in_chunks(m, encode_examples([ex], EMBED_SUBTRACT_DUO, VOCAB, 16), 4)
 
-    def test_predict_file_returns_probability(self):
+    def test_predict_in_chunks_returns_probabilities(self):
         m = init_model(RAW_GIT_DIFF, EncoderConfig(vocab_size=VOCAB.size, dim=8, layers=1, heads=2, max_len=16, ffn_mult=2), seed=0)
-        vi = VariantInput(variant=RAW_GIT_DIFF, texts=("if (x < 0) return -1;",))
-        p = predict_file(encode_input(vi, VOCAB, 16), m)
-        assert 0.0 < p < 1.0
+        old, new = ["if (x < 0)", "return -{};"], ["if (x < 0)", "return 0;"]
+        examples = [build_example(make_fc([old[0], old[1].format(i)], new), 3, NVF) for i in range(5)]
+        p = predict_in_chunks(m, encode_examples(examples, RAW_GIT_DIFF, VOCAB, 16), 2)
+        assert p.shape == (5,)
+        assert np.all((0.0 < p) & (p < 1.0))
 
     def test_batch_from_sequences_shapes(self):
-        vi = VariantInput(variant=EMBED_SUBTRACT_DUO, texts=("a", "b"))
-        seqs = encode_input(vi, VOCAB, 16)
+        seqs = (encode(tokenize("a", VOCAB), 16), encode(tokenize("b", VOCAB), 16))
         batch = batch_from_sequences([seqs, seqs], labels=[1.0, 0.0])
         assert batch.size == 2
         assert batch.ids_b is not None

@@ -6,7 +6,6 @@ from fixhound.encoder import (
     EncoderConfig,
     backward_batch,
     cast_params,
-    forward,
     forward_batch,
     init_params,
     param_shapes,
@@ -69,7 +68,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         ids = rng.integers(0, CFG.vocab_size, size=(1, CFG.max_len))
         attn_len = 9
-        pooled = forward(params, CFG, ids, np.array([attn_len]))
+        pooled = forward_batch(params, CFG, ids, np.array([attn_len]))[0]
         ref = reference_forward(params, CFG, ids[0], attn_len)
         assert np.abs(pooled[0] - ref).max() / max(np.abs(ref).max(), 1e-12) < 1e-6
 
@@ -80,7 +79,7 @@ class TestForward:
         params["tok_emb"][:] = v  # every token embeds to the same vector
         params["pos_emb"][:] = 0.0
         ids = np.ones((1, 6), dtype=np.int64)
-        pooled = forward(params, cfg, ids, np.array([4]))
+        pooled = forward_batch(params, cfg, ids, np.array([4]))[0]
         # pooled = layer_norm(v) with unit gain, zero bias
         mu = v.mean()
         expected = (v - mu) / np.sqrt(v.var() + LN_EPS)
@@ -91,27 +90,27 @@ class TestForward:
         rng = np.random.default_rng(5)
         ids = rng.integers(0, CFG.vocab_size, size=(1, CFG.max_len))
         attn_len = 7
-        base = forward(params, CFG, ids, np.array([attn_len]))
+        base = forward_batch(params, CFG, ids, np.array([attn_len]))[0]
         for pad_id in range(CFG.vocab_size):
             alt = ids.copy()
             alt[0, attn_len:] = pad_id
-            out = forward(params, CFG, alt, np.array([attn_len]))
+            out = forward_batch(params, CFG, alt, np.array([attn_len]))[0]
             assert np.array_equal(out, base)
 
     def test_pad_invariance_zero_layers(self):
         cfg = EncoderConfig(vocab_size=7, dim=8, layers=0, heads=1, max_len=10)
         params = init_params(cfg, seed=2, dtype=np.float64)
         ids = np.arange(10, dtype=np.int64)[None, :] % 7
-        base = forward(params, cfg, ids, np.array([4]))
+        base = forward_batch(params, cfg, ids, np.array([4]))[0]
         alt = ids.copy()
         alt[0, 4:] = 6
-        assert np.array_equal(forward(params, cfg, alt, np.array([4])), base)
+        assert np.array_equal(forward_batch(params, cfg, alt, np.array([4]))[0], base)
 
     def test_out_of_range_id_rejected(self):
         params = init_params(CFG, seed=0)
         ids = np.full((1, CFG.max_len), CFG.vocab_size, dtype=np.int64)
         with pytest.raises(ValueError):
-            forward(params, CFG, ids, np.array([3]))
+            forward_batch(params, CFG, ids, np.array([3]))
 
     @pytest.mark.parametrize("attn_lens", [[3, 0], [3, CFG.max_len + 1], [3]])
     def test_bad_attn_lens_rejected(self, attn_lens):
@@ -119,21 +118,21 @@ class TestForward:
         params = init_params(CFG, seed=0)
         ids = np.zeros((2, CFG.max_len), dtype=np.int64)
         with pytest.raises(ValueError, match="attn_lens"):
-            forward(params, CFG, ids, np.array(attn_lens))
+            forward_batch(params, CFG, ids, np.array(attn_lens))
 
     def test_out_of_range_id_past_longest_row_rejected(self):
         params = init_params(CFG, seed=0)
         ids = np.zeros((1, CFG.max_len), dtype=np.int64)
         ids[0, -1] = CFG.vocab_size  # in a PAD column the encoder never reads
         with pytest.raises(ValueError, match="vocabulary"):
-            forward(params, CFG, ids, np.array([3]))
+            forward_batch(params, CFG, ids, np.array([3]))
 
     def test_deterministic(self):
         params = init_params(CFG, seed=4)
         ids = np.zeros((2, CFG.max_len), dtype=np.int64)
         lens = np.array([5, 12])
-        a = forward(params, CFG, ids, lens)
-        b = forward(params, CFG, ids, lens)
+        a = forward_batch(params, CFG, ids, lens)[0]
+        b = forward_batch(params, CFG, ids, lens)[0]
         assert np.array_equal(a, b)
 
 

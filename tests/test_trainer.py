@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_planted_commits
+import fixhound.delta_model as dm
 from fixhound.change_builder import EMBED_SUBTRACT_DUO, RAW_GIT_DIFF
-from fixhound.delta_model import EncodedBatch, init_model, predict_batch
+from fixhound.delta_model import EncodedBatch, init_model, predict_batch, predict_in_chunks
 from fixhound.encoder import EncoderConfig
 from fixhound.repo_miner import NVF, VF, CommitRecord
 from fixhound.trainer import (
@@ -19,7 +20,6 @@ from fixhound.trainer import (
     TrainingError,
     f1_at_half,
     load_checkpoint,
-    predict_in_chunks,
     save_checkpoint,
     split_dataset,
     train,
@@ -181,7 +181,7 @@ def _toy_batches(n=16, seed=0):
 class TestTrainLoop:
     def test_empty_sets_rejected(self):
         train_b, val_b = _toy_batches()
-        empty = train_b.slice(0, 0)
+        empty = train_b.take(slice(0, 0))
         with pytest.raises(TrainingError):
             train(RAW_GIT_DIFF, CFG, empty, val_b, TrainConfig())
         with pytest.raises(TrainingError):
@@ -246,6 +246,19 @@ class TestTrainLoop:
         for name, arr in r_full.model.all_params().items():
             assert np.allclose(arr, r_micro.model.all_params()[name], atol=1e-5), name
 
+    def test_validation_scored_in_batch_size_chunks(self, monkeypatch):
+        train_b, _ = _toy_batches()
+        val_b, _ = _toy_batches(n=9, seed=1)
+        rows = []
+
+        def counting(model, batch):
+            rows.append(batch.size)
+            return predict_batch(model, batch)
+
+        monkeypatch.setattr(dm, "predict_batch", counting)
+        train(RAW_GIT_DIFF, CFG, train_b, val_b, TrainConfig(epochs=2, batch_size=4, seed=0))
+        assert rows == [4, 4, 1] * 2
+
     def test_write_loss_log(self, tmp_path):
         path = tmp_path / "loss.csv"
         write_loss_log([(1, 0, 0.5, "train"), (1, 0, 0.6, "val")], path)
@@ -278,7 +291,7 @@ class TestPredictInChunks:
 
     def test_empty_batch(self):
         batch = EncodedBatch(ids_a=np.zeros((0, CFG.max_len), dtype=np.int64), lens_a=np.zeros(0, dtype=np.int64))
-        assert predict_in_chunks(init_model(RAW_GIT_DIFF, CFG, seed=0), batch).shape == (0,)
+        assert predict_in_chunks(init_model(RAW_GIT_DIFF, CFG, seed=0), batch, chunk=4).shape == (0,)
 
 
 class TestCheckpoints:
