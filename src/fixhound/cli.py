@@ -80,6 +80,16 @@ class RunConfig:
         for level in self.cost_effort_levels:
             if not 0 < level <= 100:
                 raise UsageError(f"CostEffort level {level} outside (0, 100]")
+        # build the nested configs now, so a bad one fails here and not mid-command
+        for section, build in (
+            ("encoder", lambda: self.encoder_config(self.vocab_size)),
+            ("train", self.train_config),
+            ("split", self.split_spec),
+        ):
+            try:
+                build()
+            except (KeyError, TypeError, ValueError) as exc:
+                raise UsageError(f"bad {section} config ({type(exc).__name__}: {exc})") from exc
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)

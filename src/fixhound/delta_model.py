@@ -88,15 +88,19 @@ class DeltaModel:
         return out
 
 
+def head_shapes(variant: str, config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    width, hidden = fusion_width(variant, config.dim), config.dim
+    return {"w1": (width, hidden), "b1": (hidden,), "w2": (hidden, 1), "b2": (1,)}
+
+
 def init_head(variant: str, config: EncoderConfig, seed: int, dtype=np.float32) -> Params:
     rng = np.random.default_rng(seed)
-    width = fusion_width(variant, config.dim)
-    hidden = config.dim
+    shapes = head_shapes(variant, config)
     return {
-        "w1": rng.normal(0.0, enc.INIT_STD, size=(width, hidden)).astype(dtype),
-        "b1": np.zeros(hidden, dtype=dtype),
-        "w2": rng.normal(0.0, enc.INIT_STD, size=(hidden, 1)).astype(dtype),
-        "b2": np.zeros(1, dtype=dtype),
+        "w1": rng.normal(0.0, enc.INIT_STD, size=shapes["w1"]).astype(dtype),
+        "b1": np.zeros(shapes["b1"], dtype=dtype),
+        "w2": rng.normal(0.0, enc.INIT_STD, size=shapes["w2"]).astype(dtype),
+        "b2": np.zeros(shapes["b2"], dtype=dtype),
     }
 
 

@@ -135,6 +135,11 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
+def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over batch and time of outer(a, b): einsum("btd,bte->de") as one GEMM."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
 def forward_batch(params: Params, config: EncoderConfig, ids: np.ndarray, attn_lens: np.ndarray):
     """Pooled embeddings for a batch; returns (pooled (B,d), cache).
 
@@ -152,9 +157,11 @@ def forward_batch(params: Params, config: EncoderConfig, ids: np.ndarray, attn_l
     T = int(attn_lens.max())
     ids = ids[:, :T]
     key_mask = np.arange(T)[None, :] < attn_lens[:, None]  # (B,T)
+    # adding 0 or -inf masks exactly; a batch of full rows needs no mask
+    key_bias = None if attn_lens.min() == T else np.where(key_mask, 0.0, -np.inf).astype(dtype)[:, None, None, :]
+    scale = np.sqrt(np.asarray(config.dim // config.heads, dtype=dtype))
 
     x = params["tok_emb"][ids] + params["pos_emb"][None, :T, :]
-    x = x.astype(dtype)
     layer_caches = []
     for i in range(config.layers):
         p = f"layer{i}."
@@ -163,12 +170,14 @@ def forward_batch(params: Params, config: EncoderConfig, ids: np.ndarray, attn_l
         q = _split_heads(h1 @ params[p + "attn.wq"] + params[p + "attn.bq"], config.heads)
         k = _split_heads(h1 @ params[p + "attn.wk"] + params[p + "attn.bk"], config.heads)
         v = _split_heads(h1 @ params[p + "attn.wv"] + params[p + "attn.bv"], config.heads)
-        dh = config.dim // config.heads
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(np.asarray(dh, dtype=dtype))
-        scores = np.where(key_mask[:, None, None, :], scores, -np.inf)
-        scores = scores - scores.max(axis=-1, keepdims=True)
-        exps = np.exp(scores)
-        attn = exps / exps.sum(axis=-1, keepdims=True)
+        # softmax in place on one (B, heads, T, T) buffer, which becomes attn
+        attn = q @ k.transpose(0, 1, 3, 2)
+        attn /= scale
+        if key_bias is not None:
+            attn += key_bias
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(attn @ v)
         attn_out = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
         x = x_in + attn_out
@@ -201,6 +210,7 @@ def backward_batch(params: Params, config: EncoderConfig, cache, d_pooled: np.nd
     key_mask = cache["key_mask"]
     T = ids.shape[1]
     grads: Params = {name: np.zeros_like(params[name]) for name in params}
+    scale = np.sqrt(np.asarray(config.dim // config.heads, dtype=dtype))
 
     pool_mask = key_mask.astype(dtype)
     dy = (d_pooled[:, None, :] / attn_lens[:, None, None].astype(dtype)) * pool_mask[:, :, None]
@@ -214,10 +224,10 @@ def backward_batch(params: Params, config: EncoderConfig, cache, d_pooled: np.nd
         # FFN block: x = x_mid + tanh(ln2(x_mid) W1 + b1) W2 + b2
         d_ffn_out = dx
         du = d_ffn_out @ params[p + "ffn.w2"].T
-        grads[p + "ffn.w2"] += np.einsum("bth,btd->hd", c["u"], d_ffn_out)
+        grads[p + "ffn.w2"] += _weight_grad(c["u"], d_ffn_out)
         grads[p + "ffn.b2"] += d_ffn_out.sum(axis=(0, 1))
         dpre = du * (1.0 - c["u"] ** 2)
-        grads[p + "ffn.w1"] += np.einsum("btd,bth->dh", c["h2"], dpre)
+        grads[p + "ffn.w1"] += _weight_grad(c["h2"], dpre)
         grads[p + "ffn.b1"] += dpre.sum(axis=(0, 1))
         dh2 = dpre @ params[p + "ffn.w1"].T
         dx_mid, dg2, db2 = _layer_norm_backward(dh2, params[p + "ln2.g"], c["ln2"])
@@ -227,20 +237,21 @@ def backward_batch(params: Params, config: EncoderConfig, cache, d_pooled: np.nd
 
         # Attention block: x_mid = x_in + (merge(attn @ v)) Wo + bo
         d_attn_out = dx
-        grads[p + "attn.wo"] += np.einsum("btd,bte->de", c["ctx"], d_attn_out)
+        grads[p + "attn.wo"] += _weight_grad(c["ctx"], d_attn_out)
         grads[p + "attn.bo"] += d_attn_out.sum(axis=(0, 1))
         dctx = _split_heads(d_attn_out @ params[p + "attn.wo"].T, config.heads)
-        dattn = dctx @ c["v"].transpose(0, 1, 3, 2)
         dv = c["attn"].transpose(0, 1, 3, 2) @ dctx
-        dscores = c["attn"] * (dattn - (dattn * c["attn"]).sum(axis=-1, keepdims=True))
-        dh = config.dim // config.heads
-        dscores = dscores / np.sqrt(np.asarray(dh, dtype=dtype))
+        # softmax backward in place: dscores = attn * (dattn - rowsum(dattn * attn)) / scale
+        dscores = dctx @ c["v"].transpose(0, 1, 3, 2)
+        dscores -= np.einsum("bhij,bhij->bhi", dscores, c["attn"])[..., None]
+        dscores *= c["attn"]
+        dscores /= scale
         dq = dscores @ c["k"]
         dk = dscores.transpose(0, 1, 3, 2) @ c["q"]
         dq, dk, dv = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
         dh1 = np.zeros_like(c["h1"])
         for w, b, dmat in (("wq", "bq", dq), ("wk", "bk", dk), ("wv", "bv", dv)):
-            grads[p + "attn." + w] += np.einsum("btd,bte->de", c["h1"], dmat)
+            grads[p + "attn." + w] += _weight_grad(c["h1"], dmat)
             grads[p + "attn." + b] += dmat.sum(axis=(0, 1))
             dh1 += dmat @ params[p + "attn." + w].T
         dx_in, dg1, db1 = _layer_norm_backward(dh1, params[p + "ln1.g"], c["ln1"])
@@ -248,7 +259,11 @@ def backward_batch(params: Params, config: EncoderConfig, cache, d_pooled: np.nd
         grads[p + "ln1.b"] += db1
         dx = dx + dx_in  # residual
 
-    np.add.at(grads["tok_emb"], ids, dx)
+    # token-embedding scatter: stable sort by id, then one summed row per distinct id
+    order = np.argsort(ids, axis=None, kind="stable")
+    sorted_ids = ids.reshape(-1)[order]
+    starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+    grads["tok_emb"][sorted_ids[starts]] += np.add.reduceat(dx.reshape(-1, dx.shape[-1])[order], starts, axis=0)
     grads["pos_emb"][:T] += dx.sum(axis=0)
     return grads
 

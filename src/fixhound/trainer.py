@@ -18,7 +18,7 @@ import numpy as np
 
 from . import delta_model as dm
 from .delta_model import DeltaModel, EncodedBatch
-from .encoder import EncoderConfig, Params
+from .encoder import EncoderConfig, Params, param_shapes
 from .repo_miner import VF, CommitRecord
 
 CROSS_PROJECT = "CrossProject"
@@ -76,6 +76,10 @@ class TrainConfig:
     batch_size: int = 128
     micro_batch: int | None = None  # gradient-accumulation chunk size
     seed: int = 0
+
+    def __post_init__(self):
+        if self.batch_size < 1 or self.epochs < 0 or (self.micro_batch is not None and self.micro_batch < 1):
+            raise ValueError("batch_size and micro_batch must be positive and epochs non-negative")
 
 
 def split_dataset(records: list[CommitRecord], spec: SplitSpec) -> dict[str, list[CommitRecord]]:
@@ -290,7 +294,11 @@ def save_checkpoint(model: DeltaModel, path: str | Path, extra_config: dict | No
 
 
 def load_checkpoint(path: str | Path) -> tuple[DeltaModel, dict]:
-    """Read a checkpoint; returns the model and the extra config dict."""
+    """Read a checkpoint; returns the model and the extra config dict.
+
+    Raises CheckpointError when the file is malformed or its tensor names
+    and shapes are not exactly those of the model its config describes.
+    """
     data = Path(path).read_bytes()
     off = 0
 
@@ -322,10 +330,25 @@ def load_checkpoint(path: str | Path) -> tuple[DeltaModel, dict]:
         raw = take(count * 4, f"tensor {name!r} values")
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
 
-    enc_config = EncoderConfig.from_dict(config["encoder"])
+    try:
+        enc_config = EncoderConfig.from_dict(config["encoder"])
+        shared = config["shared_encoders"]
+        expected = {"head." + k: v for k, v in dm.head_shapes(config["variant"], enc_config).items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad model config ({type(exc).__name__}: {exc})") from exc
+    for prefix in ("enc_before.",) if shared else ("enc_before.", "enc_after."):
+        expected.update({prefix + k: v for k, v in param_shapes(enc_config).items()})
+    for name in sorted(expected.keys() | tensors.keys()):
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {name!r}")
+        if name not in expected:
+            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+        if tensors[name].shape != expected[name]:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {expected[name]}")
+
     before = {k.removeprefix("enc_before."): v for k, v in tensors.items() if k.startswith("enc_before.")}
     head = {k.removeprefix("head."): v for k, v in tensors.items() if k.startswith("head.")}
-    if config["shared_encoders"]:
+    if shared:
         after = before
     else:
         after = {k.removeprefix("enc_after."): v for k, v in tensors.items() if k.startswith("enc_after.")}

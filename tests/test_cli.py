@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fixhound.trainer as tr
 from conftest import commit_files, init_repo, make_planted_commits
 from fixhound.cli import (
     EXIT_DATA,
@@ -219,6 +221,28 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "vocabulary" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda head: head.pop("b2"), "missing tensor 'head.b2'"),
+            (lambda head: head.update(w1=np.zeros((2 * head["w1"].shape[0], head["w1"].shape[1]), np.float32)), "'head.w1' has shape"),
+        ],
+        ids=["missing-head-b2", "wrong-shape-head-w1"],
+    )
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, damage, message):
+        workdir, _ = seeded_workdir(tmp_path)
+        config = write_config(tmp_path, workdir)
+        assert main(["--config", str(config), "build"]) == EXIT_OK
+        assert main(["--config", str(config), "train"]) == EXIT_OK
+        ckpt = workdir / "checkpoint.bin"
+        model, extra = tr.load_checkpoint(ckpt)
+        damage(model.head)
+        tr.save_checkpoint(model, ckpt, extra)
+        capsys.readouterr()
+        assert main(["--config", str(config), "predict"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err and "Traceback" not in err
+
     def test_predict_without_checkpoint_is_data_error(self, tmp_path):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
@@ -247,6 +271,26 @@ class TestGuards:
         p = tmp_path / "c.json"
         p.write_text("{not json")
         assert main(["--config", str(p), "build"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"encoder": {"dim": 15, "layers": 1, "heads": 2}}, "divisible by heads"),
+            ({"encoder": {**FAST_CONFIG["encoder"], "depth": 2}}, "'depth'"),
+            ({"train": {"lr": 1e-3}}, "'lr'"),
+            ({"train": [3e-3, 2]}, "bad train config"),
+            ({"train": {"batch_size": 0}}, "batch_size"),
+            ({"split": {"test_start": 5}}, "'strategy'"),
+        ],
+        ids=["dim-not-divisible", "encoder-depth", "train-lr", "train-list", "train-batch-size-0", "split-without-strategy"],
+    )
+    def test_bad_nested_config_is_usage_error(self, tmp_path, capsys, extra, message):
+        workdir, _ = seeded_workdir(tmp_path)
+        assert main(["--config", str(write_config(tmp_path, workdir)), "build"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["--config", str(write_config(tmp_path, workdir, **extra)), "train"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err and "Traceback" not in err
 
     def test_bad_sweep_k_is_usage_error(self, tmp_path):
         workdir, _ = seeded_workdir(tmp_path)

@@ -37,6 +37,7 @@ from fixhound.delta_model import (
 from fixhound.encoder import EncoderConfig
 from fixhound.repo_miner import NVF, VF
 from fixhound.tokenizer import SEP, SEP_MARKER, encode, tokenize, train_vocab
+from gradcheck import fd_mismatches
 from test_change_builder import make_fc
 
 CFG = EncoderConfig(vocab_size=280, dim=8, layers=1, heads=2, max_len=16, ffn_mult=2)
@@ -169,32 +170,22 @@ class TestLoss:
         assert math.isclose(loss, batch_loss(probs, batch.labels), rel_tol=1e-12)
 
 
+def check_variant_gradients(variant: str, seed: int) -> list:
+    """Finite-difference mismatches of every model gradient on one random batch."""
+    rng = np.random.default_rng(seed)
+    m = cast_model(init_model(variant, CFG, seed=0), np.float64)
+    batch = random_batch(variant, rng, n=2, with_labels=True)
+    _, grads, _ = loss_and_grads(m, batch)
+    params = m.all_params()
+    assert grads.keys() == params.keys()
+    return fd_mismatches(lambda: loss_and_grads(m, batch)[0], params, grads, rng, per_tensor=4)
+
+
 class TestGradients:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_matches_finite_differences(self, variant):
         # str hash() is salted per process; crc32 gives each variant a fixed seed
-        rng = np.random.default_rng(zlib.crc32(variant.encode()))
-        m = cast_model(init_model(variant, CFG, seed=0), np.float64)
-        batch = random_batch(variant, rng, n=2, with_labels=True)
-        _, grads, _ = loss_and_grads(m, batch)
-        params = m.all_params()
-        assert grads.keys() == params.keys()
-
-        eps = 1e-4
-        worst = 0.0
-        for name, arr in params.items():
-            flat = arr.reshape(-1)
-            for i in rng.choice(flat.size, size=min(4, flat.size), replace=False):
-                orig = flat[i]
-                flat[i] = orig + eps
-                lp, _, _ = loss_and_grads(m, batch)
-                flat[i] = orig - eps
-                lm, _, _ = loss_and_grads(m, batch)
-                flat[i] = orig
-                fd = (lp - lm) / (2 * eps)
-                analytic = grads[name].reshape(-1)[i]
-                worst = max(worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-8))
-        assert worst <= 1e-3, f"{variant}: {worst}"
+        assert check_variant_gradients(variant, zlib.crc32(variant.encode())) == []
 
     def test_shared_encoder_grads_sum_both_streams(self):
         # drive the subtract fusion with two different streams through one
@@ -205,19 +196,8 @@ class TestGradients:
         batch = random_batch(EMBED_SUBTRACT_DUO, rng, n=2, with_labels=True)
         _, grads, _ = loss_and_grads(m, batch)
         assert not any(n.startswith("enc_after.") for n in grads)
-
-        eps = 1e-4
-        flat = m.encoder_before["tok_emb"].reshape(-1)
-        for i in rng.choice(flat.size, size=6, replace=False):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lp, _, _ = loss_and_grads(m, batch)
-            flat[i] = orig - eps
-            lm, _, _ = loss_and_grads(m, batch)
-            flat[i] = orig
-            fd = (lp - lm) / (2 * eps)
-            analytic = grads["enc_before.tok_emb"].reshape(-1)[i]
-            assert abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-8) <= 1e-3
+        tok_emb = {"enc_before.tok_emb": m.encoder_before["tok_emb"]}
+        assert fd_mismatches(lambda: loss_and_grads(m, batch)[0], tok_emb, grads, rng, per_tensor=6) == []
 
 
 class TestEquivalence:

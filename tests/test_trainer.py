@@ -345,6 +345,24 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda m: m.encoder_after.pop("layer0.ffn.w1"), "missing tensor 'enc_after.layer0.ffn.w1'"),
+            (lambda m: m.head.update(extra=np.zeros(1, np.float32)), "unexpected tensor 'head.extra'"),
+            (lambda m: m.encoder_before.update(pos_emb=np.zeros((CFG.max_len + 1, CFG.dim), np.float32)), "'enc_before.pos_emb' has shape"),
+            (lambda m: setattr(m, "variant", "Nope"), "bad model config"),
+        ],
+        ids=["missing", "unexpected", "wrong-shape", "unknown-variant"],
+    )
+    def test_names_and_shapes_checked(self, tmp_path, damage, match):
+        model = self._trained()
+        damage(model)
+        path = tmp_path / "m.bin"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
     def test_loaded_model_predicts_identically(self, tmp_path):
         model = self._trained(RAW_GIT_DIFF, seed=2)
         path = tmp_path / "m.bin"
