@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 
+# BLAS reads its thread count when numpy loads, so cap it before the imports below.
 BLAS_THREADS = 1
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
@@ -127,7 +128,7 @@ def machine_facts() -> dict:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": deps.get("blas", {}),
+        "blas": {k: v for k, v in deps.get("blas", {}).items() if "directory" not in k},
         "blas_thread_cap": BLAS_THREADS,
         "commit": head.stdout.strip() if head.returncode == 0 else "unknown",
     }

