@@ -12,8 +12,10 @@ them once, and training, validation and prediction all encode its output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable
 
+from .config import read_jsonl, write_jsonl
 from .repo_miner import FileChange, Hunk
 
 EMBED_SUBTRACT_DUO = "EmbedSubtract_Duo"
@@ -183,6 +185,14 @@ class BuiltExample:
     @classmethod
     def from_dict(cls, d: dict) -> "BuiltExample":
         return cls(**d)
+
+
+def write_examples_jsonl(examples: Iterable[BuiltExample], path: str | Path) -> int:
+    return write_jsonl(examples, path)
+
+
+def read_examples_jsonl(path: str | Path) -> list[BuiltExample]:
+    return read_jsonl(path, BuiltExample.from_dict)
 
 
 def build_example(

@@ -14,31 +14,24 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from . import delta_model as dm
-from . import trainer as tr
-from .change_builder import EMBED_SUBTRACT_DUO, VARIANTS, BuiltExample, build_example
-from .encoder import EncoderConfig
-from .evaluation import EvalReport, emit_report, evaluate, write_report
-from .inference import predict_corpus, read_predictions_jsonl, write_predictions_jsonl
+from .change_builder import VARIANTS, BuiltExample, build_example, read_examples_jsonl, write_examples_jsonl
+from .config import DataError, RunConfig, TrainingError, UsageError, load_config
+from .evaluation import EvalReport, emit_report, evaluate, read_predictions_jsonl, write_predictions_jsonl, write_report
 from .repo_miner import (
     NVF,
     VF,
     CommitRecord,
-    LabelError,
-    MiningError,
     attach_labels,
     downsample_nvf,
     load_labels,
     mine_repository,
     read_commits_jsonl,
+    split_dataset,
     write_commits_jsonl,
 )
-from .tokenizer import Vocabulary, train_vocab
-from .trainer import SplitError, SplitSpec, TrainConfig, TrainingError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,96 +39,30 @@ EXIT_DATA = 2
 EXIT_TRAINING = 3
 
 
-class UsageError(Exception):
-    pass
-
-
-class DataError(Exception):
-    pass
-
-
-@dataclass
-class RunConfig:
-    repos: list[str] = field(default_factory=list)
-    labels_file: str = ""
-    workdir: str = "fixhound_out"
-    k: int = 3
-    max_len: int = 512
-    vocab_size: int = 512
-    encoder: dict = field(default_factory=lambda: {"dim": 32, "layers": 1, "heads": 2, "ffn_mult": 2})
-    variant: str = EMBED_SUBTRACT_DUO
-    train: dict = field(default_factory=dict)
-    split: dict = field(default_factory=lambda: {"strategy": "Temporal", "test_start": None})
-    cost_effort_levels: list[float] = field(default_factory=lambda: [5, 20])
-    downsample_ratio: float = 38.0
-    seed: int = 0
-    since: int = 0
-    until: int = 2**62
-
-    def validate(self) -> None:
-        if self.k < 0:
-            raise UsageError("k must be non-negative")
-        if self.variant not in VARIANTS:
-            raise UsageError(f"unknown variant {self.variant!r}; choose from {', '.join(VARIANTS)}")
-        for level in self.cost_effort_levels:
-            if not 0 < level <= 100:
-                raise UsageError(f"CostEffort level {level} outside (0, 100]")
-        # build the nested configs now, so a bad one fails here and not mid-command
-        for section, build in (
-            ("encoder", lambda: self.encoder_config(self.vocab_size)),
-            ("train", self.train_config),
-            ("split", self.split_spec),
-        ):
-            try:
-                build()
-            except (KeyError, TypeError, ValueError) as exc:
-                raise UsageError(f"bad {section} config ({type(exc).__name__}: {exc})") from exc
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    def digest(self) -> str:
-        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(**{**self.train, "seed": self.seed})
-
-    def encoder_config(self, vocab_size: int) -> EncoderConfig:
-        return EncoderConfig(vocab_size=vocab_size, max_len=self.max_len, **self.encoder)
-
-    def split_spec(self) -> SplitSpec:
-        return SplitSpec.from_dict(self.split)
-
-
-def load_config(path: str | None, overrides: dict) -> RunConfig:
-    cfg = RunConfig()
-    if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"config file not found: {p}")
-        try:
-            data = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {p} is not valid JSON: {exc}") from exc
-        for key, value in data.items():
-            if not hasattr(cfg, key):
-                raise UsageError(f"unknown config key {key!r}")
-            setattr(cfg, key, value)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+def _lock_holder_alive(lock: Path) -> bool:
+    """False only when the lock names a pid that no longer exists."""
+    try:
+        os.kill(int(lock.read_text()), 0)
+    except (ProcessLookupError, FileNotFoundError):
+        return False
+    except (OSError, ValueError, OverflowError):  # another user's process, or a lock still being written
+        return True
+    return True
 
 
 @contextlib.contextmanager
 def workdir_lock(workdir: Path):
+    """Hold workdir/.lock (our pid) for the block; a dead run's lock is taken over once."""
     workdir.mkdir(parents=True, exist_ok=True)
     lock = workdir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise DataError(f"workdir {workdir} is locked by another run (remove {lock} if stale)")
+    for attempt in (1, 2):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt == 2 or _lock_holder_alive(lock):
+                raise DataError(f"workdir {workdir} is locked by a running process (pid in {lock})")
+            lock.unlink(missing_ok=True)
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -154,14 +81,6 @@ def write_manifest(workdir: Path, command: str, cfg: RunConfig, outputs: list[st
         "outputs": outputs,
     }
     (workdir / f"manifest_{command}.json").write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-
-
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------- mine
@@ -193,30 +112,15 @@ def cmd_mine(cfg: RunConfig, workdir: Path) -> int:
 # ---------------------------------------------------------------- build
 
 def _build_examples(commits: list[CommitRecord], k: int) -> list[BuiltExample]:
-    out = []
-    for rec in commits:
-        for fc in rec.files:
-            out.append(build_example(fc, k, rec.label, rec.repo_id, rec.commit_hash))
-    return out
+    return [build_example(fc, k, rec.label, rec.repo_id, rec.commit_hash) for rec in commits for fc in rec.files]
 
 
 def _split_and_downsample(cfg: RunConfig, commits: list[CommitRecord]):
-    parts = tr.split_dataset(commits, cfg.split_spec())
+    parts = split_dataset(commits, cfg.split_spec())
     for name in ("train", "val"):
         if any(r.label == VF for r in parts[name]):
             parts[name] = downsample_nvf(parts[name], cfg.downsample_ratio, cfg.seed)
     return parts
-
-
-def write_examples_jsonl(examples: list[BuiltExample], path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(ex.to_dict(), ensure_ascii=False) + "\n")
-
-
-def read_examples_jsonl(path: Path) -> list[BuiltExample]:
-    with open(path, encoding="utf-8") as fh:
-        return [BuiltExample.from_dict(json.loads(line)) for line in fh if line.strip()]
 
 
 def cmd_build(cfg: RunConfig, workdir: Path) -> int:
@@ -232,38 +136,39 @@ def cmd_build(cfg: RunConfig, workdir: Path) -> int:
         outputs.append(f"{name}.jsonl")
     write_commits_jsonl(parts["test"], workdir / "test_commits.jsonl")
     outputs.append("test_commits.jsonl")
-    header = {"k": cfg.k, "variant_agnostic": True, "source_digest": _sha256_file(commits_path)}
+    header = {"k": cfg.k, "variant_agnostic": True, "source_digest": hashlib.sha256(commits_path.read_bytes()).hexdigest()}
     (workdir / "built_header.json").write_text(json.dumps(header, indent=2), encoding="utf-8")
     outputs.append("built_header.json")
     write_manifest(workdir, "build", cfg, outputs)
-    print(
-        f"built train={len(parts['train'])} val={len(parts['val'])} "
-        f"test={len(parts['test'])} commits at k={cfg.k}"
-    )
+    print(f"built train={len(parts['train'])} val={len(parts['val'])} test={len(parts['test'])} commits at k={cfg.k}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- train
 
-def _train_one(
-    cfg: RunConfig,
-    variant: str,
-    train_examples: list[BuiltExample],
-    val_examples: list[BuiltExample],
-    vocab: Vocabulary,
-) -> tr.TrainResult:
-    enc_config = cfg.encoder_config(vocab.size)
+def _train_vocab(cfg: RunConfig, train_examples: list[BuiltExample], workdir: Path):
+    """BPE vocabulary over both views of every training example, saved as vocab.json."""
+    from .tokenizer import train_vocab
+
+    if not train_examples:
+        raise DataError("the train split holds no examples to learn a vocabulary from")
+    vocab = train_vocab([text for ex in train_examples for text in (ex.code_before, ex.code_after)], cfg.vocab_size)
+    vocab.save(workdir / "vocab.json")
+    return vocab
+
+
+def _train_and_save(cfg: RunConfig, variant: str, train_examples, val_examples, vocab, workdir: Path, suffix: str = ""):
+    """Train `variant`, then write checkpoint{suffix}.bin and loss_log{suffix}.csv."""
+    from . import delta_model as dm
+    from . import trainer as tr
+
     train_batch = dm.encode_examples(train_examples, variant, vocab, cfg.max_len)
     val_batch = dm.encode_examples(val_examples, variant, vocab, cfg.max_len)
-    return tr.train(variant, enc_config, train_batch, val_batch, cfg.train_config())
-
-
-def _corpus(examples: list[BuiltExample]) -> list[str]:
-    texts = []
-    for ex in examples:
-        texts.append(ex.code_before)
-        texts.append(ex.code_after)
-    return texts
+    result = tr.train(variant, cfg.encoder_config(vocab.size), train_batch, val_batch, cfg.train_config())
+    extra = {"k": cfg.k, "max_len": cfg.max_len, "seed": cfg.seed}
+    tr.save_checkpoint(result.model, workdir / f"checkpoint{suffix}.bin", extra)
+    tr.write_loss_log(result.loss_log, workdir / f"loss_log{suffix}.csv")
+    return result
 
 
 def cmd_train(cfg: RunConfig, workdir: Path) -> int:
@@ -273,12 +178,8 @@ def cmd_train(cfg: RunConfig, workdir: Path) -> int:
         raise DataError(f"built dataset not found in {workdir} (run build first)")
     train_examples = read_examples_jsonl(train_path)
     val_examples = read_examples_jsonl(val_path)
-    vocab = train_vocab(_corpus(train_examples), cfg.vocab_size)
-    vocab.save(workdir / "vocab.json")
-    result = _train_one(cfg, cfg.variant, train_examples, val_examples, vocab)
-    extra = {"k": cfg.k, "max_len": cfg.max_len, "seed": cfg.seed}
-    tr.save_checkpoint(result.model, workdir / "checkpoint.bin", extra)
-    tr.write_loss_log(result.loss_log, workdir / "loss_log.csv")
+    vocab = _train_vocab(cfg, train_examples, workdir)
+    result = _train_and_save(cfg, cfg.variant, train_examples, val_examples, vocab, workdir)
     write_manifest(workdir, "train", cfg, ["checkpoint.bin", "vocab.json", "loss_log.csv"])
     print(f"trained {cfg.variant}: best epoch {result.best_epoch}, val F1 {result.best_val_f1:.3f}")
     return EXIT_OK
@@ -286,22 +187,19 @@ def cmd_train(cfg: RunConfig, workdir: Path) -> int:
 
 # ---------------------------------------------------------------- predict / evaluate
 
-def _load_model(cfg: RunConfig, checkpoint_path: Path):
-    if not checkpoint_path.exists():
-        raise DataError(f"checkpoint not found: {checkpoint_path}")
-    model, extra = tr.load_checkpoint(checkpoint_path)
+def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
+    from .inference import predict_corpus
+    from .tokenizer import Vocabulary
+    from .trainer import load_checkpoint
+
+    ckpt_path = Path(checkpoint) if checkpoint else workdir / "checkpoint.bin"
+    if not ckpt_path.exists():
+        raise DataError(f"checkpoint not found: {ckpt_path}")
+    model, extra = load_checkpoint(ckpt_path)
     if extra.get("max_len") != cfg.max_len:
-        raise DataError(
-            f"checkpoint max_len {extra.get('max_len')} does not match configured max_len {cfg.max_len}"
-        )
+        raise DataError(f"checkpoint max_len {extra.get('max_len')} does not match configured max_len {cfg.max_len}")
     if extra.get("k") != cfg.k:
         raise DataError(f"checkpoint context window k={extra.get('k')} does not match configured k={cfg.k}")
-    return model, extra
-
-
-def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
-    ckpt_path = Path(checkpoint) if checkpoint else workdir / "checkpoint.bin"
-    model, extra = _load_model(cfg, ckpt_path)
     vocab_path = workdir / "vocab.json"
     if not vocab_path.exists():
         raise DataError(f"vocabulary not found: {vocab_path}")
@@ -348,11 +246,11 @@ def cmd_evaluate(cfg: RunConfig, workdir: Path, predictions: str | None) -> int:
 
 # ---------------------------------------------------------------- ablate
 
-def _run_variant(cfg: RunConfig, variant: str, examples, parts, vocab: Vocabulary, workdir: Path, tag: str) -> EvalReport:
+def _run_variant(cfg: RunConfig, variant: str, examples, parts, vocab, workdir: Path, tag: str) -> EvalReport:
     """Train, predict and evaluate one variant on (train, val) built examples and the test commits."""
-    result = _train_one(cfg, variant, *examples, vocab)
-    tr.save_checkpoint(result.model, workdir / f"checkpoint_{tag}.bin", {"k": cfg.k, "max_len": cfg.max_len, "seed": cfg.seed})
-    tr.write_loss_log(result.loss_log, workdir / f"loss_log_{tag}.csv")
+    from .inference import predict_corpus
+
+    result = _train_and_save(cfg, variant, *examples, vocab, workdir, f"_{tag}")
     preds = predict_corpus(parts["test"], result.model, vocab, cfg.k, cfg.train_config().batch_size)
     write_predictions_jsonl(preds, workdir / f"predictions_{tag}.jsonl")
     labels = _labels_from_commits(parts["test"])
@@ -366,8 +264,7 @@ def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
     commits = read_commits_jsonl(commits_path)
     parts = _split_and_downsample(cfg, commits)
     base_train = _build_examples(parts["train"], cfg.k)
-    vocab = train_vocab(_corpus(base_train), cfg.vocab_size)
-    vocab.save(workdir / "vocab.json")
+    vocab = _train_vocab(cfg, base_train, workdir)
 
     if sweep_k is not None:
         reports: dict[str, EvalReport] = {}
@@ -447,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, MiningError, LabelError, SplitError, tr.CheckpointError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingError as exc:

@@ -28,7 +28,8 @@ from .change_builder import (
     VARIANTS,
     BuiltExample,
 )
-from .encoder import EncoderConfig, Params
+from .config import EncoderConfig
+from .encoder import Params
 from .repo_miner import VF
 from .tokenizer import TokenSequence, Vocabulary, encode, encode_pair, tokenize_batch
 

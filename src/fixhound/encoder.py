@@ -16,50 +16,14 @@ gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .config import EncoderConfig
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
 
 Params = dict[str, np.ndarray]
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    vocab_size: int
-    dim: int
-    layers: int
-    heads: int
-    max_len: int
-    ffn_mult: int = 4
-
-    def __post_init__(self):
-        if self.dim % self.heads != 0:
-            raise ValueError("dim must be divisible by heads")
-        if min(self.vocab_size, self.dim, self.heads, self.max_len, self.ffn_mult) < 1:
-            raise ValueError("config fields must be positive")
-        if self.layers < 0:
-            raise ValueError("layers must be non-negative")
-
-    @property
-    def ffn_hidden(self) -> int:
-        return self.ffn_mult * self.dim
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "dim": self.dim,
-            "layers": self.layers,
-            "heads": self.heads,
-            "max_len": self.max_len,
-            "ffn_mult": self.ffn_mult,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:

@@ -1,4 +1,5 @@
-"""Classification metrics, effort-aware CostEffort@L, and report emission.
+"""Commit predictions (predictions.jsonl) and their metrics: classification
+metrics, effort-aware CostEffort@L, and report emission.
 
 CostEffort@L ranks commits by predicted probability (ties: smaller commit
 first, then repo and hash) and walks the ranking under a LOC budget of L%
@@ -13,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .change_builder import (
     CODE_CONCAT,
@@ -22,7 +24,7 @@ from .change_builder import (
     EMBED_SUBTRACT_SINGLE,
     RAW_GIT_DIFF,
 )
-from .inference import CommitPrediction
+from .config import DataError, read_jsonl, write_jsonl
 from .repo_miner import VF
 
 # Ablation table row order: variants first, the dual-subtract model last.
@@ -41,8 +43,47 @@ SIZE_BUCKETS = ((1, 20), (20, 40), (40, 60), (60, 80), (80, 100), (100, None))
 Labels = dict[tuple[str, str], str]
 
 
-class EvaluationError(Exception):
+class EvaluationError(DataError):
     pass
+
+
+@dataclass(frozen=True)
+class CommitPrediction:
+    repo_id: str
+    commit_hash: str
+    file_probs: tuple[tuple[str, float], ...]
+    commit_prob: float
+    predicted: str  # VF or NVF
+    commit_loc: int  # removed + added lines over all files
+
+    def to_dict(self) -> dict:
+        return {
+            "repo_id": self.repo_id,
+            "commit_hash": self.commit_hash,
+            "file_probs": [[p, pr] for p, pr in self.file_probs],
+            "commit_prob": self.commit_prob,
+            "predicted": self.predicted,
+            "commit_loc": self.commit_loc,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CommitPrediction":
+        return cls(
+            repo_id=d["repo_id"],
+            commit_hash=d["commit_hash"],
+            file_probs=tuple((p, pr) for p, pr in d["file_probs"]),
+            commit_prob=d["commit_prob"],
+            predicted=d["predicted"],
+            commit_loc=d["commit_loc"],
+        )
+
+
+def write_predictions_jsonl(preds: Iterable[CommitPrediction], path: str | Path) -> int:
+    return write_jsonl(preds, path)
+
+
+def read_predictions_jsonl(path: str | Path) -> list[CommitPrediction]:
+    return read_jsonl(path, CommitPrediction.from_dict)
 
 
 @dataclass

@@ -2,46 +2,13 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from .change_builder import build_example
 from .delta_model import DeltaModel, encode_examples, predict_in_chunks
+from .evaluation import CommitPrediction
 from .repo_miner import NVF, VF, CommitRecord
 from .tokenizer import Vocabulary
-
-
-@dataclass(frozen=True)
-class CommitPrediction:
-    repo_id: str
-    commit_hash: str
-    file_probs: tuple[tuple[str, float], ...]
-    commit_prob: float
-    predicted: str  # VF or NVF
-    commit_loc: int  # removed + added lines over all files
-
-    def to_dict(self) -> dict:
-        return {
-            "repo_id": self.repo_id,
-            "commit_hash": self.commit_hash,
-            "file_probs": [[p, pr] for p, pr in self.file_probs],
-            "commit_prob": self.commit_prob,
-            "predicted": self.predicted,
-            "commit_loc": self.commit_loc,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CommitPrediction":
-        return cls(
-            repo_id=d["repo_id"],
-            commit_hash=d["commit_hash"],
-            file_probs=tuple((p, pr) for p, pr in d["file_probs"]),
-            commit_prob=d["commit_prob"],
-            predicted=d["predicted"],
-            commit_loc=d["commit_loc"],
-        )
 
 
 def predict_corpus(
@@ -84,17 +51,3 @@ def predict_corpus(
             )
         )
     return preds
-
-
-def write_predictions_jsonl(preds: Iterable[CommitPrediction], path: str | Path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in preds:
-            fh.write(json.dumps(p.to_dict(), ensure_ascii=False) + "\n")
-            n += 1
-    return n
-
-
-def read_predictions_jsonl(path: str | Path) -> list[CommitPrediction]:
-    with open(path, encoding="utf-8") as fh:
-        return [CommitPrediction.from_dict(json.loads(line)) for line in fh if line.strip()]

@@ -11,14 +11,14 @@ commit's file statuses with full object ids, and one long-lived
 `git cat-file --batch` process streams the blobs by object id. Because
 blobs are read by id rather than by `commit:path`, a file whose name is not
 valid UTF-8 is mined like any other (its stored path is decoded with
-errors="replace").
+errors="replace"). `split_dataset` and `downsample_nvf` partition the
+mined records for training, validation and test.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import json
 import logging
 import math
 import random
@@ -28,21 +28,30 @@ from difflib import SequenceMatcher
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .config import DataError, read_jsonl, write_jsonl
+
 log = logging.getLogger(__name__)
 
 VF = "VF"
 NVF = "NVF"
 
+CROSS_PROJECT = "CrossProject"
+TEMPORAL = "Temporal"
+
 # Bytes of file head inspected for the binary heuristic (NUL byte sniff).
 _BINARY_SNIFF_BYTES = 8000
 
 
-class MiningError(Exception):
+class MiningError(DataError):
     """Fatal repository-level problem (not a git repo, unreadable path)."""
 
 
-class LabelError(Exception):
+class LabelError(DataError):
     """Malformed or inconsistent label feed."""
+
+
+class SplitError(DataError):
+    """Records that the configured split cannot partition."""
 
 
 class _UnreadableObject(Exception):
@@ -392,15 +401,82 @@ def downsample_nvf(records: list[CommitRecord], ratio: float, seed: int) -> list
     return out
 
 
+@dataclass(frozen=True)
+class SplitSpec:
+    strategy: str
+    # CrossProject: explicit repo partitions
+    train_repos: tuple[str, ...] = ()
+    val_repos: tuple[str, ...] = ()
+    test_repos: tuple[str, ...] = ()
+    # Temporal: VF fraction boundaries plus the held-out test range start
+    train_frac: float = 0.9
+    val_frac: float = 0.1
+    test_start: int | None = None
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SplitSpec":
+        return cls(
+            strategy=d["strategy"],
+            train_repos=tuple(d.get("train_repos", ())),
+            val_repos=tuple(d.get("val_repos", ())),
+            test_repos=tuple(d.get("test_repos", ())),
+            train_frac=d.get("train_frac", 0.9),
+            val_frac=d.get("val_frac", 0.1),
+            test_start=d.get("test_start"),
+        )
+
+
+def split_dataset(records: list[CommitRecord], spec: SplitSpec) -> dict[str, list[CommitRecord]]:
+    """Partition commit records per the split spec; deterministic."""
+    if spec.strategy == CROSS_PROJECT:
+        return _split_cross_project(records, spec)
+    if spec.strategy == TEMPORAL:
+        return _split_temporal(records, spec)
+    raise SplitError(f"unknown split strategy {spec.strategy!r}")
+
+
+def _split_cross_project(records, spec: SplitSpec):
+    assignment: dict[str, str] = {}
+    for part, repos in (("train", spec.train_repos), ("val", spec.val_repos), ("test", spec.test_repos)):
+        for repo in repos:
+            if repo in assignment:
+                raise SplitError(f"repo {repo!r} listed in both {assignment[repo]} and {part}")
+            assignment[repo] = part
+    out = {"train": [], "val": [], "test": []}
+    for rec in records:
+        part = assignment.get(rec.repo_id)
+        if part is None:
+            raise SplitError(f"repo {rec.repo_id!r} has commits but is listed in no partition")
+        out[part].append(rec)
+    return out
+
+
+def _split_temporal(records, spec: SplitSpec):
+    if spec.test_start is None:
+        raise SplitError("Temporal split requires test_start")
+    pre = [r for r in records if r.timestamp < spec.test_start]
+    test = [r for r in records if r.timestamp >= spec.test_start]
+    vf = sorted((r for r in pre if r.label == VF), key=lambda r: (r.timestamp, r.repo_id, r.commit_hash))
+    n_train = int(len(vf) * spec.train_frac)
+    # extend past timestamp ties so the train/val boundary is strict
+    while 0 < n_train < len(vf) and vf[n_train].timestamp == vf[n_train - 1].timestamp:
+        n_train += 1
+    boundary = vf[n_train - 1].timestamp if n_train > 0 else None
+    out = {"train": [], "val": [], "test": list(test)}
+    for rec in pre:
+        if boundary is not None and rec.timestamp <= boundary:
+            out["train"].append(rec)
+        else:
+            out["val"].append(rec)
+    for part in out.values():
+        part.sort(key=lambda r: (r.timestamp, r.repo_id, r.commit_hash))
+    return out
+
+
 def write_commits_jsonl(records: Iterable[CommitRecord], path: str | Path) -> int:
     """Write records as JSON-lines in ascending timestamp order; returns count."""
-    records = sorted(records, key=lambda r: (r.timestamp, r.repo_id, r.commit_hash))
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), ensure_ascii=False) + "\n")
-    return len(records)
+    return write_jsonl(sorted(records, key=lambda r: (r.timestamp, r.repo_id, r.commit_hash)), path)
 
 
 def read_commits_jsonl(path: str | Path) -> list[CommitRecord]:
-    with open(path, encoding="utf-8") as fh:
-        return [CommitRecord.from_dict(json.loads(line)) for line in fh if line.strip()]
+    return read_jsonl(path, CommitRecord.from_dict)

@@ -1,4 +1,4 @@
-"""Dataset splitting, the joint single-phase training loop, and checkpoints.
+"""The joint single-phase training loop, and checkpoints.
 
 One AdamW optimizer drives every parameter (both encoders and the head)
 from the first step; there is no frozen-embedding stage. Checkpoints use
@@ -17,116 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from . import delta_model as dm
+from .config import DataError, EncoderConfig, TrainConfig, TrainingError
 from .delta_model import DeltaModel, EncodedBatch
-from .encoder import EncoderConfig, Params, param_shapes
-from .repo_miner import VF, CommitRecord
-
-CROSS_PROJECT = "CrossProject"
-TEMPORAL = "Temporal"
+from .encoder import Params, param_shapes
 
 CHECKPOINT_MAGIC = b"VFDC"
 CHECKPOINT_VERSION = 1
 
 
-class SplitError(Exception):
+class CheckpointError(DataError):
     pass
-
-
-class TrainingError(Exception):
-    pass
-
-
-class CheckpointError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    strategy: str
-    # CrossProject: explicit repo partitions
-    train_repos: tuple[str, ...] = ()
-    val_repos: tuple[str, ...] = ()
-    test_repos: tuple[str, ...] = ()
-    # Temporal: VF fraction boundaries plus the held-out test range start
-    train_frac: float = 0.9
-    val_frac: float = 0.1
-    test_start: int | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitSpec":
-        return cls(
-            strategy=d["strategy"],
-            train_repos=tuple(d.get("train_repos", ())),
-            val_repos=tuple(d.get("val_repos", ())),
-            test_repos=tuple(d.get("test_repos", ())),
-            train_frac=d.get("train_frac", 0.9),
-            val_frac=d.get("val_frac", 0.1),
-            test_start=d.get("test_start"),
-        )
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
-    epochs: int = 10
-    batch_size: int = 128
-    micro_batch: int | None = None  # gradient-accumulation chunk size
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 0 or (self.micro_batch is not None and self.micro_batch < 1):
-            raise ValueError("batch_size and micro_batch must be positive and epochs non-negative")
-
-
-def split_dataset(records: list[CommitRecord], spec: SplitSpec) -> dict[str, list[CommitRecord]]:
-    """Partition commit records per the split spec; deterministic."""
-    if spec.strategy == CROSS_PROJECT:
-        return _split_cross_project(records, spec)
-    if spec.strategy == TEMPORAL:
-        return _split_temporal(records, spec)
-    raise SplitError(f"unknown split strategy {spec.strategy!r}")
-
-
-def _split_cross_project(records, spec: SplitSpec):
-    assignment: dict[str, str] = {}
-    for part, repos in (("train", spec.train_repos), ("val", spec.val_repos), ("test", spec.test_repos)):
-        for repo in repos:
-            if repo in assignment:
-                raise SplitError(f"repo {repo!r} listed in both {assignment[repo]} and {part}")
-            assignment[repo] = part
-    out = {"train": [], "val": [], "test": []}
-    for rec in records:
-        part = assignment.get(rec.repo_id)
-        if part is None:
-            raise SplitError(f"repo {rec.repo_id!r} has commits but is listed in no partition")
-        out[part].append(rec)
-    return out
-
-
-def _split_temporal(records, spec: SplitSpec):
-    if spec.test_start is None:
-        raise SplitError("Temporal split requires test_start")
-    pre = [r for r in records if r.timestamp < spec.test_start]
-    test = [r for r in records if r.timestamp >= spec.test_start]
-    vf = sorted((r for r in pre if r.label == VF), key=lambda r: (r.timestamp, r.repo_id, r.commit_hash))
-    n_train = int(len(vf) * spec.train_frac)
-    # extend past timestamp ties so the train/val boundary is strict
-    while 0 < n_train < len(vf) and vf[n_train].timestamp == vf[n_train - 1].timestamp:
-        n_train += 1
-    boundary = vf[n_train - 1].timestamp if n_train > 0 else None
-    out = {"train": [], "val": [], "test": list(test)}
-    for rec in pre:
-        if boundary is not None and rec.timestamp <= boundary:
-            out["train"].append(rec)
-        else:
-            out["val"].append(rec)
-    for part in out.values():
-        part.sort(key=lambda r: (r.timestamp, r.repo_id, r.commit_hash))
-    return out
 
 
 class AdamW:

@@ -113,6 +113,25 @@ def make_planted_commits(n: int, seed: int, repo_id: str = "planted", t0: int = 
     return records
 
 
+def make_planted_repo(path, n: int, seed: int, t0: int = 1_000_000):
+    """A git repository holding n planted changes, alternating VF/NVF.
+
+    Change i lands on its own file src/mod{i}.c at t0 + 120 i + 60, after an
+    unlabeled commit at t0 + 120 i that adds the file's old version. Returns
+    the repository and the label-feed rows of the VF changes.
+    """
+    repo = init_repo(path)
+    rng = np.random.default_rng(seed)
+    labels = []
+    for i in range(n):
+        fc = make_planted_file_change(rng, vf=i % 2 == 0, path=f"src/mod{i}.c")
+        commit_files(repo, {fc.path: "\n".join(fc.old_file_lines) + "\n"}, f"add {fc.path}", t0 + 120 * i)
+        sha = commit_files(repo, {fc.path: "\n".join(fc.new_file_lines) + "\n"}, f"change {fc.path}", t0 + 120 * i + 60)
+        if i % 2 == 0:
+            labels.append((repo.name, sha, f"CVE-{i}"))
+    return repo, labels
+
+
 @pytest.fixture
 def tmp_repo(tmp_path):
     return init_repo(tmp_path / "repo")

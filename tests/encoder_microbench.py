@@ -43,7 +43,7 @@ sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 import encoder_oracle  # noqa: E402
 from fixhound import encoder  # noqa: E402
-from fixhound.encoder import EncoderConfig  # noqa: E402
+from fixhound.config import EncoderConfig  # noqa: E402
 
 CONFIG = EncoderConfig(vocab_size=512, dim=32, layers=1, heads=2, max_len=512, ffn_mult=2)
 BATCH_SIZES = (4, 32)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from fixhound.config import EncoderConfig
 from fixhound.encoder import (
-    EncoderConfig,
     Params,
     _layer_norm,
     _layer_norm_backward,

@@ -31,22 +31,22 @@ from fixhound.delta_model import (
     loss_and_grads,
     predict_batch,
 )
-from fixhound.encoder import EncoderConfig
-from fixhound.evaluation import cost_effort
-from fixhound.inference import CommitPrediction, predict_corpus
-from fixhound.repo_miner import NVF, VF, CommitRecord, mine_repository, write_commits_jsonl
-from fixhound.tokenizer import train_vocab
-from fixhound.trainer import (
+from fixhound.config import EncoderConfig, TrainConfig
+from fixhound.evaluation import CommitPrediction, cost_effort
+from fixhound.inference import predict_corpus
+from fixhound.repo_miner import (
     CROSS_PROJECT,
+    NVF,
     TEMPORAL,
+    VF,
+    CommitRecord,
     SplitSpec,
-    TrainConfig,
-    f1_at_half,
-    load_checkpoint,
-    save_checkpoint,
+    mine_repository,
     split_dataset,
-    train,
+    write_commits_jsonl,
 )
+from fixhound.tokenizer import train_vocab
+from fixhound.trainer import f1_at_half, load_checkpoint, save_checkpoint, train
 from test_change_builder import make_fc
 from test_evaluation import brute_force_cost_effort
 

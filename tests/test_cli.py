@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,15 +9,10 @@ import pytest
 
 import fixhound.trainer as tr
 from conftest import commit_files, init_repo, make_planted_commits
-from fixhound.cli import (
-    EXIT_DATA,
-    EXIT_OK,
-    EXIT_USAGE,
-    RunConfig,
-    load_config,
-    main,
-)
-from fixhound.repo_miner import write_commits_jsonl
+from fixhound.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from fixhound.config import RunConfig, load_config
+from fixhound.evaluation import CommitPrediction, write_predictions_jsonl
+from fixhound.repo_miner import NVF, write_commits_jsonl
 
 FAST_CONFIG = {
     "k": 3,
@@ -37,6 +35,14 @@ def write_config(tmp_path, workdir, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def one_line_error(capsys, *needles) -> str:
+    """The stderr of the last command: one line, no traceback, holding every needle."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert all(n in err for n in needles), err
+    return err
 
 
 def seeded_workdir(tmp_path, n_commits=40):
@@ -116,12 +122,13 @@ class TestMine:
     def test_missing_labels_file_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path, tmp_path / "out", repos=[], labels_file=str(tmp_path / "nope.csv"))
         assert main(["--config", str(config), "mine"]) == EXIT_DATA
-        assert "nope.csv" in capsys.readouterr().err
+        one_line_error(capsys, "nope.csv")
 
-    def test_missing_repo_path_is_data_error(self, tmp_path):
+    def test_missing_repo_path_is_data_error(self, tmp_path, capsys):
         labels = self._labels(tmp_path, [])
         config = write_config(tmp_path, tmp_path / "out", repos=[str(tmp_path / "ghost")], labels_file=str(labels))
         assert main(["--config", str(config), "mine"]) == EXIT_DATA
+        one_line_error(capsys, "ghost")
 
 
 class TestBuild:
@@ -150,9 +157,10 @@ class TestBuild:
         test_lines = (workdir / "test_commits.jsonl").read_text().strip().splitlines()
         assert len(test_lines) == expected_test
 
-    def test_build_without_mine_is_data_error(self, tmp_path):
+    def test_build_without_mine_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path, tmp_path / "empty")
         assert main(["--config", str(config), "build"]) == EXIT_DATA
+        one_line_error(capsys, "run mine first")
 
 
 class TestPipeline:
@@ -190,15 +198,18 @@ class TestPipeline:
         assert main(["--config", str(config), "build"]) == EXIT_OK
         assert main(["--config", str(config), "train"]) == EXIT_OK
         bad = write_config(tmp_path, workdir, max_len=128)
+        capsys.readouterr()
         assert main(["--config", str(bad), "predict"]) == EXIT_DATA
-        assert "max_len" in capsys.readouterr().err
+        one_line_error(capsys, "max_len")
 
-    def test_k_mismatch_is_data_error(self, tmp_path):
+    def test_k_mismatch_is_data_error(self, tmp_path, capsys):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "build"]) == EXIT_OK
         assert main(["--config", str(config), "train"]) == EXIT_OK
+        capsys.readouterr()
         assert main(["--config", str(config), "--k", "1", "predict"]) == EXIT_DATA
+        one_line_error(capsys, "k=1")
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -218,8 +229,7 @@ class TestPipeline:
         vocab_path.write_text(corrupt(vocab_path.read_text()))
         capsys.readouterr()
         assert main(["--config", str(config), "predict"]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "vocabulary" in err and "Traceback" not in err
+        one_line_error(capsys, "vocabulary")
 
     @pytest.mark.parametrize(
         "damage, message",
@@ -240,23 +250,34 @@ class TestPipeline:
         tr.save_checkpoint(model, ckpt, extra)
         capsys.readouterr()
         assert main(["--config", str(config), "predict"]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and message in err and "Traceback" not in err
+        one_line_error(capsys, message)
 
-    def test_predict_without_checkpoint_is_data_error(self, tmp_path):
+    def test_predict_without_checkpoint_is_data_error(self, tmp_path, capsys):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "predict"]) == EXIT_DATA
+        one_line_error(capsys, "checkpoint not found")
 
 
 class TestGuards:
     def test_locked_workdir_is_data_error(self, tmp_path, capsys):
-        workdir = tmp_path / "out"
-        workdir.mkdir()
-        (workdir / ".lock").write_text("12345")
-        config = write_config(tmp_path, workdir, repos=[], labels_file="x")
+        workdir, _ = seeded_workdir(tmp_path)
+        (workdir / ".lock").write_text(str(os.getpid()))  # a live process holds it
+        config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "build"]) == EXIT_DATA
-        assert "locked" in capsys.readouterr().err
+        one_line_error(capsys, "is locked by a running process")
+        assert (workdir / ".lock").read_text() == str(os.getpid())
+        assert not (workdir / "train.jsonl").exists()
+
+    def test_dead_runs_lock_is_taken_over(self, tmp_path, capsys):
+        workdir, _ = seeded_workdir(tmp_path)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its pid names no process
+        (workdir / ".lock").write_text(str(child.pid))
+        config = write_config(tmp_path, workdir)
+        assert main(["--config", str(config), "build"]) == EXIT_OK
+        assert (workdir / "train.jsonl").exists()
+        assert not (workdir / ".lock").exists()
 
     def test_lock_released_after_run(self, tmp_path):
         workdir, _ = seeded_workdir(tmp_path)
@@ -264,13 +285,51 @@ class TestGuards:
         assert main(["--config", str(config), "build"]) == EXIT_OK
         assert not (workdir / ".lock").exists()
 
-    def test_missing_config_file_is_data_error(self, tmp_path):
+    def test_missing_config_file_is_data_error(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "ghost.json"), "build"]) == EXIT_DATA
+        one_line_error(capsys, "ghost.json")
 
-    def test_invalid_json_config_is_usage_error(self, tmp_path):
+    def test_invalid_json_config_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text("{not json")
         assert main(["--config", str(p), "build"]) == EXIT_USAGE
+        one_line_error(capsys, "not valid JSON")
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("build", {"k": "3"}, "bad k config: expected an integer, got '3'"),
+            ("build", {"k": True}, "bad k config"),
+            ("train", {"max_len": 64.0}, "bad max_len config"),
+            ("train", {"vocab_size": "300"}, "bad vocab_size config"),
+            ("build", {"seed": None}, "bad seed config"),
+            ("mine", {"since": "2020"}, "bad since config"),
+            ("mine", {"until": [1]}, "bad until config"),
+            ("evaluate", {"cost_effort_levels": 5}, "bad cost_effort_levels config: expected a list of numbers"),
+            ("evaluate", {"cost_effort_levels": ["5"]}, "bad cost_effort_levels config"),
+            ("build", {"downsample_ratio": "38"}, "bad downsample_ratio config: expected a number"),
+            ("mine", {"repos": "proj"}, "bad repos config: expected a list of strings"),
+            ("mine", {"repos": [1]}, "bad repos config"),
+            ("train", {"encoder": 32}, "bad encoder config: expected an object"),
+            ("train", {"train": "fast"}, "bad train config: expected an object"),
+            ("build", {"split": None}, "bad split config: expected an object"),
+        ],
+        ids=[
+            "k-str", "k-bool", "max_len-float", "vocab_size-str", "seed-null", "since-str", "until-list",
+            "levels-int", "levels-str-item", "downsample-str", "repos-str", "repos-int-item",
+            "encoder-int", "train-str", "split-null",
+        ],
+    )
+    def test_bad_top_level_type_is_usage_error(self, tmp_path, capsys, command, extra, message):
+        config = write_config(tmp_path, tmp_path / "out", **extra)
+        assert main(["--config", str(config), command]) == EXIT_USAGE
+        one_line_error(capsys, message)
+
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text("[3]")
+        assert main(["--config", str(p), "build"]) == EXIT_USAGE
+        one_line_error(capsys, "JSON object")
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -289,13 +348,55 @@ class TestGuards:
         assert main(["--config", str(write_config(tmp_path, workdir)), "build"]) == EXIT_OK
         capsys.readouterr()
         assert main(["--config", str(write_config(tmp_path, workdir, **extra)), "train"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and message in err and "Traceback" not in err
+        one_line_error(capsys, message)
 
-    def test_bad_sweep_k_is_usage_error(self, tmp_path):
+    def test_bad_sweep_k_is_usage_error(self, tmp_path, capsys):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "ablate", "--sweep-k", "3,x"]) == EXIT_USAGE
+        one_line_error(capsys, "--sweep-k")
 
-    def test_no_command_is_usage_error(self):
+    def test_no_command_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestBadArtifacts:
+    """Artifacts that do not hold what the next stage needs end with exit 2 and one line."""
+
+    def test_empty_train_split_is_data_error(self, tmp_path, capsys):
+        workdir, _ = seeded_workdir(tmp_path)
+        config = write_config(tmp_path, workdir)
+        assert main(["--config", str(config), "build"]) == EXIT_OK
+        (workdir / "train.jsonl").write_text("")
+        capsys.readouterr()
+        assert main(["--config", str(config), "train"]) == EXIT_DATA
+        one_line_error(capsys, "train split holds no examples")
+
+    def test_no_vf_commit_in_test_split_is_data_error(self, tmp_path, capsys):
+        workdir = tmp_path / "out"
+        workdir.mkdir()
+        commits = [c for c in make_planted_commits(6, seed=0) if c.label == NVF]
+        write_commits_jsonl(commits, workdir / "test_commits.jsonl")
+        preds = [CommitPrediction(c.repo_id, c.commit_hash, (("src/mod.c", 0.3),), 0.3, NVF, 2) for c in commits]
+        write_predictions_jsonl(preds, workdir / "predictions.jsonl")
+        config = write_config(tmp_path, workdir)
+        assert main(["--config", str(config), "evaluate"]) == EXIT_DATA
+        one_line_error(capsys, "zero actual VF commits")
+
+    @pytest.mark.parametrize(
+        "artifact, command",
+        [("commits.jsonl", "build"), ("train.jsonl", "train"), ("predictions.jsonl", "evaluate")],
+    )
+    def test_truncated_jsonl_is_data_error(self, tmp_path, capsys, artifact, command):
+        workdir, _ = seeded_workdir(tmp_path)
+        config = write_config(tmp_path, workdir)
+        for stage in ("build", "train", "predict"):
+            assert main(["--config", str(config), stage]) == EXIT_OK
+        path = workdir / artifact
+        text = path.read_text()
+        path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])  # cut the last record in half
+        lines = len(path.read_text().splitlines())
+        capsys.readouterr()
+        assert main(["--config", str(config), command]) == EXIT_DATA
+        one_line_error(capsys, f"{path}:{lines}: unreadable record (JSONDecodeError")

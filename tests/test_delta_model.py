@@ -34,7 +34,7 @@ from fixhound.delta_model import (
     predict_batch,
     predict_in_chunks,
 )
-from fixhound.encoder import EncoderConfig
+from fixhound.config import EncoderConfig
 from fixhound.repo_miner import NVF, VF
 from fixhound.tokenizer import SEP, SEP_MARKER, encode, tokenize, train_vocab
 from gradcheck import fd_mismatches

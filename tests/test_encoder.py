@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import encoder_oracle
+from fixhound.config import EncoderConfig
 from fixhound.encoder import (
     LN_EPS,
-    EncoderConfig,
     backward_batch,
     cast_params,
     forward_batch,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fixhound.evaluation import (
     REPORT_VARIANT_ORDER,
+    CommitPrediction,
     EvalReport,
     EvaluationError,
     bucket_of,
@@ -16,7 +17,6 @@ from fixhound.evaluation import (
     emit_report,
     evaluate,
 )
-from fixhound.inference import CommitPrediction
 from fixhound.repo_miner import NVF, VF
 
 

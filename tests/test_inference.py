@@ -17,13 +17,9 @@ from fixhound.change_builder import (
     build_example,
 )
 from fixhound.delta_model import batch_from_sequences, init_model, predict_batch
-from fixhound.encoder import EncoderConfig
-from fixhound.inference import (
-    CommitPrediction,
-    predict_corpus,
-    read_predictions_jsonl,
-    write_predictions_jsonl,
-)
+from fixhound.config import EncoderConfig
+from fixhound.evaluation import CommitPrediction, read_predictions_jsonl, write_predictions_jsonl
+from fixhound.inference import predict_corpus
 from fixhound.repo_miner import NVF, VF, CommitRecord
 from fixhound.tokenizer import encode, encode_pair, train_vocab
 

@@ -7,24 +7,9 @@ from conftest import make_planted_commits
 import fixhound.delta_model as dm
 from fixhound.change_builder import EMBED_SUBTRACT_DUO, RAW_GIT_DIFF
 from fixhound.delta_model import EncodedBatch, init_model, predict_batch, predict_in_chunks
-from fixhound.encoder import EncoderConfig
-from fixhound.repo_miner import NVF, VF, CommitRecord
-from fixhound.trainer import (
-    CROSS_PROJECT,
-    TEMPORAL,
-    AdamW,
-    CheckpointError,
-    SplitError,
-    SplitSpec,
-    TrainConfig,
-    TrainingError,
-    f1_at_half,
-    load_checkpoint,
-    save_checkpoint,
-    split_dataset,
-    train,
-    write_loss_log,
-)
+from fixhound.config import EncoderConfig, TrainConfig, TrainingError
+from fixhound.repo_miner import CROSS_PROJECT, NVF, TEMPORAL, VF, CommitRecord, SplitError, SplitSpec, split_dataset
+from fixhound.trainer import AdamW, CheckpointError, f1_at_half, load_checkpoint, save_checkpoint, train, write_loss_log
 
 CFG = EncoderConfig(vocab_size=64, dim=8, layers=1, heads=2, max_len=12, ffn_mult=2)
 
