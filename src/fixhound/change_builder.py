@@ -3,9 +3,11 @@
 A FileChange is cut into change regions: each hunk plus up to k surrounding
 lines, with regions whose context windows touch or overlap merged into one.
 code_before renders the regions from the pre-change file, code_after from
-the post-change file. The alternative single-stream renderings used by the
-ablation variants (code concatenation with and without context, raw-diff
-ordering) are derived from the same regions. `build_example` renders all of
+the post-change file, both sliced from the windows the record stores (a
+region at k lies inside one window whenever k <= the record's context).
+The alternative single-stream renderings used by the ablation variants
+(code concatenation with and without context, raw-diff ordering) are
+derived from the same regions. `build_example` renders all of
 them once, and training, validation and prediction all encode its output.
 """
 
@@ -16,7 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .config import read_jsonl, write_jsonl
-from .repo_miner import FileChange, Hunk
+from .repo_miner import FileChange, Hunk, Window
 
 EMBED_SUBTRACT_DUO = "EmbedSubtract_Duo"
 EMBED_SUBTRACT_SINGLE = "EmbedSubtract_Single"
@@ -97,19 +99,27 @@ def _clamp_region(hunks: list[Hunk], span: tuple[int, int, int, int], fc: FileCh
     old_lo, old_hi, new_lo, new_hi = span
     return Region(
         old_lo=max(1, old_lo),
-        old_hi=min(len(fc.old_file_lines), old_hi),
+        old_hi=min(fc.old_len, old_hi),
         new_lo=max(1, new_lo),
-        new_hi=min(len(fc.new_file_lines), new_hi),
+        new_hi=min(fc.new_len, new_hi),
         hunks=tuple(hunks),
     )
 
 
+def _window(region: Region, fc: FileChange) -> Window:
+    # A region cut at k <= fc.context lies inside one stored window: the last
+    # one that starts at or before it (windows start strictly in order).
+    return next(w for w in reversed(fc.windows) if w.old_lo <= region.old_lo)
+
+
 def region_old_lines(region: Region, fc: FileChange) -> tuple[str, ...]:
-    return fc.old_file_lines[region.old_lo - 1 : region.old_hi]
+    w = _window(region, fc)
+    return w.old_lines[region.old_lo - w.old_lo : region.old_hi - w.old_lo + 1]
 
 
 def region_new_lines(region: Region, fc: FileChange) -> tuple[str, ...]:
-    return fc.new_file_lines[region.new_lo - 1 : region.new_hi]
+    w = _window(region, fc)
+    return w.new_lines[region.new_lo - w.new_lo : region.new_hi - w.new_lo + 1]
 
 
 def _join_regions(line_groups: Iterable[tuple[str, ...]], k: int) -> str:
@@ -141,11 +151,12 @@ def raw_diff_text(regions: tuple[Region, ...], fc: FileChange, k: int) -> str:
     for r in regions:
         first = r.hunks[0]
         last = r.hunks[-1]
-        pre = fc.old_file_lines[r.old_lo - 1 : first.old_start - 1]
-        post = fc.old_file_lines[last.old_start + len(last.removed_lines) - 1 : r.old_hi]
-        added = [line for h in r.hunks for line in h.added_lines]
-        removed = [line for h in r.hunks for line in h.removed_lines]
-        groups.append(tuple(pre) + tuple(added) + tuple(removed) + tuple(post))
+        old = region_old_lines(r, fc)
+        pre = old[: first.old_start - r.old_lo]
+        post = old[last.old_start + len(last.removed_lines) - r.old_lo :]
+        added = tuple(line for h in r.hunks for line in h.added_lines)
+        removed = tuple(line for h in r.hunks for line in h.removed_lines)
+        groups.append(pre + added + removed + post)
     return _join_regions(groups, k)
 
 
@@ -203,7 +214,10 @@ def build_example(
     commit_hash: str = "",
 ) -> BuiltExample:
     """Cut the paper-style (code_before, code_after) pair at window size k
-    and render every variant's text from the same regions."""
+    and render every variant's text from the same regions; k may not
+    exceed the context the record stores."""
+    if k > fc.context:
+        raise ValueError(f"{fc.path}: k={k} exceeds the {fc.context} lines of context the record stores")
     regions = context_regions(fc, k)
     return BuiltExample(
         repo_id=repo_id,

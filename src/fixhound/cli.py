@@ -18,9 +18,10 @@ from pathlib import Path
 
 from . import __version__
 from .change_builder import VARIANTS, BuiltExample, build_example, read_examples_jsonl, write_examples_jsonl
-from .config import DataError, RunConfig, TrainingError, UsageError, load_config
+from .config import DataError, RunConfig, TrainingError, UsageError, atomic_write, load_config
 from .evaluation import EvalReport, emit_report, evaluate, read_predictions_jsonl, write_predictions_jsonl, write_report
 from .repo_miner import (
+    CONTEXT_MAX,
     NVF,
     VF,
     CommitRecord,
@@ -80,7 +81,8 @@ def write_manifest(workdir: Path, command: str, cfg: RunConfig, outputs: list[st
         "version": __version__,
         "outputs": outputs,
     }
-    (workdir / f"manifest_{command}.json").write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    with atomic_write(workdir / f"manifest_{command}.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------- mine
@@ -93,7 +95,7 @@ def cmd_mine(cfg: RunConfig, workdir: Path) -> int:
     for repo in cfg.repos:
         if not Path(repo).exists():
             raise DataError(f"repository path not found: {repo}")
-        records.extend(attach_labels(mine_repository(repo, cfg.since, cfg.until), labels))
+        records.extend(attach_labels(mine_repository(repo, cfg.since, cfg.until, context=max(CONTEXT_MAX, cfg.k)), labels))
     out = workdir / "commits.jsonl"
     write_commits_jsonl(records, out)
     counts = {
@@ -102,7 +104,8 @@ def cmd_mine(cfg: RunConfig, workdir: Path) -> int:
         "commits": len(records),
         "files": sum(len(r.files) for r in records),
     }
-    (workdir / "mine_summary.json").write_text(json.dumps(counts, indent=2), encoding="utf-8")
+    with atomic_write(workdir / "mine_summary.json") as fh:
+        fh.write(json.dumps(counts, indent=2))
     print(f"{'':12s}{'VF':>8s}{'NVF':>10s}{'Commits':>10s}{'Files':>10s}")
     print(f"{'mined':12s}{counts['VF']:>8d}{counts['NVF']:>10d}{counts['commits']:>10d}{counts['files']:>10d}")
     write_manifest(workdir, "mine", cfg, ["commits.jsonl", "mine_summary.json"])
@@ -110,6 +113,13 @@ def cmd_mine(cfg: RunConfig, workdir: Path) -> int:
 
 
 # ---------------------------------------------------------------- build
+
+def _check_context(commits: list[CommitRecord], k: int, path: Path) -> None:
+    """A cut at k reads only lines the records store: refuse it up front otherwise."""
+    stored = min((fc.context for rec in commits for fc in rec.files), default=k)
+    if k > stored:
+        raise DataError(f"{path} stores {stored} lines of context, too few for k={k}; re-run mine with k={k}")
+
 
 def _build_examples(commits: list[CommitRecord], k: int) -> list[BuiltExample]:
     return [build_example(fc, k, rec.label, rec.repo_id, rec.commit_hash) for rec in commits for fc in rec.files]
@@ -128,6 +138,7 @@ def cmd_build(cfg: RunConfig, workdir: Path) -> int:
     if not commits_path.exists():
         raise DataError(f"mined commits not found: {commits_path} (run mine first)")
     commits = read_commits_jsonl(commits_path)
+    _check_context(commits, cfg.k, commits_path)
     parts = _split_and_downsample(cfg, commits)
     outputs = []
     for name in ("train", "val"):
@@ -137,7 +148,8 @@ def cmd_build(cfg: RunConfig, workdir: Path) -> int:
     write_commits_jsonl(parts["test"], workdir / "test_commits.jsonl")
     outputs.append("test_commits.jsonl")
     header = {"k": cfg.k, "variant_agnostic": True, "source_digest": hashlib.sha256(commits_path.read_bytes()).hexdigest()}
-    (workdir / "built_header.json").write_text(json.dumps(header, indent=2), encoding="utf-8")
+    with atomic_write(workdir / "built_header.json") as fh:
+        fh.write(json.dumps(header, indent=2))
     outputs.append("built_header.json")
     write_manifest(workdir, "build", cfg, outputs)
     print(f"built train={len(parts['train'])} val={len(parts['val'])} test={len(parts['test'])} commits at k={cfg.k}")
@@ -215,6 +227,7 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
     if not test_path.exists():
         raise DataError(f"test commits not found: {test_path} (run build first)")
     commits = read_commits_jsonl(test_path)
+    _check_context(commits, cfg.k, test_path)
     preds = predict_corpus(commits, model, vocab, extra["k"], cfg.train_config().batch_size)
     write_predictions_jsonl(preds, workdir / "predictions.jsonl")
     write_manifest(workdir, "predict", cfg, ["predictions.jsonl"])
@@ -262,6 +275,7 @@ def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
     if not commits_path.exists():
         raise DataError(f"mined commits not found: {commits_path} (run mine first)")
     commits = read_commits_jsonl(commits_path)
+    _check_context(commits, max([cfg.k, *(sweep_k or ())]), commits_path)
     parts = _split_and_downsample(cfg, commits)
     base_train = _build_examples(parts["train"], cfg.k)
     vocab = _train_vocab(cfg, base_train, workdir)

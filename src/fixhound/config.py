@@ -1,5 +1,6 @@
-"""Run configuration, the error classes behind the CLI's exit codes, and
-the JSON-lines artifact reader and writer every stage shares.
+"""Run configuration, the error classes behind the CLI's exit codes, the
+atomic file writer every artifact goes through, and the JSON-lines artifact
+reader and writer every stage shares.
 
 This module imports only the standard library at load time. `repo_miner`
 and the other data-layer modules import their error bases from here, so
@@ -9,8 +10,10 @@ are imported where they are used.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -35,10 +38,25 @@ class ArtifactError(DataError):
 Record = TypeVar("Record")
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """Yield a file beside `path` that replaces `path` only when the block
+    ends without error, so no reader sees a half-written artifact; on error
+    the old file stays and the temp file is removed. No fsync."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_jsonl(records: Iterable, path: str | Path) -> int:
     """Write one `to_dict()` JSON object per line; returns the count."""
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), ensure_ascii=False) + "\n")
             n += 1

@@ -24,7 +24,7 @@ from .change_builder import (
     EMBED_SUBTRACT_SINGLE,
     RAW_GIT_DIFF,
 )
-from .config import DataError, read_jsonl, write_jsonl
+from .config import DataError, atomic_write, read_jsonl, write_jsonl
 from .repo_miner import VF
 
 # Ablation table row order: variants first, the dual-subtract model last.
@@ -219,4 +219,5 @@ def emit_report(reports: dict[str, EvalReport], fmt: str = "csv", levels=(5, 20)
 
 
 def write_report(reports: dict[str, EvalReport], path: str | Path, fmt: str = "csv", levels=(5, 20)) -> None:
-    Path(path).write_text(emit_report(reports, fmt, levels), encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(emit_report(reports, fmt, levels))

@@ -1,9 +1,11 @@
 """Mine commit-level change records from local git repositories.
 
 Commits are decomposed into per-file line diffs (hunks) together with the
-full pre- and post-change file contents, so downstream stages can cut
-context windows of any size without touching git again. Labels come from
-an offline CSV feed mapping (repo_id, commit_hash) to a vulnerability id.
+lines within `context` of each hunk on both sides (the merged regions of a
+cut at k=context, like `git diff -U<context>`), so downstream stages can cut
+context windows of any size up to `context` without touching git again.
+Labels come from an offline CSV feed mapping (repo_id, commit_hash) to a
+vulnerability id.
 
 Mining starts a fixed number of git processes, however long the history:
 `git log` lists the commits, one `git diff-tree --stdin` pass gives every
@@ -28,7 +30,7 @@ from difflib import SequenceMatcher
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .config import DataError, read_jsonl, write_jsonl
+from .config import DataError, _is_int, _is_number, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +39,9 @@ NVF = "NVF"
 
 CROSS_PROJECT = "CrossProject"
 TEMPORAL = "Temporal"
+
+# Context a mined record keeps by default: the largest k of the paper's sweep.
+CONTEXT_MAX = 9
 
 # Bytes of file head inspected for the binary heuristic (NUL byte sniff).
 _BINARY_SNIFF_BYTES = 8000
@@ -70,52 +75,66 @@ class Hunk:
             raise ValueError("hunk with neither removed nor added lines")
 
     def to_dict(self) -> dict:
-        return {
-            "old_start": self.old_start,
-            "removed_lines": list(self.removed_lines),
-            "new_start": self.new_start,
-            "added_lines": list(self.added_lines),
-        }
+        return dict(self.__dict__)  # tuples serialise as JSON arrays
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hunk":
-        return cls(
-            old_start=d["old_start"],
-            removed_lines=tuple(d["removed_lines"]),
-            new_start=d["new_start"],
-            added_lines=tuple(d["added_lines"]),
-        )
+        return cls(d["old_start"], tuple(d["removed_lines"]), d["new_start"], tuple(d["added_lines"]))
+
+
+@dataclass(frozen=True)
+class Window:
+    """Lines `old_lo`.. of the old file and `new_lo`.. of the new file (1-based)
+    that one merged context region covers."""
+
+    old_lo: int
+    new_lo: int
+    old_lines: tuple[str, ...]
+    new_lines: tuple[str, ...]
+
+    def to_dict(self) -> dict:
+        return dict(self.__dict__)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Window":
+        return cls(d["old_lo"], d["new_lo"], tuple(d["old_lines"]), tuple(d["new_lines"]))
 
 
 @dataclass(frozen=True)
 class FileChange:
+    """One file's hunks plus the only lines any cut at k <= `context` reads:
+    the merged regions of `context_regions(fc, context)`, one Window each."""
+
     path: str
     hunks: tuple[Hunk, ...]
-    old_file_lines: tuple[str, ...]
-    new_file_lines: tuple[str, ...]
     removed_loc: int
     added_loc: int
+    old_len: int
+    new_len: int
+    context: int
+    windows: tuple[Window, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "hunks": [h.to_dict() for h in self.hunks],
-            "old_file_lines": list(self.old_file_lines),
-            "new_file_lines": list(self.new_file_lines),
-            "removed_loc": self.removed_loc,
-            "added_loc": self.added_loc,
-        }
+        return {**self.__dict__, "hunks": [h.to_dict() for h in self.hunks], "windows": [w.to_dict() for w in self.windows]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FileChange":
-        return cls(
-            path=d["path"],
-            hunks=tuple(Hunk.from_dict(h) for h in d["hunks"]),
-            old_file_lines=tuple(d["old_file_lines"]),
-            new_file_lines=tuple(d["new_file_lines"]),
-            removed_loc=d["removed_loc"],
-            added_loc=d["added_loc"],
-        )
+        hunks = tuple(Hunk.from_dict(h) for h in d["hunks"])
+        return cls(**{**d, "hunks": hunks, "windows": tuple(Window.from_dict(w) for w in d["windows"])})
+
+
+def file_change(path: str, old_lines: tuple[str, ...] | list[str], new_lines: tuple[str, ...] | list[str], context: int) -> FileChange:
+    """Diff two file versions and keep the lines a cut at k <= context can read."""
+    from .change_builder import context_regions  # change_builder imports this module
+
+    hunks = diff_lines(old_lines, new_lines)
+    removed, added = sum(len(h.removed_lines) for h in hunks), sum(len(h.added_lines) for h in hunks)
+    fc = FileChange(path, hunks, removed, added, len(old_lines), len(new_lines), context, windows=())
+    windows = tuple(
+        Window(r.old_lo, r.new_lo, tuple(old_lines[r.old_lo - 1 : r.old_hi]), tuple(new_lines[r.new_lo - 1 : r.new_hi]))
+        for r in context_regions(fc, context)
+    )
+    return replace(fc, windows=windows)
 
 
 @dataclass(frozen=True)
@@ -127,30 +146,18 @@ class CommitRecord:
     files: tuple[FileChange, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "repo_id": self.repo_id,
-            "commit_hash": self.commit_hash,
-            "timestamp": self.timestamp,
-            "label": self.label,
-            "files": [f.to_dict() for f in self.files],
-        }
+        return {**self.__dict__, "files": [f.to_dict() for f in self.files]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CommitRecord":
-        return cls(
-            repo_id=d["repo_id"],
-            commit_hash=d["commit_hash"],
-            timestamp=d["timestamp"],
-            label=d["label"],
-            files=tuple(FileChange.from_dict(f) for f in d["files"]),
-        )
+        return cls(**{**d, "files": tuple(FileChange.from_dict(f) for f in d["files"])})
 
 
 def diff_lines(old: tuple[str, ...] | list[str], new: tuple[str, ...] | list[str]) -> tuple[Hunk, ...]:
     """Line-level diff of two file versions as a tuple of hunks.
 
     Hunks are sorted by old-file position and non-overlapping; applying
-    them to `old` reproduces `new` (see apply_hunks).
+    them to `old` reproduces `new`.
     """
     matcher = SequenceMatcher(a=list(old), b=list(new), autojunk=False)
     hunks = []
@@ -166,19 +173,6 @@ def diff_lines(old: tuple[str, ...] | list[str], new: tuple[str, ...] | list[str
             )
         )
     return tuple(hunks)
-
-
-def apply_hunks(old: tuple[str, ...], hunks: tuple[Hunk, ...]) -> tuple[str, ...]:
-    """Reconstruct the new file version from the old one plus hunks."""
-    out: list[str] = []
-    cursor = 0  # 0-based index into old
-    for h in hunks:
-        start = h.old_start - 1
-        out.extend(old[cursor:start])
-        out.extend(h.added_lines)
-        cursor = start + len(h.removed_lines)
-    out.extend(old[cursor:])
-    return tuple(out)
 
 
 def _split_lines(text: str) -> tuple[str, ...]:
@@ -254,7 +248,7 @@ def _read_blob(cat_file: subprocess.Popen, oid: str) -> bytes:
 
 
 def _file_change(
-    cat_file: subprocess.Popen, status: str, old_oid: str, new_oid: str, path: str
+    cat_file: subprocess.Popen, status: str, old_oid: str, new_oid: str, path: str, context: int
 ) -> FileChange | None:
     old_blob = b"" if status == "A" else _read_blob(cat_file, old_oid)
     new_blob = b"" if status == "D" else _read_blob(cat_file, new_oid)
@@ -262,19 +256,8 @@ def _file_change(
         return None
     old_lines = _split_lines(old_blob.decode("utf-8", errors="replace"))
     new_lines = _split_lines(new_blob.decode("utf-8", errors="replace"))
-    hunks = diff_lines(old_lines, new_lines)
-    if not hunks:
-        return None
-    removed = sum(len(h.removed_lines) for h in hunks)
-    added = sum(len(h.added_lines) for h in hunks)
-    return FileChange(
-        path=path,
-        hunks=hunks,
-        old_file_lines=old_lines,
-        new_file_lines=new_lines,
-        removed_loc=removed,
-        added_loc=added,
-    )
+    fc = file_change(path, old_lines, new_lines, context)
+    return fc if fc.hunks else None
 
 
 def mine_repository(
@@ -282,8 +265,10 @@ def mine_repository(
     since: int = 0,
     until: int = 2**62,
     repo_id: str | None = None,
+    context: int = CONTEXT_MAX,
 ) -> Iterator[CommitRecord]:
-    """Yield one unlabeled CommitRecord per non-merge commit in [since, until].
+    """Yield one unlabeled CommitRecord per non-merge commit in [since, until],
+    each file keeping `context` lines around its hunks.
 
     Records come out in ascending (timestamp, commit_hash) order. Merge
     commits, binary files, and files with zero changed lines are skipped;
@@ -336,7 +321,7 @@ def mine_repository(
             files = []
             try:
                 for status, old_oid, new_oid, path in statuses.get(sha, ()):
-                    fc = _file_change(cat_file, status, old_oid, new_oid, path)
+                    fc = _file_change(cat_file, status, old_oid, new_oid, path, context)
                     if fc is not None:
                         files.append(fc)
             except _UnreadableObject as exc:
@@ -415,15 +400,18 @@ class SplitSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SplitSpec":
-        return cls(
-            strategy=d["strategy"],
-            train_repos=tuple(d.get("train_repos", ())),
-            val_repos=tuple(d.get("val_repos", ())),
-            test_repos=tuple(d.get("test_repos", ())),
-            train_frac=d.get("train_frac", 0.9),
-            val_frac=d.get("val_frac", 0.1),
-            test_start=d.get("test_start"),
-        )
+        """Build a spec from config JSON; a field of the wrong type or range raises TypeError/ValueError."""
+        if d["strategy"] not in (CROSS_PROJECT, TEMPORAL):
+            raise ValueError(f"unknown split strategy {d['strategy']!r}")
+        if not (d.get("test_start") is None or _is_int(d["test_start"])):
+            raise TypeError(f"test_start must be an integer or null, got {d['test_start']!r}")
+        for name in ("train_frac", "val_frac"):
+            if name in d and not (_is_number(d[name]) and 0 <= d[name] <= 1):
+                raise ValueError(f"{name} must be a number in [0, 1], got {d[name]!r}")
+        for name in ("train_repos", "val_repos", "test_repos"):
+            if not (isinstance(d.get(name, []), list) and all(isinstance(r, str) for r in d.get(name, []))):
+                raise TypeError(f"{name} must be a list of strings, got {d[name]!r}")
+        return cls(**{**d, **{name: tuple(d.get(name, ())) for name in ("train_repos", "val_repos", "test_repos")}})
 
 
 def split_dataset(records: list[CommitRecord], spec: SplitSpec) -> dict[str, list[CommitRecord]]:

@@ -19,6 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .config import atomic_write
+
 PAD, BOS, EOS, SEP, UNK = 0, 1, 2, 3, 4
 SPECIALS = {"PAD": PAD, "BOS": BOS, "EOS": EOS, "SEP": SEP, "UNK": UNK}
 NUM_SPECIALS = 5
@@ -72,7 +74,8 @@ class Vocabulary:
         return cls(merges=[(l, r) for l, r in merges])
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()), encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(json.dumps(self.to_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import delta_model as dm
-from .config import DataError, EncoderConfig, TrainConfig, TrainingError
+from .config import DataError, EncoderConfig, TrainConfig, TrainingError, atomic_write
 from .delta_model import DeltaModel, EncodedBatch
 from .encoder import Params, param_shapes
 
@@ -161,7 +161,7 @@ def train(
 
 
 def write_loss_log(loss_log, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("step,epoch,loss,split\n")
         for step, epoch, loss, split in loss_log:
             fh.write(f"{step},{epoch},{loss!r},{split}\n")
@@ -176,7 +176,7 @@ def save_checkpoint(model: DeltaModel, path: str | Path, extra_config: dict | No
         "extra": extra_config or {},
     }
     config_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(config_bytes)))
@@ -216,12 +216,15 @@ def load_checkpoint(path: str | Path) -> tuple[DeltaModel, dict]:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version} at offset 4")
     (config_len,) = struct.unpack("<Q", take(8, "config length"))
-    config = json.loads(take(config_len, "config").decode("utf-8"))
+    try:
+        config = json.loads(take(config_len, "config").decode("utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise CheckpointError(f"{path}: unreadable config block at offset 16 ({type(exc).__name__}: {exc})") from exc
 
     tensors: Params = {}
     while off < len(data):
         (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
+        name = take(name_len, "tensor name").decode("utf-8", errors="replace")
         if name in tensors:
             raise CheckpointError(f"{path}: duplicate tensor {name!r} at offset {off}")
         (rank,) = struct.unpack("<B", take(1, "tensor rank"))

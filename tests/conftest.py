@@ -4,7 +4,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from fixhound.repo_miner import NVF, VF, CommitRecord, FileChange, diff_lines
+from fixhound.repo_miner import CONTEXT_MAX, NVF, VF, CommitRecord, FileChange, file_change
 
 
 def run_git(repo, *args, env_extra=None):
@@ -62,9 +62,10 @@ def _random_line(rng) -> str:
     return " ".join(rng.choice(WORDS) for _ in range(3))
 
 
-def make_planted_file_change(rng, vf: bool, path: str = "src/mod.c") -> FileChange:
-    """A single-hunk change whose VF signal lives only in the delta:
-    VF iff the sentinel occurs in the removed line and not in the added one."""
+def planted_versions(rng, vf: bool) -> tuple[list[str], list[str]]:
+    """Old and new versions of an 8-line file differing in one line, whose VF
+    signal lives only in the delta: VF iff the sentinel occurs in the removed
+    line and not in the added one."""
     n = 8
     old = [_random_line(rng) for _ in range(n)]
     pos = int(rng.integers(2, n - 2))
@@ -82,15 +83,12 @@ def make_planted_file_change(rng, vf: bool, path: str = "src/mod.c") -> FileChan
             new_line = f"{SENTINEL} {_random_line(rng)}"
     new = list(old)
     new[pos] = new_line
-    hunks = diff_lines(old, new)
-    return FileChange(
-        path=path,
-        hunks=hunks,
-        old_file_lines=tuple(old),
-        new_file_lines=tuple(new),
-        removed_loc=sum(len(h.removed_lines) for h in hunks),
-        added_loc=sum(len(h.added_lines) for h in hunks),
-    )
+    return old, new
+
+
+def make_planted_file_change(rng, vf: bool, path: str = "src/mod.c") -> FileChange:
+    """The single-hunk change of `planted_versions`, mined with the default context."""
+    return file_change(path, *planted_versions(rng, vf), CONTEXT_MAX)
 
 
 def make_planted_commits(n: int, seed: int, repo_id: str = "planted", t0: int = 1_000_000) -> list[CommitRecord]:
@@ -124,9 +122,10 @@ def make_planted_repo(path, n: int, seed: int, t0: int = 1_000_000):
     rng = np.random.default_rng(seed)
     labels = []
     for i in range(n):
-        fc = make_planted_file_change(rng, vf=i % 2 == 0, path=f"src/mod{i}.c")
-        commit_files(repo, {fc.path: "\n".join(fc.old_file_lines) + "\n"}, f"add {fc.path}", t0 + 120 * i)
-        sha = commit_files(repo, {fc.path: "\n".join(fc.new_file_lines) + "\n"}, f"change {fc.path}", t0 + 120 * i + 60)
+        path = f"src/mod{i}.c"
+        old, new = planted_versions(rng, vf=i % 2 == 0)
+        commit_files(repo, {path: "\n".join(old) + "\n"}, f"add {path}", t0 + 120 * i)
+        sha = commit_files(repo, {path: "\n".join(new) + "\n"}, f"change {path}", t0 + 120 * i + 60)
         if i % 2 == 0:
             labels.append((repo.name, sha, f"CVE-{i}"))
     return repo, labels

@@ -17,6 +17,9 @@ milliseconds of every timing, the oracle/new ratio of the medians, whether
 the pooled outputs are bit-identical and the largest gradient difference
 relative to the largest gradient entry; plus the machine facts (nproc,
 usable CPUs, BLAS, numpy and Python versions, BLAS thread cap, commit).
+It exits 1 when a batch's pooled outputs differ from the oracle's or its
+gradients differ by more than GRAD_TOLERANCE, so CI can run it with
+`--repeats 1` as a check.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from fixhound.config import EncoderConfig  # noqa: E402
 CONFIG = EncoderConfig(vocab_size=512, dim=32, layers=1, heads=2, max_len=512, ffn_mult=2)
 BATCH_SIZES = (4, 32)
 QUERY_BLOCKS = (64, 128)
+GRAD_TOLERANCE = 1e-6  # largest gradient difference, relative to the largest gradient entry
 
 
 def _stats(samples: list[float]) -> dict:
@@ -146,6 +150,12 @@ def main(argv: list[str] | None = None) -> int:
         "machine": machine_facts(),
     }
     print(json.dumps(result, indent=2))
+    failed = [
+        b for b, r in result["batches"].items() if not r["pooled_bit_identical"] or r["grad_max_rel_diff"] > GRAD_TOLERANCE
+    ]
+    if failed:
+        print(f"error: B={','.join(failed)}: outputs differ from the oracle beyond GRAD_TOLERANCE", file=sys.stderr)
+        return 1
     return 0
 
 

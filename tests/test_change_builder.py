@@ -18,21 +18,13 @@ from fixhound.change_builder import (
     region_old_lines,
     removed_code,
 )
-from fixhound.repo_miner import FileChange, Hunk, diff_lines
+from fixhound.repo_miner import CONTEXT_MAX, file_change
 
 DATA = Path(__file__).parent / "data"
 
 
-def make_fc(old, new, path="f.txt"):
-    hunks = diff_lines(old, new)
-    return FileChange(
-        path=path,
-        hunks=hunks,
-        old_file_lines=tuple(old),
-        new_file_lines=tuple(new),
-        removed_loc=sum(len(h.removed_lines) for h in hunks),
-        added_loc=sum(len(h.added_lines) for h in hunks),
-    )
+def make_fc(old, new, path="f.txt", context=CONTEXT_MAX):
+    return file_change(path, tuple(old), tuple(new), context)
 
 
 @pytest.fixture
@@ -94,7 +86,7 @@ class TestContextCut:
     def test_k_clamped_at_file_boundaries(self):
         old = ["a", "b"]
         new = ["a", "B"]
-        ex = build_example(make_fc(old, new), 99, "NVF")
+        ex = build_example(make_fc(old, new, context=99), 99, "NVF")
         assert ex.code_before == "a\nb"
         assert ex.code_after == "a\nB"
 
@@ -138,6 +130,50 @@ class TestMonotonicity:
         ks = [0, 1, 3, 5, 7, 9]
         for k1, k2 in zip(ks, ks[1:]):
             assert is_subsequence(content_lines(fc, k1), content_lines(fc, k2))
+
+
+@st.composite
+def edited_files(draw):
+    """An old file of up to 120 lines, some repeated, and a new one a few edits
+    away, so hunks land both far apart and within 2 * CONTEXT_MAX lines of each other."""
+    period = draw(st.integers(1, 120))
+    old = [f"L{i % period}" for i in range(draw(st.integers(0, 120)))]
+    new = list(old)
+    for _ in range(draw(st.integers(1, 6))):
+        pos = draw(st.integers(0, len(new)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            new.insert(pos, draw(st.sampled_from(["x", "y", ""])))
+        elif pos < len(new):
+            new[pos : pos + 1] = [] if op == "delete" else [draw(st.sampled_from(["x", "y", ""]))]
+    return old, new
+
+
+class TestWindowedRecords:
+    """A cut of a record that keeps CONTEXT_MAX lines of context equals the
+    cut of a record that keeps both whole files, for every k <= CONTEXT_MAX."""
+
+    @given(edited_files())
+    @settings(max_examples=300, deadline=None)
+    def test_cut_equals_whole_file_cut(self, files):
+        old, new = files
+        windowed = make_fc(old, new)
+        whole = make_fc(old, new, context=max(len(old), len(new), CONTEXT_MAX))
+        assert len(whole.windows) == (1 if whole.hunks else 0)
+        for k in range(CONTEXT_MAX + 1):
+            assert build_example(windowed, k, "VF") == build_example(whole, k, "VF")
+
+    def test_windows_hold_only_lines_within_context(self):
+        old = [f"L{i}" for i in range(1, 101)]
+        new = list(old)
+        new[49] = "L50x"
+        (w,) = make_fc(old, new).windows
+        assert (w.old_lo, w.old_lines) == (41, tuple(old[40:59]))
+        assert (w.new_lo, w.new_lines) == (41, tuple(new[40:59]))
+
+    def test_k_beyond_stored_context_rejected(self, single_edit_fc):
+        with pytest.raises(ValueError, match="k=10 exceeds the 9 lines of context"):
+            build_example(single_edit_fc, CONTEXT_MAX + 1, "NVF")
 
 
 class TestVariantRendering:

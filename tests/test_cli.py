@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import fixhound.trainer as tr
-from conftest import commit_files, init_repo, make_planted_commits
+from conftest import commit_files, init_repo, make_planted_commits, make_planted_repo
 from fixhound.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from fixhound.config import RunConfig, load_config
+from fixhound.config import RunConfig, atomic_write, load_config, write_jsonl
 from fixhound.evaluation import CommitPrediction, write_predictions_jsonl
-from fixhound.repo_miner import NVF, write_commits_jsonl
+from fixhound.repo_miner import NVF, read_commits_jsonl, write_commits_jsonl
 
 FAST_CONFIG = {
     "k": 3,
@@ -52,6 +52,28 @@ def seeded_workdir(tmp_path, n_commits=40):
     commits = make_planted_commits(n_commits, seed=0)
     write_commits_jsonl(commits, workdir / "commits.jsonl")
     return workdir, commits
+
+
+def _resaved_head(change):
+    """Checkpoint damage: load, change the head tensors, save again."""
+
+    def damage(ckpt):
+        model, extra = tr.load_checkpoint(ckpt)
+        change(model.head)
+        tr.save_checkpoint(model, ckpt, extra)
+
+    return damage
+
+
+def _overwritten(offset, data):
+    """Checkpoint damage: overwrite bytes at `offset`."""
+
+    def damage(ckpt):
+        raw = bytearray(ckpt.read_bytes())
+        raw[offset : offset + len(data)] = data
+        ckpt.write_bytes(bytes(raw))
+
+    return damage
 
 
 class TestConfig:
@@ -163,6 +185,57 @@ class TestBuild:
         one_line_error(capsys, "run mine first")
 
 
+class TestStoredContext:
+    """mine stores max(9, k) lines of context; a stage whose k needs more exits 2 before any work."""
+
+    def _config(self, tmp_path):
+        repo, labels = make_planted_repo(tmp_path / "planted", 12, seed=0)
+        labels_path = tmp_path / "labels.csv"
+        labels_path.write_text("repo_id,commit_hash,vuln_id\n" + "".join(f"{r},{h},{v}\n" for r, h, v in labels))
+        split = {"strategy": "Temporal", "test_start": 1_000_000 + 120 * 8}
+        return str(write_config(tmp_path, tmp_path / "out", repos=[str(repo)], labels_file=str(labels_path), split=split))
+
+    def test_k_beyond_stored_context_is_data_error(self, tmp_path, capsys):
+        config = self._config(tmp_path)
+        assert main(["--config", config, "mine"]) == EXIT_OK  # k=3
+        capsys.readouterr()
+        assert main(["--config", config, "--k", "12", "build"]) == EXIT_DATA
+        one_line_error(capsys, "stores 9 lines of context, too few for k=12; re-run mine with k=12")
+        assert main(["--config", config, "ablate", "--sweep-k", "0,12"]) == EXIT_DATA
+        one_line_error(capsys, "stores 9 lines of context, too few for k=12")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["commits.jsonl", "manifest_mine.json", "mine_summary.json"]
+
+    def test_mining_at_larger_k_stores_more_context(self, tmp_path, capsys):
+        config = self._config(tmp_path)
+        workdir = tmp_path / "out"
+        for command in ("mine", "build", "train"):
+            assert main(["--config", config, "--k", "12", command]) == EXIT_OK, command
+        assert {fc.context for rec in read_commits_jsonl(workdir / "commits.jsonl") for fc in rec.files} == {12}
+        write_commits_jsonl(make_planted_commits(4, seed=1), workdir / "test_commits.jsonl")  # stored at 9
+        capsys.readouterr()
+        assert main(["--config", config, "--k", "12", "predict"]) == EXIT_DATA
+        one_line_error(capsys, "test_commits.jsonl stores 9 lines of context, too few for k=12")
+
+
+class TestAtomicWrites:
+    def test_failing_writer_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "commits.jsonl"
+        write_commits_jsonl(make_planted_commits(3, seed=0), path)
+        before = path.read_bytes()
+
+        def dies_midway():
+            yield from make_planted_commits(2, seed=1)
+            raise RuntimeError("writer died")
+
+        with pytest.raises(RuntimeError, match="writer died"):
+            write_jsonl(dies_midway(), path)
+        with pytest.raises(RuntimeError, match="writer died"), atomic_write(path, "wb") as fh:
+            fh.write(b"half a checkpoint")
+            raise RuntimeError("writer died")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["commits.jsonl"]
+
+
 class TestPipeline:
     def _run_through_evaluate(self, tmp_path, seed=0):
         workdir, _ = seeded_workdir(tmp_path)
@@ -234,20 +307,22 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "damage, message",
         [
-            (lambda head: head.pop("b2"), "missing tensor 'head.b2'"),
-            (lambda head: head.update(w1=np.zeros((2 * head["w1"].shape[0], head["w1"].shape[1]), np.float32)), "'head.w1' has shape"),
+            (_resaved_head(lambda head: head.pop("b2")), "missing tensor 'head.b2'"),
+            (
+                _resaved_head(lambda head: head.update(w1=np.zeros((2 * head["w1"].shape[0], head["w1"].shape[1]), np.float32))),
+                "'head.w1' has shape",
+            ),
+            (_overwritten(16, b"x"), "unreadable config block"),  # the first byte of the JSON config
+            (_overwritten(20, b"\xff{"), "unreadable config block"),
         ],
-        ids=["missing-head-b2", "wrong-shape-head-w1"],
+        ids=["missing-head-b2", "wrong-shape-head-w1", "config-not-json", "config-not-utf8"],
     )
     def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, damage, message):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "build"]) == EXIT_OK
         assert main(["--config", str(config), "train"]) == EXIT_OK
-        ckpt = workdir / "checkpoint.bin"
-        model, extra = tr.load_checkpoint(ckpt)
-        damage(model.head)
-        tr.save_checkpoint(model, ckpt, extra)
+        damage(workdir / "checkpoint.bin")
         capsys.readouterr()
         assert main(["--config", str(config), "predict"]) == EXIT_DATA
         one_line_error(capsys, message)
@@ -340,8 +415,20 @@ class TestGuards:
             ({"train": [3e-3, 2]}, "bad train config"),
             ({"train": {"batch_size": 0}}, "batch_size"),
             ({"split": {"test_start": 5}}, "'strategy'"),
+            ({"split": {"strategy": "Sideways"}}, "unknown split strategy 'Sideways'"),
+            ({"split": {"strategy": "Temporal", "test_start": "soon"}}, "test_start must be an integer or null"),
+            ({"split": {"strategy": "Temporal", "test_start": True}}, "test_start must be an integer or null"),
+            ({"split": {"strategy": "Temporal", "test_start": 5, "train_frac": "most"}}, "train_frac must be a number in [0, 1]"),
+            ({"split": {"strategy": "Temporal", "test_start": 5, "train_frac": 1.5}}, "train_frac must be a number in [0, 1]"),
+            ({"split": {"strategy": "Temporal", "test_start": 5, "val_frac": False}}, "val_frac must be a number in [0, 1]"),
+            ({"split": {"strategy": "CrossProject", "train_repos": "repo"}}, "train_repos must be a list of strings"),
+            ({"split": {"strategy": "CrossProject", "test_repos": [3]}}, "test_repos must be a list of strings"),
         ],
-        ids=["dim-not-divisible", "encoder-depth", "train-lr", "train-list", "train-batch-size-0", "split-without-strategy"],
+        ids=[
+            "dim-not-divisible", "encoder-depth", "train-lr", "train-list", "train-batch-size-0", "split-without-strategy",
+            "split-unknown-strategy", "split-test-start-str", "split-test-start-bool", "split-train-frac-str",
+            "split-train-frac-above-1", "split-val-frac-bool", "split-repos-str", "split-repos-int-item",
+        ],
     )
     def test_bad_nested_config_is_usage_error(self, tmp_path, capsys, extra, message):
         workdir, _ = seeded_workdir(tmp_path)
@@ -383,6 +470,16 @@ class TestBadArtifacts:
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "evaluate"]) == EXIT_DATA
         one_line_error(capsys, "zero actual VF commits")
+
+    def test_old_format_commits_are_data_error(self, tmp_path, capsys):
+        workdir, commits = seeded_workdir(tmp_path)
+        record = commits[0].to_dict()
+        for fc in record["files"]:  # whole-file records, as mine wrote them before windows
+            fc["old_file_lines"] = [line for w in fc.pop("windows") for line in w["old_lines"]]
+            del fc["old_len"], fc["new_len"], fc["context"]
+        (workdir / "commits.jsonl").write_text(json.dumps(record) + "\n")
+        assert main(["--config", str(write_config(tmp_path, workdir)), "build"]) == EXIT_DATA
+        one_line_error(capsys, "commits.jsonl:1: unreadable record")
 
     @pytest.mark.parametrize(
         "artifact, command",

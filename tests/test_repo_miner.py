@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import commit_files, init_repo, run_git
+from mining_oracle import apply_hunks
 from fixhound.repo_miner import (
     NVF,
     VF,
     CommitRecord,
     LabelError,
     MiningError,
-    apply_hunks,
     attach_labels,
     diff_lines,
     downsample_nvf,
@@ -228,10 +228,20 @@ class TestJsonlRoundTrip:
         assert read_commits_jsonl(path) == sorted(recs, key=lambda r: r.timestamp)
 
     def test_loc_consistency(self, tmp_repo):
-        commit_files(tmp_repo, {"a.txt": "1\n2\n3\n"}, "c1", 1000)
-        commit_files(tmp_repo, {"a.txt": "1\nx\n3\n4\n"}, "c2", 2000)
-        for rec in mine_repository(tmp_repo):
-            for fc in rec.files:
-                assert fc.removed_loc == sum(len(h.removed_lines) for h in fc.hunks)
-                assert fc.added_loc == sum(len(h.added_lines) for h in fc.hunks)
-                assert apply_hunks(fc.old_file_lines, fc.hunks) == fc.new_file_lines
+        """Hunks rebuild git's new blob from its old one, and each window holds git's lines."""
+        commit_files(tmp_repo, {"a.txt": "".join(f"{i}\n" for i in range(40))}, "c1", 1000)
+        edited = [str(i) for i in range(40)]
+        edited[2], edited[30:32] = "x", ["y"]
+        commit_files(tmp_repo, {"a.txt": "\n".join(edited) + "\n"}, "c2", 2000)
+        rec = list(mine_repository(tmp_repo))[-1]
+        old = tuple(run_git(tmp_repo, "show", f"{rec.commit_hash}^:a.txt").stdout.decode().splitlines())
+        new = tuple(run_git(tmp_repo, "show", f"{rec.commit_hash}:a.txt").stdout.decode().splitlines())
+        (fc,) = rec.files
+        assert fc.removed_loc == sum(len(h.removed_lines) for h in fc.hunks)
+        assert fc.added_loc == sum(len(h.added_lines) for h in fc.hunks)
+        assert apply_hunks(old, fc.hunks) == new
+        assert (fc.old_len, fc.new_len) == (len(old), len(new))
+        assert len(fc.windows) == 2  # the hunks at lines 3 and 31 are 27 lines apart
+        for w in fc.windows:
+            assert w.old_lines == old[w.old_lo - 1 : w.old_lo - 1 + len(w.old_lines)]
+            assert w.new_lines == new[w.new_lo - 1 : w.new_lo - 1 + len(w.new_lines)]

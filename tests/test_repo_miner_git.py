@@ -11,7 +11,8 @@ import pytest
 
 from conftest import commit_files, init_repo, run_git
 from fixhound import repo_miner
-from fixhound.repo_miner import MiningError, mine_repository, write_commits_jsonl
+from fixhound.change_builder import build_example
+from fixhound.repo_miner import CONTEXT_MAX, MiningError, mine_repository, write_commits_jsonl
 from mining_oracle import mine_repository_per_commit
 
 ABSENT_COMMIT = "1" * 40  # a gitlink target that is not in the repository
@@ -143,6 +144,17 @@ class TestEquivalenceWithPerCommitMiner:
         assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
 
 
+    def test_cuts_equal_whole_file_cuts(self, history):
+        repo, _ = history
+        windowed = list(mine_repository(repo))
+        whole = list(mine_repository_per_commit(repo, context=10**6))
+        pairs = [(fw, ff) for rw, rf in zip(windowed, whole, strict=True) for fw, ff in zip(rw.files, rf.files, strict=True)]
+        for fw, ff in pairs:
+            assert fw.context == CONTEXT_MAX
+            for k in range(CONTEXT_MAX + 1):
+                assert build_example(fw, k, "NVF") == build_example(ff, k, "NVF")
+
+
 class TestGitProcesses:
     def _repo(self, root, n_commits):
         repo = init_repo(root)
@@ -206,5 +218,5 @@ class TestUnreadableObjects:
         with caplog.at_level(logging.WARNING, logger="fixhound.repo_miner"):
             (record,) = mine_repository(tmp_repo)
         assert [f.path for f in record.files] == sorted([raw_name.decode("utf-8", errors="replace"), "ok.c"])
-        assert [f.new_file_lines for f in record.files] == [("int x;",), ("int y;",)]
+        assert [w.new_lines for f in record.files for w in f.windows] == [("int x;",), ("int y;",)]
         assert caplog.records == []
