@@ -241,7 +241,8 @@ class TestJsonlRoundTrip:
         assert fc.added_loc == sum(len(h.added_lines) for h in fc.hunks)
         assert apply_hunks(old, fc.hunks) == new
         assert (fc.old_len, fc.new_len) == (len(old), len(new))
-        assert len(fc.windows) == 2  # the hunks at lines 3 and 31 are 27 lines apart
+        # hunks at old lines 3 and 31-32 (new line 31): 9 lines around each, not merged
+        assert [(w.old_lo, len(w.old_lines), w.new_lo, len(w.new_lines)) for w in fc.windows] == [(1, 12, 1, 12), (22, 19, 22, 18)]
         for w in fc.windows:
             assert w.old_lines == old[w.old_lo - 1 : w.old_lo - 1 + len(w.old_lines)]
             assert w.new_lines == new[w.new_lo - 1 : w.new_lo - 1 + len(w.new_lines)]
