@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
@@ -147,10 +146,6 @@ def cmd_build(cfg: RunConfig, workdir: Path) -> int:
         outputs.append(f"{name}.jsonl")
     write_commits_jsonl(parts["test"], workdir / "test_commits.jsonl")
     outputs.append("test_commits.jsonl")
-    header = {"k": cfg.k, "variant_agnostic": True, "source_digest": hashlib.sha256(commits_path.read_bytes()).hexdigest()}
-    with atomic_write(workdir / "built_header.json") as fh:
-        fh.write(json.dumps(header, indent=2))
-    outputs.append("built_header.json")
     write_manifest(workdir, "build", cfg, outputs)
     print(f"built train={len(parts['train'])} val={len(parts['val'])} test={len(parts['test'])} commits at k={cfg.k}")
     return EXIT_OK
@@ -158,27 +153,24 @@ def cmd_build(cfg: RunConfig, workdir: Path) -> int:
 
 # ---------------------------------------------------------------- train
 
-def _train_vocab(cfg: RunConfig, train_examples: list[BuiltExample], workdir: Path):
-    """BPE vocabulary over both views of every training example, saved as vocab.json."""
+def _train_vocab(cfg: RunConfig, train_examples: list[BuiltExample]):
+    """BPE vocabulary over both views of every training example."""
     from .tokenizer import train_vocab
 
     if not train_examples:
         raise DataError("the train split holds no examples to learn a vocabulary from")
-    vocab = train_vocab([text for ex in train_examples for text in (ex.code_before, ex.code_after)], cfg.vocab_size)
-    vocab.save(workdir / "vocab.json")
-    return vocab
+    return train_vocab([text for ex in train_examples for text in (ex.code_before, ex.code_after)], cfg.vocab_size)
 
 
 def _train_and_save(cfg: RunConfig, variant: str, train_examples, val_examples, vocab, workdir: Path, suffix: str = ""):
-    """Train `variant`, then write checkpoint{suffix}.bin and loss_log{suffix}.csv."""
+    """Train `variant`, then write checkpoint{suffix}.bin (model and vocabulary) and loss_log{suffix}.csv."""
     from . import delta_model as dm
     from . import trainer as tr
 
     train_batch = dm.encode_examples(train_examples, variant, vocab, cfg.max_len)
     val_batch = dm.encode_examples(val_examples, variant, vocab, cfg.max_len)
     result = tr.train(variant, cfg.encoder_config(vocab.size), train_batch, val_batch, cfg.train_config())
-    extra = {"k": cfg.k, "max_len": cfg.max_len, "seed": cfg.seed}
-    tr.save_checkpoint(result.model, workdir / f"checkpoint{suffix}.bin", extra)
+    tr.save_checkpoint(result.model, vocab, workdir / f"checkpoint{suffix}.bin", {"k": cfg.k, "seed": cfg.seed})
     tr.write_loss_log(result.loss_log, workdir / f"loss_log{suffix}.csv")
     return result
 
@@ -190,9 +182,13 @@ def cmd_train(cfg: RunConfig, workdir: Path) -> int:
         raise DataError(f"built dataset not found in {workdir} (run build first)")
     train_examples = read_examples_jsonl(train_path)
     val_examples = read_examples_jsonl(val_path)
-    vocab = _train_vocab(cfg, train_examples, workdir)
+    for path, examples in ((train_path, train_examples), (val_path, val_examples)):
+        for ex in examples:
+            if ex.k != cfg.k:
+                raise DataError(f"{path} holds examples built at k={ex.k}, but train is configured with k={cfg.k}; re-run build")
+    vocab = _train_vocab(cfg, train_examples)
     result = _train_and_save(cfg, cfg.variant, train_examples, val_examples, vocab, workdir)
-    write_manifest(workdir, "train", cfg, ["checkpoint.bin", "vocab.json", "loss_log.csv"])
+    write_manifest(workdir, "train", cfg, ["checkpoint.bin", "loss_log.csv"])
     print(f"trained {cfg.variant}: best epoch {result.best_epoch}, val F1 {result.best_val_f1:.3f}")
     return EXIT_OK
 
@@ -201,34 +197,22 @@ def cmd_train(cfg: RunConfig, workdir: Path) -> int:
 
 def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
     from .inference import predict_corpus
-    from .tokenizer import Vocabulary
     from .trainer import load_checkpoint
 
     ckpt_path = Path(checkpoint) if checkpoint else workdir / "checkpoint.bin"
     if not ckpt_path.exists():
         raise DataError(f"checkpoint not found: {ckpt_path}")
-    model, extra = load_checkpoint(ckpt_path)
-    if extra.get("max_len") != cfg.max_len:
-        raise DataError(f"checkpoint max_len {extra.get('max_len')} does not match configured max_len {cfg.max_len}")
+    model, vocab, extra = load_checkpoint(ckpt_path)
+    if model.config.max_len != cfg.max_len:
+        raise DataError(f"checkpoint max_len {model.config.max_len} does not match configured max_len {cfg.max_len}")
     if extra.get("k") != cfg.k:
         raise DataError(f"checkpoint context window k={extra.get('k')} does not match configured k={cfg.k}")
-    vocab_path = workdir / "vocab.json"
-    if not vocab_path.exists():
-        raise DataError(f"vocabulary not found: {vocab_path}")
-    try:
-        vocab = Vocabulary.load(vocab_path)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read vocabulary {vocab_path}: {exc}") from exc
-    if vocab.size != model.config.vocab_size:
-        raise DataError(
-            f"vocabulary {vocab_path} has {vocab.size} tokens but the checkpoint embeds {model.config.vocab_size}"
-        )
     test_path = workdir / "test_commits.jsonl"
     if not test_path.exists():
         raise DataError(f"test commits not found: {test_path} (run build first)")
     commits = read_commits_jsonl(test_path)
     _check_context(commits, cfg.k, test_path)
-    preds = predict_corpus(commits, model, vocab, extra["k"], cfg.train_config().batch_size)
+    preds = predict_corpus(commits, model, vocab, cfg.k, cfg.train_config().batch_size)
     write_predictions_jsonl(preds, workdir / "predictions.jsonl")
     write_manifest(workdir, "predict", cfg, ["predictions.jsonl"])
     print(f"predicted {len(preds)} commits")
@@ -278,7 +262,7 @@ def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
     _check_context(commits, max([cfg.k, *(sweep_k or ())]), commits_path)
     parts = _split_and_downsample(cfg, commits)
     base_train = _build_examples(parts["train"], cfg.k)
-    vocab = _train_vocab(cfg, base_train, workdir)
+    vocab = _train_vocab(cfg, base_train)
 
     if sweep_k is not None:
         reports: dict[str, EvalReport] = {}
@@ -339,8 +323,10 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "sweep_k", None):
             try:
                 sweep_k = [int(x) for x in args.sweep_k.split(",") if x.strip()]
+                if min(sweep_k, default=0) < 0:
+                    raise ValueError("k must be non-negative")
             except ValueError:
-                raise UsageError(f"bad --sweep-k list {args.sweep_k!r}")
+                raise UsageError(f"bad --sweep-k list {args.sweep_k!r}: expected non-negative integers")
         with workdir_lock(workdir):
             if args.command == "mine":
                 return cmd_mine(cfg, workdir)

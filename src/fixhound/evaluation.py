@@ -57,25 +57,11 @@ class CommitPrediction:
     commit_loc: int  # removed + added lines over all files
 
     def to_dict(self) -> dict:
-        return {
-            "repo_id": self.repo_id,
-            "commit_hash": self.commit_hash,
-            "file_probs": [[p, pr] for p, pr in self.file_probs],
-            "commit_prob": self.commit_prob,
-            "predicted": self.predicted,
-            "commit_loc": self.commit_loc,
-        }
+        return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CommitPrediction":
-        return cls(
-            repo_id=d["repo_id"],
-            commit_hash=d["commit_hash"],
-            file_probs=tuple((p, pr) for p, pr in d["file_probs"]),
-            commit_prob=d["commit_prob"],
-            predicted=d["predicted"],
-            commit_loc=d["commit_loc"],
-        )
+        return cls(**{**d, "file_probs": tuple((p, pr) for p, pr in d["file_probs"])})
 
 
 def write_predictions_jsonl(preds: Iterable[CommitPrediction], path: str | Path) -> int:
@@ -96,14 +82,7 @@ class EvalReport:
     buckets: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "f1": self.f1,
-            "precision": self.precision,
-            "recall": self.recall,
-            "counts": self.counts,
-            "cost_effort": {str(k): v for k, v in self.cost_effort.items()},
-            "buckets": self.buckets,
-        }
+        return {**self.__dict__, "cost_effort": {str(k): v for k, v in self.cost_effort.items()}}
 
 
 def _label_of(pred: CommitPrediction, labels: Labels) -> str:

@@ -11,18 +11,13 @@ length; overlong content is truncated head-preserving.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .config import atomic_write
-
 PAD, BOS, EOS, SEP, UNK = 0, 1, 2, 3, 4
-SPECIALS = {"PAD": PAD, "BOS": BOS, "EOS": EOS, "SEP": SEP, "UNK": UNK}
 NUM_SPECIALS = 5
 BYTE_BASE = NUM_SPECIALS  # byte b maps to id BYTE_BASE + b
 MIN_VOCAB = NUM_SPECIALS + 256
@@ -47,21 +42,12 @@ class Vocabulary:
     def token_bytes(self, token_id: int) -> bytes:
         return self._token_bytes[token_id]
 
-    def to_dict(self) -> dict:
-        return {
-            "specials": dict(SPECIALS),
-            "byte_tokens": [BYTE_BASE + b for b in range(256)],
-            "merges": [[l, r] for l, r in self.merges],
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Vocabulary":
-        """Rebuild a vocabulary, rejecting any merge that is not two earlier token ids."""
-        if not isinstance(d, dict) or d.get("specials") != SPECIALS:
-            raise ValueError("vocabulary file has unexpected special-token table")
+        """Rebuild a vocabulary from d["merges"], rejecting any merge that is not two earlier token ids."""
         merges = d.get("merges")
         if not isinstance(merges, list):
-            raise ValueError("vocabulary file has no merge list")
+            raise ValueError("vocabulary has no merge list")
         for rank, pair in enumerate(merges):
             if not (
                 isinstance(pair, list)
@@ -72,14 +58,6 @@ class Vocabulary:
                     f"vocabulary merge {rank} is {pair!r}, not two token ids in [{BYTE_BASE}, {MIN_VOCAB + rank})"
                 )
         return cls(merges=[(l, r) for l, r in merges])
-
-    def save(self, path: str | Path) -> None:
-        with atomic_write(path) as fh:
-            fh.write(json.dumps(self.to_dict()))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 @dataclass(frozen=True)

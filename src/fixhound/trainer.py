@@ -1,8 +1,10 @@
 """The joint single-phase training loop, and checkpoints.
 
 One AdamW optimizer drives every parameter (both encoders and the head)
-from the first step; there is no frozen-embedding stage. Checkpoints use
-a fixed little-endian binary layout and round-trip bit-exactly, so two
+from the first step; there is no frozen-embedding stage. A checkpoint is
+the whole trained model: its JSON config block holds the variant, the
+encoder config and the BPE merges it was trained with. Checkpoints use a
+fixed little-endian binary layout and round-trip bit-exactly, so two
 runs with the same seed and config produce byte-identical files.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,9 +23,10 @@ from . import delta_model as dm
 from .config import DataError, EncoderConfig, TrainConfig, TrainingError, atomic_write
 from .delta_model import DeltaModel, EncodedBatch
 from .encoder import Params, param_shapes
+from .tokenizer import Vocabulary
 
 CHECKPOINT_MAGIC = b"VFDC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(DataError):
@@ -167,12 +171,13 @@ def write_loss_log(loss_log, path: str | Path) -> None:
             fh.write(f"{step},{epoch},{loss!r},{split}\n")
 
 
-def save_checkpoint(model: DeltaModel, path: str | Path, extra_config: dict | None = None) -> None:
+def save_checkpoint(model: DeltaModel, vocab: Vocabulary, path: str | Path, extra_config: dict | None = None) -> None:
     """Write the binary checkpoint (magic VFDC, versioned, little-endian)."""
     config = {
         "variant": model.variant,
         "encoder": model.config.to_dict(),
         "shared_encoders": model.shared_encoders,
+        "merges": vocab.merges,
         "extra": extra_config or {},
     }
     config_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
@@ -193,11 +198,12 @@ def save_checkpoint(model: DeltaModel, path: str | Path, extra_config: dict | No
             fh.write(arr.tobytes())
 
 
-def load_checkpoint(path: str | Path) -> tuple[DeltaModel, dict]:
-    """Read a checkpoint; returns the model and the extra config dict.
+def load_checkpoint(path: str | Path) -> tuple[DeltaModel, Vocabulary, dict]:
+    """Read a checkpoint; returns the model, its vocabulary and the extra config dict.
 
-    Raises CheckpointError when the file is malformed or its tensor names
-    and shapes are not exactly those of the model its config describes.
+    Raises CheckpointError when the file is malformed, its merges are not a
+    vocabulary of the size the encoder embeds, or its tensor names, shapes
+    and values are not exactly those of the model its config describes.
     """
     data = Path(path).read_bytes()
     off = 0
@@ -221,33 +227,42 @@ def load_checkpoint(path: str | Path) -> tuple[DeltaModel, dict]:
     except ValueError as exc:  # also UnicodeDecodeError
         raise CheckpointError(f"{path}: unreadable config block at offset 16 ({type(exc).__name__}: {exc})") from exc
 
-    tensors: Params = {}
+    raw: dict[str, tuple[tuple[int, ...], bytes]] = {}
     while off < len(data):
         (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
         name = take(name_len, "tensor name").decode("utf-8", errors="replace")
-        if name in tensors:
+        if name in raw:
             raise CheckpointError(f"{path}: duplicate tensor {name!r} at offset {off}")
         (rank,) = struct.unpack("<B", take(1, "tensor rank"))
         shape = tuple(struct.unpack("<Q", take(8, "tensor dim"))[0] for _ in range(rank))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = take(count * 4, f"tensor {name!r} values")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        raw[name] = shape, take(math.prod(shape) * 4, f"tensor {name!r} values")
 
     try:
         enc_config = EncoderConfig.from_dict(config["encoder"])
+        vocab = Vocabulary.from_dict(config)
         shared = config["shared_encoders"]
+        extra = config["extra"]
+        if not isinstance(extra, dict):
+            raise TypeError(f"extra is {extra!r}, not an object")
         expected = {"head." + k: v for k, v in dm.head_shapes(config["variant"], enc_config).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model config ({type(exc).__name__}: {exc})") from exc
+    if vocab.size != enc_config.vocab_size:
+        raise CheckpointError(f"{path}: vocabulary has {vocab.size} tokens but the encoder embeds {enc_config.vocab_size}")
     for prefix in ("enc_before.",) if shared else ("enc_before.", "enc_after."):
         expected.update({prefix + k: v for k, v in param_shapes(enc_config).items()})
-    for name in sorted(expected.keys() | tensors.keys()):
-        if name not in tensors:
+    tensors: Params = {}
+    for name in sorted(expected.keys() | raw.keys()):
+        if name not in raw:
             raise CheckpointError(f"{path}: missing tensor {name!r}")
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected tensor {name!r}")
-        if tensors[name].shape != expected[name]:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {expected[name]}")
+        shape, values = raw[name]
+        if shape != expected[name]:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}, expected {expected[name]}")
+        tensors[name] = np.frombuffer(values, dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(tensors[name]).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
 
     before = {k.removeprefix("enc_before."): v for k, v in tensors.items() if k.startswith("enc_before.")}
     head = {k.removeprefix("head."): v for k, v in tensors.items() if k.startswith("head.")}
@@ -262,4 +277,4 @@ def load_checkpoint(path: str | Path) -> tuple[DeltaModel, dict]:
         encoder_after=after,
         head=head,
     )
-    return model, config.get("extra", {})
+    return model, vocab, extra

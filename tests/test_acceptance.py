@@ -295,14 +295,14 @@ def test_criterion_7_determinism(capfd, tmp_path):
     for tag in ("a", "b"):
         result = train(EMBED_SUBTRACT_DUO, cfg, batch, batch, tc)
         path = tmp_path / f"ckpt_{tag}.bin"
-        save_checkpoint(result.model, path, {"k": 3})
+        save_checkpoint(result.model, vocab, path, {"k": 3})
         paths.append(path)
     ckpt_identical = paths[0].read_bytes() == paths[1].read_bytes()
 
-    loaded, _ = load_checkpoint(paths[0])
+    loaded, loaded_vocab, _ = load_checkpoint(paths[0])
     result_probs = predict_batch(loaded, batch)
-    original, _ = load_checkpoint(paths[1])
-    round_trip_ok = np.array_equal(result_probs, predict_batch(original, batch))
+    original, _, _ = load_checkpoint(paths[1])
+    round_trip_ok = np.array_equal(result_probs, predict_batch(original, batch)) and loaded_vocab.merges == vocab.merges
 
     repo = init_repo(tmp_path / "repo")
     commit_files(repo, {"a.c": "one\ntwo\n"}, "c1", 1000)

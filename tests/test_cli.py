@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixhound.trainer as tr
 from conftest import commit_files, init_repo, make_planted_commits, make_planted_repo
+from fixhound.change_builder import read_examples_jsonl
 from fixhound.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from fixhound.config import RunConfig, atomic_write, load_config, write_jsonl
 from fixhound.evaluation import CommitPrediction, write_predictions_jsonl
@@ -58,9 +64,42 @@ def _resaved_head(change):
     """Checkpoint damage: load, change the head tensors, save again."""
 
     def damage(ckpt):
-        model, extra = tr.load_checkpoint(ckpt)
+        model, vocab, extra = tr.load_checkpoint(ckpt)
         change(model.head)
-        tr.save_checkpoint(model, ckpt, extra)
+        tr.save_checkpoint(model, vocab, ckpt, extra)
+
+    return damage
+
+
+def _config_span(raw: bytes) -> tuple[int, int]:
+    """Start and end offsets of a checkpoint's JSON config block."""
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    return 16, 16 + length
+
+
+def _rewritten_config(change):
+    """Checkpoint damage: rewrite the JSON config block (and its length field)."""
+
+    def damage(ckpt):
+        raw = ckpt.read_bytes()
+        start, end = _config_span(raw)
+        config = json.loads(raw[start:end])
+        change(config)
+        block = json.dumps(config).encode()
+        ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(block)) + block + raw[end:])
+
+    return damage
+
+
+def _first_dim(value):
+    """Checkpoint damage: set the first dimension of the first tensor."""
+
+    def damage(ckpt):
+        raw = bytearray(ckpt.read_bytes())
+        _, off = _config_span(raw)
+        (name_len,) = struct.unpack_from("<H", raw, off)
+        struct.pack_into("<Q", raw, off + 2 + name_len + 1, value)
+        ckpt.write_bytes(bytes(raw))
 
     return damage
 
@@ -158,17 +197,16 @@ class TestBuild:
         workdir, commits = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "build"]) == EXIT_OK
-        for name in ("train.jsonl", "val.jsonl", "test_commits.jsonl", "built_header.json"):
+        for name in ("train.jsonl", "val.jsonl", "test_commits.jsonl"):
             assert (workdir / name).exists(), name
-        header = json.loads((workdir / "built_header.json").read_text())
-        assert header["k"] == 3
+        assert not (workdir / "built_header.json").exists()
+        assert {ex.k for ex in read_examples_jsonl(workdir / "train.jsonl")} == {3}
 
     def test_build_at_k0(self, tmp_path):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "--k", "0", "build"]) == EXIT_OK
-        header = json.loads((workdir / "built_header.json").read_text())
-        assert header["k"] == 0
+        assert {ex.k for ex in read_examples_jsonl(workdir / "train.jsonl")} == {0}
 
     def test_test_split_never_downsampled(self, tmp_path):
         workdir, commits = seeded_workdir(tmp_path)
@@ -285,24 +323,44 @@ class TestPipeline:
         one_line_error(capsys, "k=1")
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "change, message",
         [
-            lambda text: text[: len(text) // 2],  # truncated file
-            lambda text: json.dumps({**json.loads(text), "merges": [[9999, 5]] + json.loads(text)["merges"][1:]}),
-            lambda text: json.dumps({**json.loads(text), "merges": json.loads(text)["merges"][:-10]}),
+            (lambda c: c["merges"][-1].pop(), "not two token ids"),  # the last merge cut short
+            (lambda c: c["merges"].__setitem__(0, [9999, 5]), "vocabulary merge 0 is [9999, 5]"),
+            (lambda c: c.update(merges=c["merges"][:-10]), "but the encoder embeds 300"),
         ],
         ids=["truncated", "unknown-id", "fewer-merges-than-checkpoint"],
     )
-    def test_bad_vocabulary_is_data_error(self, tmp_path, capsys, corrupt):
+    def test_bad_vocabulary_is_data_error(self, tmp_path, capsys, change, message):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "build"]) == EXIT_OK
         assert main(["--config", str(config), "train"]) == EXIT_OK
-        vocab_path = workdir / "vocab.json"
-        vocab_path.write_text(corrupt(vocab_path.read_text()))
+        _rewritten_config(change)(workdir / "checkpoint.bin")
         capsys.readouterr()
         assert main(["--config", str(config), "predict"]) == EXIT_DATA
-        one_line_error(capsys, "vocabulary")
+        one_line_error(capsys, "vocabulary", message)
+
+    def test_ablate_leaves_the_trained_model_whole(self, tmp_path):
+        """A k=7 sweep in the same workdir does not change what the k=3 checkpoint predicts."""
+        workdir, _ = seeded_workdir(tmp_path)
+        config = str(write_config(tmp_path, workdir))
+        for command in ("build", "train", "predict"):
+            assert main(["--config", config, command]) == EXIT_OK, command
+        before = (workdir / "predictions.jsonl").read_bytes()
+        assert main(["--config", config, "--k", "7", "ablate", "--sweep-k", "7"]) == EXIT_OK
+        assert main(["--config", config, "predict"]) == EXIT_OK
+        assert (workdir / "predictions.jsonl").read_bytes() == before
+        assert not {"vocab.json", "built_header.json"} & {p.name for p in workdir.iterdir()}
+
+    def test_train_on_examples_built_at_another_k_is_data_error(self, tmp_path, capsys):
+        workdir, _ = seeded_workdir(tmp_path)
+        config = write_config(tmp_path, workdir)
+        assert main(["--config", str(config), "--k", "0", "build"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["--config", str(config), "train"]) == EXIT_DATA
+        one_line_error(capsys, "train.jsonl holds examples built at k=0, but train is configured with k=3")
+        assert not (workdir / "checkpoint.bin").exists()
 
     @pytest.mark.parametrize(
         "damage, message",
@@ -314,8 +372,14 @@ class TestPipeline:
             ),
             (_overwritten(16, b"x"), "unreadable config block"),  # the first byte of the JSON config
             (_overwritten(20, b"\xff{"), "unreadable config block"),
+            (_overwritten(4, struct.pack("<I", 1)), "unsupported version 1"),  # a checkpoint without its merges
+            (_first_dim(2**63), "truncated tensor"),
+            (_rewritten_config(lambda c: c.update(extra=0)), "extra is 0, not an object"),
         ],
-        ids=["missing-head-b2", "wrong-shape-head-w1", "config-not-json", "config-not-utf8"],
+        ids=[
+            "missing-head-b2", "wrong-shape-head-w1", "config-not-json", "config-not-utf8", "version-1", "dim-2^63",
+            "extra-not-object",
+        ],
     )
     def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, damage, message):
         workdir, _ = seeded_workdir(tmp_path)
@@ -332,6 +396,44 @@ class TestPipeline:
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "predict"]) == EXIT_DATA
         one_line_error(capsys, "checkpoint not found")
+
+
+@pytest.fixture(scope="module")
+def trained_workdir(tmp_path_factory):
+    """One built and trained workdir, shared by the tests that only read its checkpoint."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    workdir, _ = seeded_workdir(tmp_path)
+    config = str(write_config(tmp_path, workdir))
+    for command in ("build", "train"):
+        assert main(["--config", config, command]) == EXIT_OK, command
+    return config, workdir
+
+
+@st.composite
+def _damaged(draw, raw: bytes) -> bytes:
+    """`raw` cut at some offset, or overwritten there; half the offsets fall in the config block with the merges."""
+    start, end = _config_span(raw)
+    offset = draw(st.one_of(st.integers(0, len(raw) - 1), st.integers(start, end - 1)))
+    if draw(st.booleans()):
+        return raw[:offset]
+    patch = draw(st.one_of(st.binary(min_size=1, max_size=16), st.text("0123456789[], -.", min_size=1, max_size=8).map(str.encode)))
+    patch = patch[: len(raw) - offset]
+    return raw[:offset] + patch + raw[offset + len(patch) :]
+
+
+class TestDamagedCheckpoint:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_predict_exits_0_or_2_with_one_line(self, trained_workdir, data):
+        config, workdir = trained_workdir
+        damaged = workdir / "damaged.bin"
+        damaged.write_bytes(data.draw(_damaged((workdir / "checkpoint.bin").read_bytes())))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["--config", config, "predict", "--checkpoint", str(damaged)])
+        assert code in (EXIT_OK, EXIT_DATA)
+        if code == EXIT_DATA:
+            assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue(), err.getvalue()
 
 
 class TestGuards:
@@ -440,8 +542,9 @@ class TestGuards:
     def test_bad_sweep_k_is_usage_error(self, tmp_path, capsys):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
-        assert main(["--config", str(config), "ablate", "--sweep-k", "3,x"]) == EXIT_USAGE
-        one_line_error(capsys, "--sweep-k")
+        for sweep in ("3,x", "3,-1"):
+            assert main(["--config", str(config), "ablate", "--sweep-k", sweep]) == EXIT_USAGE
+            one_line_error(capsys, "--sweep-k", sweep)
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE

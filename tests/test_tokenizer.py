@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bpe_oracle
+from fixhound.change_builder import RAW_GIT_DIFF
+from fixhound.config import EncoderConfig
+from fixhound.delta_model import init_model
 from fixhound.tokenizer import (
     BOS,
     BYTE_BASE,
@@ -21,6 +24,7 @@ from fixhound.tokenizer import (
     tokenize_batch,
     train_vocab,
 )
+from fixhound.trainer import load_checkpoint, save_checkpoint
 
 
 class TestTrainVocab:
@@ -141,9 +145,11 @@ class TestEncodePair:
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, vocab, tmp_path):
-        path = tmp_path / "vocab.json"
-        vocab.save(path)
-        loaded = Vocabulary.load(path)
+        """A checkpoint carries the merges its model was trained with."""
+        path = tmp_path / "m.bin"
+        config = EncoderConfig(vocab_size=vocab.size, dim=8, layers=0, heads=2, max_len=16)
+        save_checkpoint(init_model(RAW_GIT_DIFF, config, seed=0), vocab, path)
+        _, loaded, _ = load_checkpoint(path)
         assert loaded.merges == vocab.merges
         text = "the quick brown fox"
         assert encode(tokenize(text, loaded), 64) == encode(tokenize(text, vocab), 64)
@@ -154,7 +160,7 @@ class TestSerialization:
     )
     def test_bad_merge_rejected(self, merges):
         with pytest.raises(ValueError):
-            Vocabulary.from_dict({**Vocabulary().to_dict(), "merges": merges})
+            Vocabulary.from_dict({"merges": merges})
 
     def test_specials_occupy_first_ids(self):
         assert (PAD, BOS, EOS, SEP) == (0, 1, 2, 3)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from fixhound.change_builder import EMBED_SUBTRACT_DUO, RAW_GIT_DIFF
 from fixhound.delta_model import EncodedBatch, init_model, predict_batch, predict_in_chunks
 from fixhound.config import EncoderConfig, TrainConfig, TrainingError
 from fixhound.repo_miner import CROSS_PROJECT, NVF, TEMPORAL, VF, CommitRecord, SplitError, SplitSpec, split_dataset
+from fixhound.tokenizer import BYTE_BASE, MIN_VOCAB, Vocabulary
 from fixhound.trainer import AdamW, CheckpointError, f1_at_half, load_checkpoint, save_checkpoint, train, write_loss_log
 
 CFG = EncoderConfig(vocab_size=64, dim=8, layers=1, heads=2, max_len=12, ffn_mult=2)
@@ -279,16 +282,22 @@ class TestPredictInChunks:
         assert predict_in_chunks(init_model(RAW_GIT_DIFF, CFG, seed=0), batch, chunk=4).shape == (0,)
 
 
+# A checkpoint holds its vocabulary, so its encoder embeds exactly MIN_VOCAB + len(merges) tokens.
+VOCAB = Vocabulary(merges=[(BYTE_BASE, BYTE_BASE + 1), (MIN_VOCAB, BYTE_BASE + 2)])
+CKPT_CFG = replace(CFG, vocab_size=VOCAB.size)
+
+
 class TestCheckpoints:
     def _trained(self, variant=EMBED_SUBTRACT_DUO, seed=0):
-        return init_model(variant, CFG, seed=seed)
+        return init_model(variant, CKPT_CFG, seed=seed)
 
     def test_round_trip_bit_exact(self, tmp_path):
         model = self._trained()
         path = tmp_path / "m.bin"
-        save_checkpoint(model, path, {"k": 3})
-        loaded, extra = load_checkpoint(path)
+        save_checkpoint(model, VOCAB, path, {"k": 3})
+        loaded, vocab, extra = load_checkpoint(path)
         assert extra == {"k": 3}
+        assert vocab.merges == VOCAB.merges
         assert loaded.variant == model.variant
         assert loaded.config == model.config
         for name, arr in model.all_params().items():
@@ -297,25 +306,25 @@ class TestCheckpoints:
     def test_shared_encoder_round_trip_stays_shared(self, tmp_path):
         model = self._trained(RAW_GIT_DIFF)
         path = tmp_path / "m.bin"
-        save_checkpoint(model, path)
-        loaded, _ = load_checkpoint(path)
+        save_checkpoint(model, VOCAB, path)
+        loaded, _, _ = load_checkpoint(path)
         assert loaded.shared_encoders
 
     def test_same_seed_byte_identical_files(self, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_checkpoint(self._trained(seed=4), p1, {"k": 3})
-        save_checkpoint(self._trained(seed=4), p2, {"k": 3})
+        save_checkpoint(self._trained(seed=4), VOCAB, p1, {"k": 3})
+        save_checkpoint(self._trained(seed=4), VOCAB, p2, {"k": 3})
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_different_seed_differs(self, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_checkpoint(self._trained(seed=4), p1)
-        save_checkpoint(self._trained(seed=5), p2)
+        save_checkpoint(self._trained(seed=4), VOCAB, p1)
+        save_checkpoint(self._trained(seed=5), VOCAB, p2)
         assert p1.read_bytes() != p2.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.bin"
-        save_checkpoint(self._trained(), path)
+        save_checkpoint(self._trained(), VOCAB, path)
         data = bytearray(path.read_bytes())
         data[0] = 0x58
         path.write_bytes(bytes(data))
@@ -324,7 +333,7 @@ class TestCheckpoints:
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "m.bin"
-        save_checkpoint(self._trained(), path)
+        save_checkpoint(self._trained(), VOCAB, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 7])
         with pytest.raises(CheckpointError, match="truncated"):
@@ -335,25 +344,27 @@ class TestCheckpoints:
         [
             (lambda m: m.encoder_after.pop("layer0.ffn.w1"), "missing tensor 'enc_after.layer0.ffn.w1'"),
             (lambda m: m.head.update(extra=np.zeros(1, np.float32)), "unexpected tensor 'head.extra'"),
-            (lambda m: m.encoder_before.update(pos_emb=np.zeros((CFG.max_len + 1, CFG.dim), np.float32)), "'enc_before.pos_emb' has shape"),
+            (lambda m: m.encoder_before.update(pos_emb=np.zeros((CKPT_CFG.max_len + 1, CKPT_CFG.dim), np.float32)), "'enc_before.pos_emb' has shape"),
             (lambda m: setattr(m, "variant", "Nope"), "bad model config"),
+            (lambda m: setattr(m, "config", replace(m.config, vocab_size=VOCAB.size + 1)), "vocabulary has 263 tokens but the encoder embeds 264"),
+            (lambda m: m.head["b2"].fill(np.nan), "tensor 'head.b2' holds non-finite values"),
         ],
-        ids=["missing", "unexpected", "wrong-shape", "unknown-variant"],
+        ids=["missing", "unexpected", "wrong-shape", "unknown-variant", "vocab-size", "non-finite"],
     )
     def test_names_and_shapes_checked(self, tmp_path, damage, match):
         model = self._trained()
         damage(model)
         path = tmp_path / "m.bin"
-        save_checkpoint(model, path)
+        save_checkpoint(model, VOCAB, path)
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         model = self._trained(RAW_GIT_DIFF, seed=2)
         path = tmp_path / "m.bin"
-        save_checkpoint(model, path)
-        loaded, _ = load_checkpoint(path)
+        save_checkpoint(model, VOCAB, path)
+        loaded, _, _ = load_checkpoint(path)
         rng = np.random.default_rng(0)
-        ids = rng.integers(0, CFG.vocab_size, size=(4, CFG.max_len))
-        batch = EncodedBatch(ids_a=ids, lens_a=np.full(4, CFG.max_len))
+        ids = rng.integers(0, CKPT_CFG.vocab_size, size=(4, CKPT_CFG.max_len))
+        batch = EncodedBatch(ids_a=ids, lens_a=np.full(4, CKPT_CFG.max_len))
         assert np.array_equal(predict_batch(model, batch), predict_batch(loaded, batch))
