@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -196,6 +197,8 @@ def cmd_train(cfg: RunConfig, workdir: Path) -> int:
 # ---------------------------------------------------------------- predict / evaluate
 
 def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
+    import numpy as np
+
     from .inference import predict_corpus
     from .trainer import load_checkpoint
 
@@ -212,7 +215,11 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
         raise DataError(f"test commits not found: {test_path} (run build first)")
     commits = read_commits_jsonl(test_path)
     _check_context(commits, cfg.k, test_path)
-    preds = predict_corpus(commits, model, vocab, cfg.k, cfg.train_config().batch_size)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite probability, refused below
+        preds = predict_corpus(commits, model, vocab, cfg.k, cfg.train_config().batch_size)
+    for pred in preds:
+        if not math.isfinite(pred.commit_prob):  # the mean of the file probabilities, so any NaN shows here
+            raise DataError(f"{ckpt_path} gives commit {pred.commit_hash} a probability of {pred.commit_prob}: its weights overflow")
     write_predictions_jsonl(preds, workdir / "predictions.jsonl")
     write_manifest(workdir, "predict", cfg, ["predictions.jsonl"])
     print(f"predicted {len(preds)} commits")
@@ -261,14 +268,14 @@ def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
     commits = read_commits_jsonl(commits_path)
     _check_context(commits, max([cfg.k, *(sweep_k or ())]), commits_path)
     parts = _split_and_downsample(cfg, commits)
-    base_train = _build_examples(parts["train"], cfg.k)
-    vocab = _train_vocab(cfg, base_train)
 
     if sweep_k is not None:
         reports: dict[str, EvalReport] = {}
         for k in sweep_k:
+            # Each k learns its own vocabulary, as `--k <k> build` and `train` would.
             sub = RunConfig(**{**cfg.to_dict(), "k": k})
             examples = (_build_examples(parts["train"], k), _build_examples(parts["val"], k))
+            vocab = _train_vocab(sub, examples[0])
             tag = f"{cfg.variant}_k{k}"
             reports[f"{cfg.variant}@k={k}"] = _run_variant(sub, cfg.variant, examples, parts, vocab, workdir, tag)
             write_report(reports, workdir / "sweep_report.csv", "csv", cfg.cost_effort_levels)
@@ -276,7 +283,8 @@ def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
         write_manifest(workdir, "ablate", cfg, ["sweep_report.csv"])
         return EXIT_OK
 
-    examples = (base_train, _build_examples(parts["val"], cfg.k))
+    examples = (_build_examples(parts["train"], cfg.k), _build_examples(parts["val"], cfg.k))
+    vocab = _train_vocab(cfg, examples[0])
     reports = {}
     for variant in VARIANTS:
         reports[variant] = _run_variant(cfg, variant, examples, parts, vocab, workdir, variant)

@@ -185,6 +185,13 @@ class TestMine:
         assert main(["--config", str(config), "mine"]) == EXIT_DATA
         one_line_error(capsys, "nope.csv")
 
+    def test_labels_file_not_utf8_is_data_error(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"repo_id,commit_hash,vuln_id\nshort-changes,\xff\xfe,X\n")
+        config = write_config(tmp_path, tmp_path / "out", repos=[], labels_file=str(labels))
+        assert main(["--config", str(config), "mine"]) == EXIT_DATA
+        one_line_error(capsys, f"{labels}: not UTF-8 text (byte 42)")
+
     def test_missing_repo_path_is_data_error(self, tmp_path, capsys):
         labels = self._labels(tmp_path, [])
         config = write_config(tmp_path, tmp_path / "out", repos=[str(tmp_path / "ghost")], labels_file=str(labels))
@@ -352,6 +359,34 @@ class TestPipeline:
         assert main(["--config", config, "predict"]) == EXIT_OK
         assert (workdir / "predictions.jsonl").read_bytes() == before
         assert not {"vocab.json", "built_header.json"} & {p.name for p in workdir.iterdir()}
+
+    def test_sweep_checkpoints_equal_build_and_train_at_each_k(self, tmp_path):
+        """Each sweep k learns its own vocabulary: its checkpoint and loss log are what `--k <k> build` and `train` give."""
+        workdir, _ = seeded_workdir(tmp_path / "sweep")
+        config = str(write_config(tmp_path / "sweep", workdir))
+        assert main(["--config", config, "ablate", "--sweep-k", "0,7"]) == EXIT_OK
+        for k in (0, 7):
+            single, _ = seeded_workdir(tmp_path / f"k{k}")
+            single_config = str(write_config(tmp_path / f"k{k}", single))
+            for command in ("build", "train"):
+                assert main(["--config", single_config, "--k", str(k), command]) == EXIT_OK, command
+            for name in ("checkpoint", "loss_log"):
+                ext = "bin" if name == "checkpoint" else "csv"
+                swept = (workdir / f"{name}_RawGitDiff_k{k}.{ext}").read_bytes()
+                assert swept == (single / f"{name}.{ext}").read_bytes(), (k, name)
+
+    def test_non_finite_probability_is_data_error(self, tmp_path, capsys):
+        workdir, _ = seeded_workdir(tmp_path)
+        config = str(write_config(tmp_path, workdir))
+        for command in ("build", "train"):
+            assert main(["--config", config, command]) == EXIT_OK, command
+        model, vocab, extra = tr.load_checkpoint(workdir / "checkpoint.bin")
+        model.encoder_before["pos_emb"][...] = 3e38  # finite weights whose sums overflow float32
+        tr.save_checkpoint(model, vocab, workdir / "checkpoint.bin", extra)
+        capsys.readouterr()
+        assert main(["--config", config, "predict"]) == EXIT_DATA
+        one_line_error(capsys, "checkpoint.bin gives commit", "a probability of nan: its weights overflow")
+        assert not (workdir / "predictions.jsonl").exists()
 
     def test_train_on_examples_built_at_another_k_is_data_error(self, tmp_path, capsys):
         workdir, _ = seeded_workdir(tmp_path)

@@ -1,18 +1,20 @@
 """How repo_miner reads git: equivalence with the per-commit miner it
-replaced, its process budget, the blob stream's lifecycle, and paths that are
-not UTF-8."""
+replaced, its process budget, the blob stream's lifecycle and read-ahead, and
+paths that are not UTF-8."""
 
 import logging
 import os
 import subprocess
 import sys
+import textwrap
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import commit_files, init_repo, run_git
 from fixhound import repo_miner
 from fixhound.change_builder import build_example
-from fixhound.repo_miner import CONTEXT_MAX, MiningError, mine_repository, write_commits_jsonl
+from fixhound.repo_miner import CONTEXT_MAX, MiningError, _UnreadableObject, mine_repository, write_commits_jsonl
 from mining_oracle import mine_repository_per_commit
 
 ABSENT_COMMIT = "1" * 40  # a gitlink target that is not in the repository
@@ -200,6 +202,83 @@ class TestGitProcesses:
         assert recorder.popens[0].returncode is not None
 
 
+class _FakeCatFile:
+    """A `git cat-file --batch` stand-in: stdin records the requested ids, stdout serves
+    canned replies in request order, and each read notes how far the writes ran ahead."""
+
+    def __init__(self, objects):
+        self.objects = objects  # oid -> (type, content), or None for a missing object
+        self.requested = []
+        self.answered = 0
+        self.max_unanswered = 0
+        self.requested_at_first_read = None
+        self._body = b""
+        self.stdin = SimpleNamespace(write=self._write, flush=lambda: None)
+        self.stdout = SimpleNamespace(readline=self._readline, read=self._read)
+
+    def _write(self, data):
+        self.requested += data.decode().splitlines()
+        self.max_unanswered = max(self.max_unanswered, len(self.requested) - self.answered)
+
+    def _readline(self):
+        if self.requested_at_first_read is None:
+            self.requested_at_first_read = len(self.requested)
+        if self.answered == len(self.requested):
+            return b""  # a reply to nothing: the real process would block here
+        oid = self.requested[self.answered]
+        self.answered += 1
+        if self.objects[oid] is None:
+            return f"{oid} missing\n".encode()
+        kind, content = self.objects[oid]
+        self._body = content + b"\n"
+        return f"{oid} {kind} {len(content)}\n".encode()
+
+    def _read(self, size):
+        data, self._body = self._body[:size], self._body[size:]
+        return data
+
+
+class TestBlobStream:
+    def test_requests_run_ahead_within_the_bound_and_replies_keep_their_order(self):
+        bound = repo_miner._IN_FLIGHT
+        oids = [f"{i:040x}" for i in range(3 * bound + 5)]
+        objects = {oid: ("blob", f"content of {i}\n".encode() * (i % 3)) for i, oid in enumerate(oids)}
+        objects[oids[1]] = None
+        objects[oids[bound + 2]] = ("tree", b"not a blob")
+        fake = _FakeCatFile(objects)
+        got = list(repo_miner._blob_stream(fake, iter(oids)))
+        assert fake.requested == oids
+        assert fake.requested_at_first_read >= 2
+        assert fake.max_unanswered == bound
+        for oid, item in zip(oids, got, strict=True):
+            if objects[oid] is None:
+                assert isinstance(item, _UnreadableObject) and str(item) == f"object {oid} missing"
+            elif objects[oid][0] == "tree":
+                assert isinstance(item, _UnreadableObject) and str(item) == f"object {oid} is a tree, not a blob"
+            else:
+                assert item == objects[oid][1]
+
+    def test_history_with_more_large_blobs_than_the_bound(self, tmp_path):
+        """Every blob is larger than a 64 KB pipe; a child process mines, so a deadlock times out."""
+        repo = init_repo(tmp_path / "repo")
+        lines = {name: [f"{name} line {i:05d} of a long file\n" for i in range(2500)] for name in ("x.c", "y.c")}
+        for c in range(8):
+            for name, body in lines.items():
+                body[(c * 311) % len(body)] = f"{name} edit {c}\n"
+            commit_files(repo, {name: "".join(body) for name, body in lines.items()}, f"c{c}", 1000 + c)
+        assert all(len("".join(body)) > 64 * 1024 for body in lines.values())
+        child = textwrap.dedent("""
+            import sys
+            from fixhound.repo_miner import mine_repository, write_commits_jsonl
+            write_commits_jsonl(mine_repository(sys.argv[1]), sys.argv[2])
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", child, str(repo), str(tmp_path / "mined.jsonl")], env=env, timeout=120, check=True)
+        assert 2 + 7 * 4 > repo_miner._IN_FLIGHT  # blob reads: the root adds two files, each later commit edits both
+        write_commits_jsonl(mine_repository_per_commit(repo), tmp_path / "oracle.jsonl")
+        assert (tmp_path / "mined.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+
+
 class TestUnreadableObjects:
     def test_gitlink_to_commit_in_repo_skips_commit(self, tmp_repo, caplog):
         root = commit_files(tmp_repo, {"a.txt": "a\n"}, "root", 1000)
@@ -211,6 +290,31 @@ class TestUnreadableObjects:
             records = list(mine_repository(tmp_repo))
         assert [r.commit_hash for r in records] == [root]
         assert "not a blob" in caplog.text
+
+    def test_unreadable_commit_mid_history_keeps_later_records(self, tmp_repo, caplog):
+        """The gitlink's reply (a commit object, with a body) is consumed, so later replies do not shift."""
+        names = ("a.txt", "m.txt", "z.txt")
+        root = commit_files(tmp_repo, {name: _text(name) for name in names}, "root", 1000)
+        commit_files(tmp_repo, {"a.txt": _text("a2"), "z.txt": _text("z2")}, "before", 2000)
+        for name in ("a.txt", "z.txt"):
+            (tmp_repo / name).write_text(_text(name + "3"))
+        run_git(tmp_repo, "add", "a.txt", "z.txt")
+        run_git(tmp_repo, "update-index", "--add", "--cacheinfo", f"160000,{root},b-sub")  # between a.txt and z.txt
+        run_git(tmp_repo, "commit", "-q", "-m", "gitlink", env_extra=_stamp(3000))
+        gitlink = run_git(tmp_repo, "rev-parse", "HEAD").stdout.decode().strip()
+        for i in range(4, 8):  # `git add -A` would drop the gitlink: stage the files by name
+            for name in names:
+                (tmp_repo / name).write_text(_text(f"{name}{i}", i))
+            run_git(tmp_repo, "add", *names)
+            run_git(tmp_repo, "commit", "-q", "-m", f"c{i}", env_extra=_stamp(i * 1000))
+        with caplog.at_level(logging.WARNING, logger="fixhound.repo_miner"):
+            got = list(mine_repository(tmp_repo))
+        # the oracle's `git show <commit>:b-sub` prints the linked commit, so it keeps the gitlink commit
+        expected = [r for r in mine_repository_per_commit(tmp_repo) if r.commit_hash != gitlink]
+        assert got == expected and len(got) == 6
+        (warning,) = caplog.records
+        assert warning.getMessage().startswith(f"skipping unreadable commit {gitlink} ")
+        assert warning.getMessage().endswith(f"object {root} is a commit, not a blob")
 
     def test_non_utf8_path_keeps_its_commit(self, tmp_repo, caplog):
         raw_name = b"caf\xe9.c"
