@@ -7,8 +7,8 @@ the post-change file, both sliced from the windows the record stores (a
 region at k lies inside one window whenever k <= the record's context).
 The alternative single-stream renderings used by the ablation variants
 (code concatenation with and without context, raw-diff ordering) are
-derived from the same regions. `build_example` renders all of
-them once, and training, validation and prediction all encode its output.
+derived from the same regions. `build_example` renders all of them once,
+and training, validation and prediction all encode `build_examples` output.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .config import read_jsonl, write_jsonl
-from .repo_miner import FileChange, Hunk, Window
+from .repo_miner import CommitRecord, FileChange, Hunk, Window
 
 EMBED_SUBTRACT_DUO = "EmbedSubtract_Duo"
 EMBED_SUBTRACT_SINGLE = "EmbedSubtract_Single"
@@ -233,3 +233,8 @@ def build_example(
         added_code=added_code(fc),
         raw_diff=raw_diff_text(regions, fc, k),
     )
+
+
+def build_examples(commits: Iterable[CommitRecord], k: int) -> list[BuiltExample]:
+    """One example per file change of `commits`, cut at window size k, in commit then file order."""
+    return [build_example(fc, k, rec.label, rec.repo_id, rec.commit_hash) for rec in commits for fc in rec.files]

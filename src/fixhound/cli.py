@@ -14,12 +14,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .change_builder import VARIANTS, BuiltExample, build_example, read_examples_jsonl, write_examples_jsonl
+from .change_builder import VARIANTS, BuiltExample, build_examples, read_examples_jsonl, write_examples_jsonl
 from .config import DataError, RunConfig, TrainingError, UsageError, atomic_write, load_config
-from .evaluation import EvalReport, emit_report, evaluate, read_predictions_jsonl, write_predictions_jsonl, write_report
+from .evaluation import emit_report, evaluate, read_predictions_jsonl, write_predictions_jsonl, write_report
 from .repo_miner import (
     CONTEXT_MAX,
     NVF,
@@ -121,10 +122,6 @@ def _check_context(commits: list[CommitRecord], k: int, path: Path) -> None:
         raise DataError(f"{path} stores {stored} lines of context, too few for k={k}; re-run mine with k={k}")
 
 
-def _build_examples(commits: list[CommitRecord], k: int) -> list[BuiltExample]:
-    return [build_example(fc, k, rec.label, rec.repo_id, rec.commit_hash) for rec in commits for fc in rec.files]
-
-
 def _split_and_downsample(cfg: RunConfig, commits: list[CommitRecord]):
     parts = split_dataset(commits, cfg.split_spec())
     for name in ("train", "val"):
@@ -140,14 +137,10 @@ def cmd_build(cfg: RunConfig, workdir: Path) -> int:
     commits = read_commits_jsonl(commits_path)
     _check_context(commits, cfg.k, commits_path)
     parts = _split_and_downsample(cfg, commits)
-    outputs = []
     for name in ("train", "val"):
-        examples = _build_examples(parts[name], cfg.k)
-        write_examples_jsonl(examples, workdir / f"{name}.jsonl")
-        outputs.append(f"{name}.jsonl")
+        write_examples_jsonl(build_examples(parts[name], cfg.k), workdir / f"{name}.jsonl")
     write_commits_jsonl(parts["test"], workdir / "test_commits.jsonl")
-    outputs.append("test_commits.jsonl")
-    write_manifest(workdir, "build", cfg, outputs)
+    write_manifest(workdir, "build", cfg, ["train.jsonl", "val.jsonl", "test_commits.jsonl"])
     print(f"built train={len(parts['train'])} val={len(parts['val'])} test={len(parts['test'])} commits at k={cfg.k}")
     return EXIT_OK
 
@@ -216,7 +209,7 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
     commits = read_commits_jsonl(test_path)
     _check_context(commits, cfg.k, test_path)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite probability, refused below
-        preds = predict_corpus(commits, model, vocab, cfg.k, cfg.train_config().batch_size)
+        preds = predict_corpus(build_examples(commits, cfg.k), model, vocab, cfg.train_config().batch_size)
     for pred in preds:
         if not math.isfinite(pred.commit_prob):  # the mean of the file probabilities, so any NaN shows here
             raise DataError(f"{ckpt_path} gives commit {pred.commit_hash} a probability of {pred.commit_prob}: its weights overflow")
@@ -224,10 +217,6 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
     write_manifest(workdir, "predict", cfg, ["predictions.jsonl"])
     print(f"predicted {len(preds)} commits")
     return EXIT_OK
-
-
-def _labels_from_commits(commits: list[CommitRecord]) -> dict[tuple[str, str], str]:
-    return {(c.repo_id, c.commit_hash): c.label for c in commits}
 
 
 def cmd_evaluate(cfg: RunConfig, workdir: Path, predictions: str | None) -> int:
@@ -238,7 +227,7 @@ def cmd_evaluate(cfg: RunConfig, workdir: Path, predictions: str | None) -> int:
     if not test_path.exists():
         raise DataError(f"test commits not found: {test_path}")
     preds = read_predictions_jsonl(preds_path)
-    labels = _labels_from_commits(read_commits_jsonl(test_path))
+    labels = {(c.repo_id, c.commit_hash): c.label for c in read_commits_jsonl(test_path)}
     report = evaluate(preds, labels, cfg.cost_effort_levels)
     reports = {cfg.variant: report}
     write_report(reports, workdir / "report.csv", "csv", cfg.cost_effort_levels)
@@ -250,49 +239,35 @@ def cmd_evaluate(cfg: RunConfig, workdir: Path, predictions: str | None) -> int:
 
 # ---------------------------------------------------------------- ablate
 
-def _run_variant(cfg: RunConfig, variant: str, examples, parts, vocab, workdir: Path, tag: str) -> EvalReport:
-    """Train, predict and evaluate one variant on (train, val) built examples and the test commits."""
+def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
+    """Train, predict and evaluate every variant at the configured k, or the configured variant at each `sweep_k` value."""
     from .inference import predict_corpus
 
-    result = _train_and_save(cfg, variant, *examples, vocab, workdir, f"_{tag}")
-    preds = predict_corpus(parts["test"], result.model, vocab, cfg.k, cfg.train_config().batch_size)
-    write_predictions_jsonl(preds, workdir / f"predictions_{tag}.jsonl")
-    labels = _labels_from_commits(parts["test"])
-    return evaluate(preds, labels, cfg.cost_effort_levels)
-
-
-def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
     commits_path = workdir / "commits.jsonl"
     if not commits_path.exists():
         raise DataError(f"mined commits not found: {commits_path} (run mine first)")
     commits = read_commits_jsonl(commits_path)
-    _check_context(commits, max([cfg.k, *(sweep_k or ())]), commits_path)
+    ks, variants, name = (sweep_k, (cfg.variant,), "sweep_report") if sweep_k else ([cfg.k], VARIANTS, "ablation_report")
+    _check_context(commits, max(ks), commits_path)
     parts = _split_and_downsample(cfg, commits)
-
-    if sweep_k is not None:
-        reports: dict[str, EvalReport] = {}
-        for k in sweep_k:
-            # Each k learns its own vocabulary, as `--k <k> build` and `train` would.
-            sub = RunConfig(**{**cfg.to_dict(), "k": k})
-            examples = (_build_examples(parts["train"], k), _build_examples(parts["val"], k))
-            vocab = _train_vocab(sub, examples[0])
-            tag = f"{cfg.variant}_k{k}"
-            reports[f"{cfg.variant}@k={k}"] = _run_variant(sub, cfg.variant, examples, parts, vocab, workdir, tag)
-            write_report(reports, workdir / "sweep_report.csv", "csv", cfg.cost_effort_levels)
-        print(emit_report(reports, "text", cfg.cost_effort_levels), end="")
-        write_manifest(workdir, "ablate", cfg, ["sweep_report.csv"])
-        return EXIT_OK
-
-    examples = (_build_examples(parts["train"], cfg.k), _build_examples(parts["val"], cfg.k))
-    vocab = _train_vocab(cfg, examples[0])
+    labels = {(c.repo_id, c.commit_hash): c.label for c in parts["test"]}
     reports = {}
-    for variant in VARIANTS:
-        reports[variant] = _run_variant(cfg, variant, examples, parts, vocab, workdir, variant)
-        # partial results stay on disk if a later variant fails
-        write_report(reports, workdir / "ablation_report.csv", "csv", cfg.cost_effort_levels)
-    write_report(reports, workdir / "ablation_report.json", "json", cfg.cost_effort_levels)
+    for k in ks:
+        # Each k learns its own vocabulary, as `--k <k> build` and `train` would.
+        sub = replace(cfg, k=k)
+        train, val, test = (build_examples(parts[split], k) for split in ("train", "val", "test"))
+        vocab = _train_vocab(sub, train)
+        for variant in variants:
+            tag, key = (f"{variant}_k{k}", f"{variant}@k={k}") if sweep_k else (variant, variant)
+            result = _train_and_save(sub, variant, train, val, vocab, workdir, f"_{tag}")
+            preds = predict_corpus(test, result.model, vocab, cfg.train_config().batch_size)
+            write_predictions_jsonl(preds, workdir / f"predictions_{tag}.jsonl")
+            reports[key] = evaluate(preds, labels, cfg.cost_effort_levels)
+            # partial results stay on disk if a later run fails
+            write_report(reports, workdir / f"{name}.csv", "csv", cfg.cost_effort_levels)
+    write_report(reports, workdir / f"{name}.json", "json", cfg.cost_effort_levels)
     print(emit_report(reports, "text", cfg.cost_effort_levels), end="")
-    write_manifest(workdir, "ablate", cfg, ["ablation_report.csv", "ablation_report.json"])
+    write_manifest(workdir, "ablate", cfg, [f"{name}.csv", f"{name}.json"])
     return EXIT_OK
 
 
@@ -328,13 +303,13 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, {"seed": args.seed, "k": args.k, "variant": args.variant, "workdir": args.out})
         workdir = Path(cfg.workdir)
         sweep_k = None
-        if getattr(args, "sweep_k", None):
+        if getattr(args, "sweep_k", None) is not None:
             try:
                 sweep_k = [int(x) for x in args.sweep_k.split(",") if x.strip()]
-                if min(sweep_k, default=0) < 0:
-                    raise ValueError("k must be non-negative")
+                if not sweep_k or min(sweep_k) < 0:
+                    raise ValueError("no k, or a negative k")
             except ValueError:
-                raise UsageError(f"bad --sweep-k list {args.sweep_k!r}: expected non-negative integers")
+                raise UsageError(f"bad --sweep-k list {args.sweep_k!r}: expected one or more non-negative integers")
         with workdir_lock(workdir):
             if args.command == "mine":
                 return cmd_mine(cfg, workdir)

@@ -4,50 +4,46 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .change_builder import build_example
+from .change_builder import BuiltExample
 from .delta_model import DeltaModel, encode_examples, predict_in_chunks
 from .evaluation import CommitPrediction
-from .repo_miner import NVF, VF, CommitRecord
+from .repo_miner import NVF, VF
 from .tokenizer import Vocabulary
 
 
 def predict_corpus(
-    commits: Iterable[CommitRecord], model: DeltaModel, vocab: Vocabulary, k: int, chunk: int
+    examples: Iterable[BuiltExample], model: DeltaModel, vocab: Vocabulary, chunk: int
 ) -> list[CommitPrediction]:
-    """One prediction per commit, input order preserved.
+    """One prediction per commit, in the order its first example appears.
 
-    Files take training's path: `build_example`, one `encode_examples`
-    call, then `predict_in_chunks` at `chunk` rows per call. A commit's
-    probability is the mean of its file probabilities, strict > 0.5 for a
-    VF verdict. Files are processed in sorted-path order and summed in
-    64-bit, so the result is bitwise independent of the input file order.
+    The examples (`build_examples` output) take training's path: one
+    `encode_examples` call, then `predict_in_chunks` at `chunk` rows per
+    call. A commit's probability is the mean of its file probabilities,
+    strict > 0.5 for a VF verdict. A commit's files are processed in
+    sorted-path order and summed in 64-bit, so the result is bitwise
+    independent of the input file order.
     """
-    commits = list(commits)
-    files_by_commit = []
-    for commit in commits:
-        if not commit.files:
-            raise ValueError(f"commit {commit.commit_hash} has no file changes")
-        files_by_commit.append(sorted(commit.files, key=lambda f: f.path))
-    examples = [
-        build_example(fc, k, c.label, c.repo_id, c.commit_hash) for c, files in zip(commits, files_by_commit) for fc in files
-    ]
-    batch = encode_examples(examples, model.variant, vocab, model.config.max_len)
+    by_commit: dict[tuple[str, str], list[BuiltExample]] = {}
+    for ex in examples:
+        by_commit.setdefault((ex.repo_id, ex.commit_hash), []).append(ex)
+    commits = [sorted(files, key=lambda ex: ex.path) for files in by_commit.values()]
+    batch = encode_examples([ex for files in commits for ex in files], model.variant, vocab, model.config.max_len)
     probs = iter(predict_in_chunks(model, batch, chunk).tolist())
     preds = []
-    for commit, files in zip(commits, files_by_commit):
-        file_probs = [(fc.path, next(probs)) for fc in files]
+    for files in commits:
+        file_probs = [(ex.path, next(probs)) for ex in files]
         total = 0.0
         for _, p in file_probs:
             total += p
         commit_prob = total / len(file_probs)
         preds.append(
             CommitPrediction(
-                repo_id=commit.repo_id,
-                commit_hash=commit.commit_hash,
+                repo_id=files[0].repo_id,
+                commit_hash=files[0].commit_hash,
                 file_probs=tuple(file_probs),
                 commit_prob=commit_prob,
                 predicted=VF if commit_prob > 0.5 else NVF,
-                commit_loc=sum(fc.removed_loc + fc.added_loc for fc in files),
+                commit_loc=sum(ex.removed_loc + ex.added_loc for ex in files),
             )
         )
     return preds

@@ -76,6 +76,19 @@ class _UnreadableObject(Exception):
     """An object id the blob stream cannot return as a blob."""
 
 
+# Field checks for the from_dicts: a damaged artifact line fails as it is read, naming path:line.
+def _int(d: dict, name: str) -> int:
+    if not _is_int(d[name]):
+        raise ValueError(f"{name} must be an integer, not {type(d[name]).__name__}")
+    return d[name]
+
+
+def _lines(d: dict, name: str) -> tuple[str, ...]:
+    if not isinstance(d[name], list) or not all(isinstance(line, str) for line in d[name]):
+        raise ValueError(f"{name} must be a list of strings")
+    return tuple(d[name])
+
+
 @dataclass(frozen=True)
 class Hunk:
     old_start: int  # 1-based; for pure insertions, the line the insert precedes
@@ -92,7 +105,7 @@ class Hunk:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hunk":
-        return cls(d["old_start"], tuple(d["removed_lines"]), d["new_start"], tuple(d["added_lines"]))
+        return cls(_int(d, "old_start"), _lines(d, "removed_lines"), _int(d, "new_start"), _lines(d, "added_lines"))
 
 
 @dataclass(frozen=True)
@@ -110,7 +123,7 @@ class Window:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Window":
-        return cls(d["old_lo"], d["new_lo"], tuple(d["old_lines"]), tuple(d["new_lines"]))
+        return cls(_int(d, "old_lo"), _int(d, "new_lo"), _lines(d, "old_lines"), _lines(d, "new_lines"))
 
 
 @dataclass(frozen=True)
@@ -133,6 +146,10 @@ class FileChange:
     @classmethod
     def from_dict(cls, d: dict) -> "FileChange":
         hunks = tuple(Hunk.from_dict(h) for h in d["hunks"])
+        if hunks and not d["windows"]:
+            raise ValueError(f"{d['path']}: hunks without a context window")
+        for name in ("removed_loc", "added_loc", "old_len", "new_len", "context"):
+            _int(d, name)
         return cls(**{**d, "hunks": hunks, "windows": tuple(Window.from_dict(w) for w in d["windows"])})
 
 
@@ -158,11 +175,16 @@ class CommitRecord:
     label: str  # VF or NVF
     files: tuple[FileChange, ...]
 
+    def __post_init__(self):
+        if not self.files:
+            raise ValueError(f"commit {self.commit_hash} has no file changes")
+
     def to_dict(self) -> dict:
         return {**self.__dict__, "files": [f.to_dict() for f in self.files]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CommitRecord":
+        _int(d, "timestamp")
         return cls(**{**d, "files": tuple(FileChange.from_dict(f) for f in d["files"])})
 
 

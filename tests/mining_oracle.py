@@ -1,12 +1,14 @@
 """The per-commit git miner that `repo_miner.mine_repository` replaced, kept as a test oracle.
 
-It runs one `git diff-tree` per commit and one `git show <commit>:<path>`
-per blob side, so its process count grows with the history. Everything after
-the blob reads (binary sniff, line split, diff, sort orders) is the
-production code, so a difference in output can only come from how git is
-read. It also holds `apply_hunks`, which rebuilds the new file version from
-the old one and the hunks; the property tests check the diff and the mined
-records with it.
+It runs one `git diff-tree` per commit and one `git cat-file blob
+<commit>:<path>` per blob side, so its process count grows with the history.
+A commit with a side that is not a blob (a submodule gitlink, on which
+`cat-file blob` fails) is skipped with a warning, as the miner skips it.
+Everything after the blob reads (binary sniff, line split, diff, sort
+orders) is the production code, so a difference in output can only come
+from how git is read. It also holds `apply_hunks`, which rebuilds the new
+file version from the old one and the hunks; the property tests check the
+diff and the mined records with it.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ def apply_hunks(old: tuple[str, ...], hunks: tuple[Hunk, ...]) -> tuple[str, ...
 
 
 def _file_change(repo_path: Path, commit: str, status: str, path: str, context: int) -> FileChange | None:
-    old_blob = b"" if status == "A" else _git(repo_path, "show", f"{commit}^:{path}")
-    new_blob = b"" if status == "D" else _git(repo_path, "show", f"{commit}:{path}")
+    old_blob = b"" if status == "A" else _git(repo_path, "cat-file", "blob", f"{commit}^:{path}")
+    new_blob = b"" if status == "D" else _git(repo_path, "cat-file", "blob", f"{commit}:{path}")
     if _is_binary(old_blob) or _is_binary(new_blob):
         return None
     old_lines = _split_lines(old_blob.decode("utf-8", errors="replace"))

@@ -17,6 +17,7 @@ from fixhound.change_builder import (
     EMBED_SUBTRACT_DUO,
     VARIANTS,
     build_example,
+    build_examples,
     context_regions,
     region_old_lines,
 )
@@ -139,7 +140,7 @@ def test_criterion_3_aggregation_exactness(capfd, monkeypatch):
         commit = CommitRecord(repo_id="r", commit_hash=f"{case:040x}", timestamp=case, label=NVF, files=files)
 
         monkeypatch.setattr(inf, "predict_in_chunks", lambda m, batch, chunk, out=np.array(probs): out)
-        pred = predict_corpus([commit], FakeModel(), vocab, 3, 4)[0]
+        pred = predict_corpus(build_examples([commit], 3), FakeModel(), vocab, 4)[0]
         expected = float(np.sum(np.array(probs, dtype=np.float64)) / n)
         if abs(pred.commit_prob - expected) > np.spacing(max(expected, 1e-300)):
             failures += 1
@@ -155,17 +156,16 @@ def test_criterion_3_aggregation_exactness(capfd, monkeypatch):
         shuffled = CommitRecord(
             repo_id="r", commit_hash=commit.commit_hash, timestamp=case, label=NVF, files=shuffled_files
         )
-        pred2 = predict_corpus([shuffled], FakeModel(), vocab, 3, 4)[0]
+        pred2 = predict_corpus(build_examples([shuffled], 3), FakeModel(), vocab, 4)[0]
         if pred2.commit_prob != pred.commit_prob:
             failures += 1
     # explicit boundary case
     monkeypatch.setattr(inf, "predict_in_chunks", lambda m, batch, chunk: np.array([0.2, 0.8]))
     files = tuple(make_planted_file_change(rng, vf=False, path=f"g{i}.c") for i in range(2))
     boundary = predict_corpus(
-        [CommitRecord(repo_id="r", commit_hash="b" * 40, timestamp=0, label=NVF, files=files)],
+        build_examples([CommitRecord(repo_id="r", commit_hash="b" * 40, timestamp=0, label=NVF, files=files)], 3),
         FakeModel(),
         vocab,
-        3,
         4,
     )[0]
     if not (boundary.commit_prob == 0.5 and boundary.predicted == NVF):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixhound.change_builder as cb
 import fixhound.trainer as tr
 from conftest import commit_files, init_repo, make_planted_commits, make_planted_repo
-from fixhound.change_builder import read_examples_jsonl
-from fixhound.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from fixhound.change_builder import VARIANTS, read_examples_jsonl
+from fixhound.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _split_and_downsample, main
 from fixhound.config import RunConfig, atomic_write, load_config, write_jsonl
 from fixhound.evaluation import CommitPrediction, write_predictions_jsonl
 from fixhound.repo_miner import NVF, read_commits_jsonl, write_commits_jsonl
@@ -375,6 +377,51 @@ class TestPipeline:
                 swept = (workdir / f"{name}_RawGitDiff_k{k}.{ext}").read_bytes()
                 assert swept == (single / f"{name}.{ext}").read_bytes(), (k, name)
 
+    def test_predict_with_an_ablation_checkpoint_matches_its_predictions(self, tmp_path):
+        """`predict --checkpoint checkpoint_<v>.bin` scores the test split as ablate did, byte for byte."""
+        workdir, _ = seeded_workdir(tmp_path)
+        config = str(write_config(tmp_path, workdir))
+        for command in ("build", "ablate"):
+            assert main(["--config", config, command]) == EXIT_OK, command
+        for variant in VARIANTS:
+            assert main(["--config", config, "predict", "--checkpoint", str(workdir / f"checkpoint_{variant}.bin")]) == EXIT_OK
+            assert (workdir / "predictions.jsonl").read_bytes() == (workdir / f"predictions_{variant}.jsonl").read_bytes(), variant
+
+    @pytest.mark.parametrize("sweep, ks", [([], [3]), (["--sweep-k", "0,7"], [0, 7])], ids=["variants", "sweep"])
+    def test_ablate_builds_each_file_once_per_k(self, tmp_path, monkeypatch, sweep, ks):
+        """Train, val and test are cut once per k, however many variants train at that k."""
+        workdir, commits = seeded_workdir(tmp_path)
+        config = str(write_config(tmp_path, workdir))
+        parts = _split_and_downsample(load_config(config, {}), commits)
+        expected = [(k, c.commit_hash, fc.path) for k in ks for split in ("train", "val", "test") for c in parts[split] for fc in c.files]
+        cuts = []
+        build_example = cb.build_example
+
+        def counting(fc, k, label, repo_id, commit_hash):
+            cuts.append((k, commit_hash, fc.path))
+            return build_example(fc, k, label, repo_id, commit_hash)
+
+        monkeypatch.setattr(cb, "build_example", counting)
+        assert main(["--config", config, "ablate", *sweep]) == EXIT_OK
+        assert sorted(cuts) == sorted(expected)
+
+    def test_every_manifest_output_exists(self, tmp_path):
+        runs = {
+            "pipeline": [["build"], ["train"], ["predict"], ["evaluate"]],
+            "ablate": [["ablate"]],
+            "sweep": [["ablate", "--sweep-k", "0,7"]],
+        }
+        for name, commands in runs.items():
+            workdir, _ = seeded_workdir(tmp_path / name)
+            config = str(write_config(tmp_path / name, workdir))
+            for command in commands:
+                assert main(["--config", config, *command]) == EXIT_OK, (name, command)
+            manifests = sorted(workdir.glob("manifest_*.json"))
+            assert len(manifests) == len(commands), name
+            for manifest in manifests:
+                for output in json.loads(manifest.read_text())["outputs"]:
+                    assert (workdir / output).is_file(), (name, manifest.name, output)
+
     def test_non_finite_probability_is_data_error(self, tmp_path, capsys):
         workdir, _ = seeded_workdir(tmp_path)
         config = str(write_config(tmp_path, workdir))
@@ -577,9 +624,10 @@ class TestGuards:
     def test_bad_sweep_k_is_usage_error(self, tmp_path, capsys):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
-        for sweep in ("3,x", "3,-1"):
+        for sweep in ("3,x", "3,-1", ","):
             assert main(["--config", str(config), "ablate", "--sweep-k", sweep]) == EXIT_USAGE
             one_line_error(capsys, "--sweep-k", sweep)
+        assert [p.name for p in workdir.iterdir()] == ["commits.jsonl"]
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -618,6 +666,32 @@ class TestBadArtifacts:
         (workdir / "commits.jsonl").write_text(json.dumps(record) + "\n")
         assert main(["--config", str(write_config(tmp_path, workdir)), "build"]) == EXIT_DATA
         one_line_error(capsys, "commits.jsonl:1: unreadable record")
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda rec: rec.update(files=[]), "has no file changes"),
+            (lambda rec: rec["files"][0].update(context="9"), "context must be an integer, not str"),
+            (lambda rec: rec["files"][0]["hunks"][0].update(old_start="1"), "old_start must be an integer, not str"),
+            (lambda rec: rec["files"][0].update(removed_loc=None), "removed_loc must be an integer, not NoneType"),
+            (lambda rec: rec["files"][0].update(windows=[]), "hunks without a context window"),
+        ],
+        ids=["no-files", "context-str", "old-start-str", "removed-loc-null", "no-windows"],
+    )
+    def test_damaged_test_commit_is_data_error(self, trained_workdir, tmp_path, capsys, damage, message):
+        _, trained = trained_workdir
+        workdir = tmp_path / "out"
+        workdir.mkdir()
+        shutil.copy(trained / "checkpoint.bin", workdir)
+        path = workdir / "test_commits.jsonl"
+        lines = (trained / "test_commits.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        damage(record)
+        lines[1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+        assert main(["--config", str(write_config(tmp_path, workdir)), "predict"]) == EXIT_DATA
+        one_line_error(capsys, f"{path}:2: unreadable record (ValueError: ", message)
+        assert not (workdir / "predictions.jsonl").exists()
 
     @pytest.mark.parametrize(
         "artifact, command",

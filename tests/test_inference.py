@@ -15,6 +15,7 @@ from fixhound.change_builder import (
     PAIR_VARIANTS,
     RAW_GIT_DIFF,
     build_example,
+    build_examples,
 )
 from fixhound.delta_model import batch_from_sequences, init_model, predict_batch
 from fixhound.config import EncoderConfig
@@ -29,7 +30,7 @@ CHUNK = 4
 
 
 def predict_one(commit, model):
-    return predict_corpus([commit], model, VOCAB, 3, CHUNK)[0]
+    return predict_corpus(build_examples([commit], 3), model, VOCAB, CHUNK)[0]
 
 
 def commit_with_files(n_files, repo="r", sha="a" * 40, ts=1):
@@ -82,9 +83,8 @@ class TestAggregation:
         assert abs(pred.commit_prob - expected) <= np.spacing(expected)
 
     def test_zero_files_rejected(self):
-        c = CommitRecord(repo_id="r", commit_hash="a" * 40, timestamp=1, label=NVF, files=())
-        with pytest.raises(ValueError):
-            predict_one(c, _FakeModel())
+        with pytest.raises(ValueError, match="no file changes"):
+            CommitRecord(repo_id="r", commit_hash="a" * 40, timestamp=1, label=NVF, files=())
 
     def test_commit_loc_sums_all_files(self, monkeypatch):
         commit = commit_with_files(3)
@@ -115,19 +115,19 @@ class TestFileOrderInvariance:
 
 class TestCorpus:
     def test_empty(self):
-        assert predict_corpus([], _FakeModel(), VOCAB, 3, CHUNK) == []
+        assert predict_corpus(build_examples([], 3), _FakeModel(), VOCAB, CHUNK) == []
 
     def test_one_prediction_per_commit_in_order(self):
         model = init_model(RAW_GIT_DIFF, CFG, seed=0)
         commits = make_planted_commits(6, seed=0)
-        preds = predict_corpus(commits, model, VOCAB, 3, CHUNK)
+        preds = predict_corpus(build_examples(commits, 3), model, VOCAB, CHUNK)
         assert [p.commit_hash for p in preds] == [c.commit_hash for c in commits]
 
     def test_corpus_order_permutes_with_input(self):
         model = init_model(RAW_GIT_DIFF, CFG, seed=0)
         commits = make_planted_commits(4, seed=1)
-        fwd = predict_corpus(commits, model, VOCAB, 3, CHUNK)
-        rev = predict_corpus(list(reversed(commits)), model, VOCAB, 3, CHUNK)
+        fwd = predict_corpus(build_examples(commits, 3), model, VOCAB, CHUNK)
+        rev = predict_corpus(build_examples(list(reversed(commits)), 3), model, VOCAB, CHUNK)
         assert rev == list(reversed(fwd))
 
 
@@ -201,15 +201,15 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize("variant,max_len", [(EMBED_SUBTRACT_DUO, 96), (CODE_CONCAT, 180)])
     def test_matches_per_file_path_bit_for_bit(self, variant, max_len):
         commits, model, expected = equivalence_case(variant, max_len)
-        assert predict_corpus(commits, model, VOCAB, 3, 1) == expected
-        assert predict_corpus(commits[::-1], model, VOCAB, 3, 1) == expected[::-1]
+        assert predict_corpus(build_examples(commits, 3), model, VOCAB, 1) == expected
+        assert predict_corpus(build_examples(commits[::-1], 3), model, VOCAB, 1) == expected[::-1]
 
     @pytest.mark.parametrize("variant,max_len", [(EMBED_SUBTRACT_DUO, 96), (CODE_CONCAT, 180)])
     @pytest.mark.parametrize("chunk", [3, 64])
     def test_chunks_match_per_file_path_within_tolerance(self, variant, max_len, chunk):
         commits, model, expected = equivalence_case(variant, max_len)
         for order in (1, -1):
-            got = predict_corpus(commits[::order], model, VOCAB, 3, chunk)
+            got = predict_corpus(build_examples(commits[::order], 3), model, VOCAB, chunk)
             for g, e in zip(got, expected[::order], strict=True):
                 assert (g.commit_hash, g.predicted, g.commit_loc) == (e.commit_hash, e.predicted, e.commit_loc)
                 assert [path for path, _ in g.file_probs] == [path for path, _ in e.file_probs]
@@ -229,7 +229,7 @@ class TestScoringBudget:
             return predict_batch(model, batch)
 
         monkeypatch.setattr(dm, "predict_batch", counting)
-        predict_corpus(commits, init_model(CODE_CONCAT_NOCONTEXT, CFG, seed=0), VOCAB, 3, chunk)
+        predict_corpus(build_examples(commits, 3), init_model(CODE_CONCAT_NOCONTEXT, CFG, seed=0), VOCAB, chunk)
         assert len(rows) == math.ceil(n_files / chunk)
         assert max(rows) <= chunk
         assert sum(rows) == n_files
