@@ -93,10 +93,15 @@ def cmd_mine(cfg: RunConfig, workdir: Path) -> int:
         raise DataError(f"labels file not found: {cfg.labels_file!r}")
     labels = load_labels(cfg.labels_file)
     records: list[CommitRecord] = []
+    seen: set[tuple[str, str]] = set()
     for repo in cfg.repos:
         if not Path(repo).exists():
             raise DataError(f"repository path not found: {repo}")
-        records.extend(attach_labels(mine_repository(repo, cfg.since, cfg.until, context=max(CONTEXT_MAX, cfg.k)), labels))
+        for rec in attach_labels(mine_repository(repo, cfg.since, cfg.until, context=max(CONTEXT_MAX, cfg.k)), labels):
+            if (rec.repo_id, rec.commit_hash) in seen:
+                raise DataError(f"repository {repo}: commit {rec.commit_hash} of {rec.repo_id} was already mined (repository listed twice?)")
+            seen.add((rec.repo_id, rec.commit_hash))
+            records.append(rec)
     out = workdir / "commits.jsonl"
     write_commits_jsonl(records, out)
     counts = {

@@ -104,6 +104,28 @@ def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
+def _attention_backward(attn, q, k, v, dctx, scale):
+    """Gradients (dq, dk, dv), each (B, heads, T, dh), of ctx = softmax(q kᵀ / scale) @ v.
+
+    The softmax backward runs one batch row at a time, in place on that
+    row's (heads, T, T) scores: dscores = attn * (dattn - rowsum(dattn * attn)) / scale.
+    numpy runs one BLAS call per 2-D slice either way, so the per-row loop
+    does the same arithmetic in the same order as the whole-batch product,
+    while its largest temporary is one row's scores instead of the batch's.
+    """
+    dv = attn.transpose(0, 1, 3, 2) @ dctx
+    dq, dk = np.empty_like(dv), np.empty_like(dv)
+    for b in range(len(attn)):
+        dscores = dctx[b] @ v[b].transpose(0, 2, 1)
+        dscores -= np.einsum("hij,hij->hi", dscores, attn[b])[..., None]
+        dscores *= attn[b]
+        dscores /= scale
+        np.matmul(dscores, k[b], out=dq[b])
+        np.matmul(dscores.transpose(0, 2, 1), q[b], out=dk[b])
+        del dscores  # free this row's scores before the next row's are made
+    return dq, dk, dv
+
+
 def forward_batch(params: Params, config: EncoderConfig, ids: np.ndarray, attn_lens: np.ndarray):
     """Pooled embeddings for a batch; returns (pooled (B,d), cache).
 
@@ -129,7 +151,6 @@ def forward_batch(params: Params, config: EncoderConfig, ids: np.ndarray, attn_l
     layer_caches = []
     for i in range(config.layers):
         p = f"layer{i}."
-        x_in = x
         h1, ln1_cache = _layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
         q = _split_heads(h1 @ params[p + "attn.wq"] + params[p + "attn.bq"], config.heads)
         k = _split_heads(h1 @ params[p + "attn.wk"] + params[p + "attn.bk"], config.heads)
@@ -144,16 +165,16 @@ def forward_batch(params: Params, config: EncoderConfig, ids: np.ndarray, attn_l
         attn /= attn.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(attn @ v)
         attn_out = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
-        x = x_in + attn_out
+        x = x + attn_out
 
-        x_mid = x
         h2, ln2_cache = _layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
         u = np.tanh(h2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"])
         ffn_out = u @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
-        x = x_mid + ffn_out
+        x = x + ffn_out
+        # only what backward_batch reads: the residual stream x is not kept
         layer_caches.append(
-            {"x_in": x_in, "h1": h1, "ln1": ln1_cache, "q": q, "k": k, "v": v,
-             "attn": attn, "ctx": ctx, "x_mid": x_mid, "h2": h2, "ln2": ln2_cache, "u": u}
+            {"h1": h1, "ln1": ln1_cache, "q": q, "k": k, "v": v,
+             "attn": attn, "ctx": ctx, "h2": h2, "ln2": ln2_cache, "u": u}
         )
 
     y, lnf_cache = _layer_norm(x, params["ln_f.g"], params["ln_f.b"])
@@ -161,7 +182,7 @@ def forward_batch(params: Params, config: EncoderConfig, ids: np.ndarray, attn_l
     pooled = (y * pool_mask[:, :, None]).sum(axis=1) / attn_lens[:, None].astype(dtype)
     cache = {
         "ids": ids, "attn_lens": attn_lens, "key_mask": key_mask,
-        "layers": layer_caches, "x_final": x, "y": y, "lnf": lnf_cache, "dtype": dtype,
+        "layers": layer_caches, "lnf": lnf_cache, "dtype": dtype,
     }
     return pooled, cache
 
@@ -204,14 +225,7 @@ def backward_batch(params: Params, config: EncoderConfig, cache, d_pooled: np.nd
         grads[p + "attn.wo"] += _weight_grad(c["ctx"], d_attn_out)
         grads[p + "attn.bo"] += d_attn_out.sum(axis=(0, 1))
         dctx = _split_heads(d_attn_out @ params[p + "attn.wo"].T, config.heads)
-        dv = c["attn"].transpose(0, 1, 3, 2) @ dctx
-        # softmax backward in place: dscores = attn * (dattn - rowsum(dattn * attn)) / scale
-        dscores = dctx @ c["v"].transpose(0, 1, 3, 2)
-        dscores -= np.einsum("bhij,bhij->bhi", dscores, c["attn"])[..., None]
-        dscores *= c["attn"]
-        dscores /= scale
-        dq = dscores @ c["k"]
-        dk = dscores.transpose(0, 1, 3, 2) @ c["q"]
+        dq, dk, dv = _attention_backward(c["attn"], c["q"], c["k"], c["v"], dctx, scale)
         dq, dk, dv = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
         dh1 = np.zeros_like(c["h1"])
         for w, b, dmat in (("wq", "bq", dq), ("wk", "bk", dk), ("wv", "bv", dv)):

@@ -150,7 +150,15 @@ class FileChange:
             raise ValueError(f"{d['path']}: hunks without a context window")
         for name in ("removed_loc", "added_loc", "old_len", "new_len", "context"):
             _int(d, name)
-        return cls(**{**d, "hunks": hunks, "windows": tuple(Window.from_dict(w) for w in d["windows"])})
+        windows = tuple(Window.from_dict(w) for w in d["windows"])
+        # A cut at k <= context finds its window as the last one starting at or
+        # before the region, so the windows must start in order and the first
+        # must start at or before the first hunk's widest region.
+        if any(a.old_lo >= b.old_lo for a, b in zip(windows, windows[1:])):
+            raise ValueError(f"{d['path']}: context windows out of order")
+        if hunks and windows[0].old_lo > max(1, hunks[0].old_start - d["context"]):
+            raise ValueError(f"{d['path']}: context windows do not cover the first hunk")
+        return cls(**{**d, "hunks": hunks, "windows": windows})
 
 
 def file_change(path: str, old_lines: tuple[str, ...] | list[str], new_lines: tuple[str, ...] | list[str], context: int) -> FileChange:
@@ -524,4 +532,14 @@ def write_commits_jsonl(records: Iterable[CommitRecord], path: str | Path) -> in
 
 
 def read_commits_jsonl(path: str | Path) -> list[CommitRecord]:
-    return read_jsonl(path, CommitRecord.from_dict)
+    """Read `write_commits_jsonl` output; a repeated (repo_id, commit_hash) is an unreadable record."""
+    seen: set[tuple[str, str]] = set()
+
+    def from_dict(d: dict) -> CommitRecord:
+        rec = CommitRecord.from_dict(d)
+        if (rec.repo_id, rec.commit_hash) in seen:
+            raise ValueError(f"commit {rec.commit_hash} of {rec.repo_id} appears twice")
+        seen.add((rec.repo_id, rec.commit_hash))
+        return rec
+
+    return read_jsonl(path, from_dict)

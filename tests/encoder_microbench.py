@@ -15,7 +15,9 @@ over query blocks, the one kernel change left out unless it pays.
 It prints one JSON object: per batch size, the median and quartiles in
 milliseconds of every timing, the oracle/new ratio of the medians, whether
 the pooled outputs are bit-identical and the largest gradient difference
-relative to the largest gradient entry; plus the machine facts (nproc,
+relative to the largest gradient entry, the backward's peak allocation
+(`tracemalloc`) next to the size of one (B, heads, T, T) scores tensor,
+reported without a gate; plus the machine facts (nproc,
 usable CPUs, BLAS, numpy and Python versions, BLAS thread cap, commit).
 It exits 1 when a batch's pooled outputs differ from the oracle's or its
 gradients differ by more than GRAD_TOLERANCE, so CI can run it with
@@ -37,6 +39,7 @@ import platform  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -96,6 +99,12 @@ def bench_batch(batch: int, repeats: int, seed: int = 0) -> dict:
     scale = max(float(np.abs(g).max()) for g in ref_grads.values())
     grad_diff = max(float(np.abs(grads[n] - ref_grads[n]).max()) for n in grads) / scale
 
+    tracemalloc.start()
+    encoder.backward_batch(params, CONFIG, cache, d_pooled)
+    backward_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    scores_bytes = batch * CONFIG.heads * CONFIG.max_len**2 * np.dtype(np.float32).itemsize
+
     sides = {"oracle": encoder_oracle, "new": encoder}
     samples = {f"{kind}_{side}": [] for kind in ("forward", "backward") for side in sides}
     for r in range(repeats):
@@ -119,6 +128,8 @@ def bench_batch(batch: int, repeats: int, seed: int = 0) -> dict:
     out["backward_speedup"] = round(out["backward_oracle"]["median_ms"] / out["backward_new"]["median_ms"], 3)
     out["pooled_bit_identical"] = bool(np.array_equal(pooled, ref_pooled))
     out["grad_max_rel_diff"] = grad_diff
+    out["backward_peak_alloc_mb"] = round(backward_peak / 2**20, 3)
+    out["scores_tensor_mb"] = round(scores_bytes / 2**20, 3)
     out["attention_core"] = {("untiled" if blk == CONFIG.max_len else f"query_block_{blk}"): _stats(s) for blk, s in core.items()}
     return out
 

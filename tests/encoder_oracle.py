@@ -1,4 +1,4 @@
-"""The encoder kernels that `encoder.forward_batch`/`backward_batch` replaced, kept as a test oracle.
+"""The encoder kernels that `encoder.forward_batch`/`backward_batch` replaced, kept as test oracles.
 
 The forward pass masks scores with `np.where` and builds the softmax in
 fresh temporaries; the backward pass forms `dscores` out of place, takes
@@ -6,6 +6,11 @@ each weight gradient with `np.einsum("btd,bte->de")` and scatters the
 token-embedding gradient with `np.add.at`. Layer norm, head split/merge,
 the parameter layout and the cache layout are the production ones, so a
 difference can only come from the rewritten kernels.
+
+`attention_backward_whole_batch` is the attention backward that
+`encoder._attention_backward` replaced: the same in-place softmax
+backward, run on one (B, heads, T, T) scores tensor for the whole batch
+instead of one batch row at a time.
 """
 
 from __future__ import annotations
@@ -129,3 +134,14 @@ def backward_batch(params: Params, config: EncoderConfig, cache, d_pooled: np.nd
     np.add.at(grads["tok_emb"], ids, dx)
     grads["pos_emb"][:T] += dx.sum(axis=0)
     return grads
+
+
+def attention_backward_whole_batch(attn, q, k, v, dctx, scale):
+    dv = attn.transpose(0, 1, 3, 2) @ dctx
+    dscores = dctx @ v.transpose(0, 1, 3, 2)
+    dscores -= np.einsum("bhij,bhij->bhi", dscores, attn)[..., None]
+    dscores *= attn
+    dscores /= scale
+    dq = dscores @ k
+    dk = dscores.transpose(0, 1, 3, 2) @ q
+    return dq, dk, dv

@@ -194,6 +194,16 @@ class TestMine:
         assert main(["--config", str(config), "mine"]) == EXIT_DATA
         one_line_error(capsys, f"{labels}: not UTF-8 text (byte 42)")
 
+    def test_repository_listed_twice_is_data_error(self, tmp_path, capsys):
+        repo = init_repo(tmp_path / "proj")
+        commit_files(repo, {"a.c": "one\n"}, "c1", 1000)
+        labels = self._labels(tmp_path, [])
+        workdir = tmp_path / "out"
+        config = write_config(tmp_path, workdir, repos=[str(repo), str(repo)], labels_file=str(labels))
+        assert main(["--config", str(config), "mine"]) == EXIT_DATA
+        one_line_error(capsys, f"repository {repo}: commit ", "already mined")
+        assert not (workdir / "commits.jsonl").exists()
+
     def test_missing_repo_path_is_data_error(self, tmp_path, capsys):
         labels = self._labels(tmp_path, [])
         config = write_config(tmp_path, tmp_path / "out", repos=[str(tmp_path / "ghost")], labels_file=str(labels))
@@ -675,8 +685,12 @@ class TestBadArtifacts:
             (lambda rec: rec["files"][0]["hunks"][0].update(old_start="1"), "old_start must be an integer, not str"),
             (lambda rec: rec["files"][0].update(removed_loc=None), "removed_loc must be an integer, not NoneType"),
             (lambda rec: rec["files"][0].update(windows=[]), "hunks without a context window"),
+            (  # one line late is already too late
+                lambda rec: [w.update(old_lo=w["old_lo"] + 1) for w in rec["files"][0]["windows"]],
+                "context windows do not cover the first hunk",
+            ),
         ],
-        ids=["no-files", "context-str", "old-start-str", "removed-loc-null", "no-windows"],
+        ids=["no-files", "context-str", "old-start-str", "removed-loc-null", "no-windows", "windows-after-hunks"],
     )
     def test_damaged_test_commit_is_data_error(self, trained_workdir, tmp_path, capsys, damage, message):
         _, trained = trained_workdir
@@ -691,6 +705,20 @@ class TestBadArtifacts:
         path.write_text("".join(lines))
         assert main(["--config", str(write_config(tmp_path, workdir)), "predict"]) == EXIT_DATA
         one_line_error(capsys, f"{path}:2: unreadable record (ValueError: ", message)
+        assert not (workdir / "predictions.jsonl").exists()
+
+    def test_repeated_test_commit_is_data_error(self, trained_workdir, tmp_path, capsys):
+        _, trained = trained_workdir
+        workdir = tmp_path / "out"
+        workdir.mkdir()
+        shutil.copy(trained / "checkpoint.bin", workdir)
+        path = workdir / "test_commits.jsonl"
+        lines = (trained / "test_commits.jsonl").read_text().splitlines(keepends=True)
+        path.write_text("".join([*lines, lines[1]]))
+        record = json.loads(lines[1])
+        assert main(["--config", str(write_config(tmp_path, workdir)), "predict"]) == EXIT_DATA
+        duplicate = f"commit {record['commit_hash']} of {record['repo_id']} appears twice"
+        one_line_error(capsys, f"{path}:{len(lines) + 1}: unreadable record (ValueError: {duplicate})")
         assert not (workdir / "predictions.jsonl").exists()
 
     @pytest.mark.parametrize(

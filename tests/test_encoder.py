@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import encoder_oracle
+from fixhound import encoder
 from fixhound.config import EncoderConfig
 from fixhound.encoder import (
     LN_EPS,
@@ -193,7 +196,7 @@ class TestTrimEquivalence:
         alone_grads = {name: np.zeros_like(v) for name, v in params.items()}
         for i, n in enumerate(lens):
             pooled, cache = forward_batch(params, CFG, ids[i : i + 1], lens[i : i + 1])
-            assert cache["y"].shape[1] == n
+            assert cache["lnf"][0].shape[1] == n
             alone_pooled.append(pooled[0])
             for name, g in backward_batch(params, CFG, cache, d_pooled[i : i + 1]).items():
                 alone_grads[name] += g
@@ -202,7 +205,7 @@ class TestTrimEquivalence:
         padded_ids = np.concatenate([ids, long_row])
         padded_lens = np.append(lens, CFG.max_len)
         pooled, cache = forward_batch(params, CFG, padded_ids, padded_lens)
-        assert cache["y"].shape[1] == CFG.max_len
+        assert cache["lnf"][0].shape[1] == CFG.max_len
         padded_grads = backward_batch(params, CFG, cache, np.vstack([d_pooled, np.zeros((1, CFG.dim), dtype)]))
 
         alone_pooled = np.array(alone_pooled)
@@ -216,7 +219,7 @@ class TestTrimEquivalence:
         ids = np.zeros((3, CFG.max_len), dtype=np.int64)
         _, cache = forward_batch(params, CFG, ids, np.array([3, 6, 2]))
         assert cache["ids"].shape == (3, 6)
-        assert cache["y"].shape[:2] == (3, 6)
+        assert cache["lnf"][0].shape[:2] == (3, 6)
         for layer in cache["layers"]:
             assert layer["attn"].shape[-2:] == (6, 6)
 
@@ -254,6 +257,53 @@ class TestOracleEquivalence:
         for name, g in grads.items():
             assert g.dtype == dtype, name
             assert np.abs(g - ref_grads[name]).max() <= tol * scale, name
+
+
+class TestRowwiseAttentionBackward:
+    """The attention backward runs one batch row at a time; the whole-batch
+    version it replaced (tests/encoder_oracle.py) does the same BLAS calls
+    and elementwise steps in the same order, so every gradient is
+    bit-identical, while the backward's peak allocation drops below one
+    (B, heads, T, T) scores tensor."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers", [0, 2])
+    @pytest.mark.parametrize("lens", [[9], [2, 12, 5], [12, 3, 7, 1, 10]], ids=["B1", "B3", "B5"])
+    def test_bit_identical_to_whole_batch(self, monkeypatch, dtype, layers, lens):
+        cfg = EncoderConfig(vocab_size=11, dim=16, layers=layers, heads=2, max_len=12)
+        params = init_params(cfg, seed=6, dtype=dtype)
+        rng = np.random.default_rng(len(lens) + layers)
+        lens = np.array(lens)
+        ids = rng.integers(1, cfg.vocab_size, size=(len(lens), cfg.max_len))
+        ids[np.arange(cfg.max_len)[None, :] >= lens[:, None]] = 0
+        d_pooled = rng.normal(size=(len(lens), cfg.dim)).astype(dtype)
+
+        _, cache = forward_batch(params, cfg, ids, lens)
+        grads = backward_batch(params, cfg, cache, d_pooled)
+        monkeypatch.setattr(encoder, "_attention_backward", encoder_oracle.attention_backward_whole_batch)
+        ref_grads = backward_batch(params, cfg, cache, d_pooled)
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.dtype == dtype, name
+            assert np.array_equal(g, ref_grads[name]), name
+
+    def test_peak_allocation_below_half_a_scores_tensor(self):
+        # dim small next to T, so the (B, heads, T, T) tensor dominates the (B, T, dim) activations
+        B, T = 8, 512
+        cfg = EncoderConfig(vocab_size=11, dim=8, layers=1, heads=2, max_len=T)
+        params = init_params(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, cfg.vocab_size, size=(B, T))
+        _, cache = forward_batch(params, cfg, ids, np.full(B, T))
+        d_pooled = rng.normal(size=(B, cfg.dim)).astype(np.float32)
+        scores_bytes = B * cfg.heads * T * T * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            backward_batch(params, cfg, cache, d_pooled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < scores_bytes / 2, f"backward peaked at {peak / scores_bytes:.2f} of one scores tensor"
 
 
 class TestInit:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +11,13 @@ from fixhound.repo_miner import (
     NVF,
     VF,
     CommitRecord,
+    FileChange,
     LabelError,
     MiningError,
     attach_labels,
     diff_lines,
     downsample_nvf,
+    file_change,
     load_labels,
     mine_repository,
     read_commits_jsonl,
@@ -226,6 +229,15 @@ class TestJsonlRoundTrip:
         path = tmp_path / "commits.jsonl"
         write_commits_jsonl(recs, path)
         assert read_commits_jsonl(path) == sorted(recs, key=lambda r: r.timestamp)
+
+    def test_windows_out_of_order_are_refused(self):
+        old = [str(i) for i in range(60)]
+        new = [*old[:5], "x", *old[6:50], "y", *old[51:]]
+        d = json.loads(json.dumps(file_change("a.c", old, new, 3).to_dict()))
+        assert [w["old_lo"] for w in d["windows"]] == [3, 48]
+        d["windows"].reverse()
+        with pytest.raises(ValueError, match="a.c: context windows out of order"):
+            FileChange.from_dict(d)
 
     def test_loc_consistency(self, tmp_repo):
         """Hunks rebuild git's new blob from its old one, and each window holds git's lines."""
