@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -36,6 +37,12 @@ class ArtifactError(DataError):
 
 
 Record = TypeVar("Record")
+
+# The tokenizer's MIN_VOCAB (5 special tokens and 256 bytes), which this
+# module cannot import without numpy; and the largest vocab_size whose BPE
+# pair codes (left id × vocab_size + right id) stay exact in int64.
+MIN_VOCAB_SIZE = 261
+MAX_VOCAB_SIZE = 2**31
 
 
 @contextlib.contextmanager
@@ -77,6 +84,20 @@ def read_jsonl(path: str | Path, from_dict: Callable[[dict], Record]) -> list[Re
     return records
 
 
+def _is_int(value) -> bool:
+    """An int (not a bool) that fits in int64, as every numpy size and id does."""
+    return isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A number (not a bool) other than NaN and ±inf."""
+    return _is_number(value) and -math.inf < value < math.inf
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     vocab_size: int
@@ -87,10 +108,12 @@ class EncoderConfig:
     ffn_mult: int = 4
 
     def __post_init__(self):
-        if self.dim % self.heads != 0:
-            raise ValueError("dim must be divisible by heads")
+        if not all(_is_int(v) for v in asdict(self).values()):
+            raise TypeError(f"encoder fields must be integers, got {asdict(self)}")
         if min(self.vocab_size, self.dim, self.heads, self.max_len, self.ffn_mult) < 1:
             raise ValueError("config fields must be positive")
+        if self.dim % self.heads != 0:
+            raise ValueError("dim must be divisible by heads")
         if self.layers < 0:
             raise ValueError("layers must be non-negative")
 
@@ -119,16 +142,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 0 or (self.micro_batch is not None and self.micro_batch < 1):
-            raise ValueError("batch_size and micro_batch must be positive and epochs non-negative")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+        for name, ok, expected in (
+            ("epochs", _is_int(self.epochs) and self.epochs >= 1, "an integer >= 1"),  # 0 would select no epoch
+            ("batch_size", _is_int(self.batch_size) and self.batch_size >= 1, "an integer >= 1"),
+            ("micro_batch", self.micro_batch is None or (_is_int(self.micro_batch) and self.micro_batch >= 1), "null or an integer >= 1"),
+            ("seed", _is_int(self.seed) and self.seed >= 0, "an integer >= 0"),
+            ("learning_rate", _is_finite(self.learning_rate) and self.learning_rate >= 0, "a finite number >= 0"),
+            ("adam_eps", _is_finite(self.adam_eps) and self.adam_eps > 0, "a finite number > 0"),
+            ("beta1", _is_finite(self.beta1) and 0 <= self.beta1 < 1, "a number in [0, 1)"),
+            ("beta2", _is_finite(self.beta2) and 0 <= self.beta2 < 1, "a number in [0, 1)"),
+            ("weight_decay", _is_finite(self.weight_decay) and self.weight_decay >= 0, "a finite number >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {expected}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -163,13 +189,23 @@ class RunConfig:
         for name, expected, ok in checks:
             if not ok(getattr(self, name)):
                 raise UsageError(f"bad {name} config: expected {expected}, got {getattr(self, name)!r}")
-        if self.k < 0:
-            raise UsageError("k must be non-negative")
+        for name, bad, rule in (
+            ("k", self.k < 0, "non-negative"),
+            ("seed", self.seed < 0, "non-negative"),
+            ("max_len", self.max_len < 3, "at least 3 (BOS, SEP and EOS)"),
+            ("vocab_size", not MIN_VOCAB_SIZE <= self.vocab_size <= MAX_VOCAB_SIZE, f"in [{MIN_VOCAB_SIZE}, 2^31]"),
+            ("downsample_ratio", not (_is_finite(self.downsample_ratio) and self.downsample_ratio > 0), "a finite number > 0"),
+        ):
+            if bad:
+                raise UsageError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.variant not in VARIANTS:
             raise UsageError(f"unknown variant {self.variant!r}; choose from {', '.join(VARIANTS)}")
         for level in self.cost_effort_levels:
             if not 0 < level <= 100:
                 raise UsageError(f"CostEffort level {level} outside (0, 100]")
+        lr = self.train.get("learning_rate", TrainConfig.learning_rate)
+        if not (_is_finite(lr) and lr > 0):  # TrainConfig also takes 0, which trains nothing
+            raise UsageError(f"bad train config: learning_rate must be a finite number > 0, got {lr!r}")
         # build the nested configs now, so a bad one fails here and not mid-command
         for section, build in (
             ("encoder", lambda: self.encoder_config(self.vocab_size)),

@@ -65,10 +65,6 @@ def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> Params:
     return params
 
 
-def cast_params(params: Params, dtype) -> Params:
-    return {k: v.astype(dtype) for k, v in params.items()}
-
-
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
@@ -215,7 +211,9 @@ def backward_batch(params: Params, config: EncoderConfig, cache, d_pooled: np.nd
         grads[p + "ffn.w1"] += _weight_grad(c["h2"], dpre)
         grads[p + "ffn.b1"] += dpre.sum(axis=(0, 1))
         dh2 = dpre @ params[p + "ffn.w1"].T
+        del du, dpre  # dead before the attention backward, the peak when two streams run at once
         dx_mid, dg2, db2 = _layer_norm_backward(dh2, params[p + "ln2.g"], c["ln2"])
+        del dh2
         grads[p + "ln2.g"] += dg2
         grads[p + "ln2.b"] += db2
         dx = dx + dx_mid  # residual

@@ -402,10 +402,14 @@ def mine_repository(
 def load_labels(labels_file: str | Path) -> dict[tuple[str, str], str]:
     """Parse the label feed CSV (header repo_id,commit_hash,vuln_id)."""
     labels_file = Path(labels_file)
+    if not labels_file.is_file():  # a directory, or a pipe that a read would block on
+        raise LabelError(f"{labels_file}: not a regular file")
     try:
         text = labels_file.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LabelError(f"{labels_file}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise LabelError(f"{labels_file}: cannot read ({exc.strerror})") from None
     entries: dict[tuple[str, str], str] = {}
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)

@@ -22,9 +22,6 @@ NUM_SPECIALS = 5
 BYTE_BASE = NUM_SPECIALS  # byte b maps to id BYTE_BASE + b
 MIN_VOCAB = NUM_SPECIALS + 256
 
-# How `decode` renders the SEP token; texts are never split at it.
-SEP_MARKER = " ⟨SEP⟩ "
-
 
 @dataclass
 class Vocabulary:
@@ -153,11 +150,6 @@ def tokenize_batch(texts: Iterable[str], vocab: Vocabulary) -> list[list[int]]:
     return out
 
 
-def tokenize(text: str, vocab: Vocabulary) -> list[int]:
-    """Content token ids for one text (no specials, no padding)."""
-    return tokenize_batch([text], vocab)[0]
-
-
 def encode(content: list[int], max_len: int) -> TokenSequence:
     """BOS + content + EOS, PAD-filled to max_len; tail truncated if over."""
     if max_len < 2:
@@ -193,18 +185,3 @@ def _pad(ids: list[int], max_len: int, truncated: bool) -> TokenSequence:
     attention_length = len(ids)
     ids.extend([PAD] * (max_len - len(ids)))
     return TokenSequence(ids=tuple(ids), attention_length=attention_length, truncated=truncated)
-
-
-def decode(seq: TokenSequence | Iterable[int], vocab: Vocabulary) -> str:
-    """Inverse of encode for untruncated sequences; SEP renders as the
-    textual separator marker."""
-    ids = seq.ids if isinstance(seq, TokenSequence) else tuple(seq)
-    out = bytearray()
-    for i in ids:
-        if i in (PAD, BOS, EOS, UNK):
-            continue
-        if i == SEP:
-            out.extend(SEP_MARKER.encode("utf-8"))
-        else:
-            out.extend(vocab.token_bytes(i))
-    return out.decode("utf-8", errors="replace")

@@ -1,0 +1,97 @@
+"""Model and tokenizer helpers that only the tests use.
+
+- `cast_params` / `cast_model` copy a model into another float type, so the
+  gradient checks (acceptance criterion 1) can run in float64.
+- `equivalent_concat_model` builds the concatenation model whose logits
+  equal a subtraction model's (acceptance criterion 2).
+- `tokenize` and `decode` turn one text into content ids and one token
+  sequence back into text; `SEP_MARKER` is how `decode` renders SEP.
+- `force_concurrent_streams` runs a dual-stream model's two encoders on two
+  threads on any machine and batch.
+"""
+
+from __future__ import annotations
+
+import copy
+import threading
+from typing import Iterable
+
+import numpy as np
+
+from fixhound import delta_model as dm
+from fixhound import encoder as enc
+from fixhound.change_builder import EMBED_CONCAT_DUO, EMBED_SUBTRACT_DUO
+from fixhound.delta_model import DeltaModel
+from fixhound.encoder import Params
+from fixhound.tokenizer import BOS, EOS, PAD, SEP, UNK, TokenSequence, Vocabulary, tokenize_batch
+
+# How `decode` renders the SEP token; texts are never split at it.
+SEP_MARKER = " ⟨SEP⟩ "
+
+
+def cast_params(params: Params, dtype) -> Params:
+    return {k: v.astype(dtype) for k, v in params.items()}
+
+
+def cast_model(model: DeltaModel, dtype) -> DeltaModel:
+    before = cast_params(model.encoder_before, dtype)
+    after = before if model.shared_encoders else cast_params(model.encoder_after, dtype)
+    return DeltaModel(model.variant, model.config, before, after, cast_params(model.head, dtype))
+
+
+def equivalent_concat_model(m: DeltaModel) -> DeltaModel:
+    """Concatenation-fusion model logit-identical to a subtract-fusion one.
+
+    The head's first layer becomes [W1; -W1] over [e_before; e_after], so
+    [W1; -W1]^T [e_b; e_a] = W1^T (e_b - e_a) reproduces the delta path.
+    """
+    if m.variant != EMBED_SUBTRACT_DUO:
+        raise ValueError("equivalence construction requires an EmbedSubtract_Duo model")
+    before = copy.deepcopy(m.encoder_before)
+    after = copy.deepcopy(m.encoder_after)
+    head = {
+        "w1": np.concatenate([m.head["w1"], -m.head["w1"]], axis=0),
+        "b1": m.head["b1"].copy(),
+        "w2": m.head["w2"].copy(),
+        "b2": m.head["b2"].copy(),
+    }
+    return DeltaModel(variant=EMBED_CONCAT_DUO, config=m.config, encoder_before=before, encoder_after=after, head=head)
+
+
+def tokenize(text: str, vocab: Vocabulary) -> list[int]:
+    """Content token ids for one text (no specials, no padding)."""
+    return tokenize_batch([text], vocab)[0]
+
+
+def decode(seq: TokenSequence | Iterable[int], vocab: Vocabulary) -> str:
+    """Inverse of encode for untruncated sequences; SEP renders as SEP_MARKER."""
+    ids = seq.ids if isinstance(seq, TokenSequence) else tuple(seq)
+    out = bytearray()
+    for i in ids:
+        if i in (PAD, BOS, EOS, UNK):
+            continue
+        if i == SEP:
+            out.extend(SEP_MARKER.encode("utf-8"))
+        else:
+            out.extend(vocab.token_bytes(i))
+    return out.decode("utf-8", errors="replace")
+
+
+def force_concurrent_streams(monkeypatch) -> list[str]:
+    """Open `delta_model`'s two-thread gate for every dual-stream batch, whatever
+    the machine; set `delta_model.CONCURRENT_MIN_WORK` to close it again. Returns
+    a list that collects the name of the thread behind each encoder forward and
+    backward call."""
+    monkeypatch.setattr(dm, "CONCURRENT_MIN_WORK", 0)
+    monkeypatch.setattr(dm, "_usable_cpus", lambda: 2)
+    for var in dm.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    threads: list[str] = []
+    for name in ("forward_batch", "backward_batch"):
+
+        def traced(*args, _fn=getattr(enc, name)):
+            threads.append(threading.current_thread().name)
+            return _fn(*args)
+
+        monkeypatch.setattr(enc, name, traced)
+    return threads

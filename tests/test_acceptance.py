@@ -24,9 +24,7 @@ from fixhound.change_builder import (
 from fixhound.cli import EXIT_OK, main
 from fixhound.delta_model import (
     EncodedBatch,
-    cast_model,
     encode_examples,
-    equivalent_concat_model,
     forward_model,
     init_model,
     loss_and_grads,
@@ -48,6 +46,7 @@ from fixhound.repo_miner import (
 )
 from fixhound.tokenizer import train_vocab
 from fixhound.trainer import f1_at_half, load_checkpoint, save_checkpoint, train
+from model_helpers import cast_model, equivalent_concat_model
 from test_change_builder import make_fc
 from test_evaluation import brute_force_cost_effort
 

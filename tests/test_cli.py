@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +22,11 @@ import fixhound.trainer as tr
 from conftest import commit_files, init_repo, make_planted_commits, make_planted_repo
 from fixhound.change_builder import VARIANTS, read_examples_jsonl
 from fixhound.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _split_and_downsample, main
-from fixhound.config import RunConfig, atomic_write, load_config, write_jsonl
+from fixhound.config import MIN_VOCAB_SIZE, RunConfig, atomic_write, load_config, write_jsonl
 from fixhound.evaluation import CommitPrediction, write_predictions_jsonl
 from fixhound.repo_miner import NVF, read_commits_jsonl, write_commits_jsonl
+from fixhound.tokenizer import MIN_VOCAB
+from model_helpers import force_concurrent_streams
 
 FAST_CONFIG = {
     "k": 3,
@@ -193,6 +199,23 @@ class TestMine:
         config = write_config(tmp_path, tmp_path / "out", repos=[], labels_file=str(labels))
         assert main(["--config", str(config), "mine"]) == EXIT_DATA
         one_line_error(capsys, f"{labels}: not UTF-8 text (byte 42)")
+
+    def test_labels_file_that_is_a_directory_is_data_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, tmp_path / "out", repos=[], labels_file=str(tmp_path))
+        assert main(["--config", str(config), "mine"]) == EXIT_DATA
+        one_line_error(capsys, f"{tmp_path}: not a regular file")
+        assert not (tmp_path / "out" / "commits.jsonl").exists()
+
+    def test_unreadable_labels_file_is_data_error(self, tmp_path, capsys, monkeypatch):
+        labels = self._labels(tmp_path, [])
+        config = write_config(tmp_path, tmp_path / "out", repos=[], labels_file=str(labels))
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        assert main(["--config", str(config), "mine"]) == EXIT_DATA
+        one_line_error(capsys, f"{labels}: cannot read (Permission denied)")
 
     def test_repository_listed_twice_is_data_error(self, tmp_path, capsys):
         repo = init_repo(tmp_path / "proj")
@@ -445,6 +468,27 @@ class TestPipeline:
         one_line_error(capsys, "checkpoint.bin gives commit", "a probability of nan: its weights overflow")
         assert not (workdir / "predictions.jsonl").exists()
 
+    def test_non_finite_probability_on_two_threads_is_data_error(self, tmp_path, capsys, monkeypatch):
+        threads = force_concurrent_streams(monkeypatch)
+        before = threading.enumerate()
+        workdir, _ = seeded_workdir(tmp_path)
+        config = str(write_config(tmp_path, workdir, variant="EmbedSubtract_Duo"))
+        for command in ("build", "train"):
+            assert main(["--config", config, command]) == EXIT_OK, command
+        model, vocab, extra = tr.load_checkpoint(workdir / "checkpoint.bin")
+        model.encoder_after["pos_emb"][...] = 3e38  # overflows the stream that runs on the worker
+        tr.save_checkpoint(model, vocab, workdir / "checkpoint.bin", extra)
+        capsys.readouterr()
+        threads.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", config, "predict"]) == EXIT_DATA
+        assert set(threads) - {threading.main_thread().name}, "no stream ran on a worker thread"
+        assert [str(w.message) for w in caught] == []
+        one_line_error(capsys, "a probability of nan: its weights overflow")
+        assert not (workdir / "predictions.jsonl").exists()
+        assert threading.enumerate() == before
+
     def test_train_on_examples_built_at_another_k_is_data_error(self, tmp_path, capsys):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
@@ -594,6 +638,49 @@ class TestGuards:
         assert main(["--config", str(config), command]) == EXIT_USAGE
         one_line_error(capsys, message)
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"downsample_ratio": -1.0}, "downsample_ratio must be a finite number > 0, got -1.0"),
+            ({"downsample_ratio": math.nan}, "downsample_ratio must be a finite number > 0, got nan"),
+            ({"downsample_ratio": 0}, "downsample_ratio must be a finite number > 0, got 0"),
+            ({"vocab_size": 5}, f"vocab_size must be in [{MIN_VOCAB_SIZE}, 2^31], got 5"),
+            ({"vocab_size": 2**31 + 1}, f"vocab_size must be in [{MIN_VOCAB_SIZE}, 2^31], got {2**31 + 1}"),
+            ({"k": 2**63}, f"bad k config: expected an integer, got {2**63}"),
+            ({"max_len": 2}, "max_len must be at least 3"),
+            ({"train": {"learning_rate": "x"}}, "learning_rate must be a finite number > 0, got 'x'"),
+            ({"train": {"learning_rate": 0}}, "learning_rate must be a finite number > 0, got 0"),
+            ({"train": {"learning_rate": math.inf}}, "learning_rate must be a finite number > 0, got inf"),
+            ({"train": {"epochs": 1.5}}, "epochs must be an integer >= 1, got 1.5"),
+            ({"train": {"epochs": 0}}, "epochs must be an integer >= 1, got 0"),
+            ({"train": {"batch_size": 32.0}}, "batch_size must be an integer >= 1, got 32.0"),
+            ({"train": {"batch_size": True}}, "batch_size must be an integer >= 1, got True"),
+            ({"train": {"micro_batch": "4"}}, "micro_batch must be null or an integer >= 1, got '4'"),
+            ({"train": {"micro_batch": False}}, "micro_batch must be null or an integer >= 1, got False"),
+            ({"train": {"beta2": 1.0}}, "beta2 must be a number in [0, 1), got 1.0"),
+            ({"encoder": {"dim": 16, "layers": 1, "heads": 0}}, "config fields must be positive"),
+            ({"encoder": {"dim": 16.0, "layers": 1, "heads": 2}}, "encoder fields must be integers"),
+        ],
+        ids=[
+            "seed-negative", "downsample-negative", "downsample-nan", "downsample-zero", "vocab-size-5", "vocab-size-2^31+1",
+            "k-2^63", "max-len-2",
+            "lr-str", "lr-zero", "lr-inf", "epochs-float", "epochs-zero", "batch-size-float", "batch-size-bool", "micro-batch-str",
+            "micro-batch-bool", "beta2-one", "heads-zero", "dim-float",
+        ],
+    )
+    def test_bad_value_is_usage_error_before_mine_writes(self, tmp_path, capsys, extra, message):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("repo_id,commit_hash,vuln_id\n")
+        workdir = tmp_path / "out"
+        config = write_config(tmp_path, workdir, repos=[], labels_file=str(labels), **extra)
+        assert main(["--config", str(config), "mine"]) == EXIT_USAGE
+        one_line_error(capsys, message)
+        assert not workdir.exists()
+
+    def test_min_vocab_size_is_the_tokenizers(self):
+        assert MIN_VOCAB_SIZE == MIN_VOCAB
+
     def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text("[3]")
@@ -737,3 +824,83 @@ class TestBadArtifacts:
         capsys.readouterr()
         assert main(["--config", str(config), command]) == EXIT_DATA
         one_line_error(capsys, f"{path}:{lines}: unreadable record (JSONDecodeError")
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(0, 3), max_size=2), st.just({}),
+)
+# 2**63 is the smallest int outside int64. Large sizes inside int64 are not
+# drawn: they pass the load checks and then exhaust memory or time.
+_EXTREMES = st.sampled_from([0, -1, 0.0, -0.5, 1.0, math.nan, math.inf, -math.inf, 1e300, 2**63])
+
+
+def _ints(lo, hi):
+    return st.one_of(*[st.integers(lo, hi)] * 3, _EXTREMES, _JUNK)
+
+
+def _floats(lo, hi):
+    return st.one_of(*[st.floats(lo, hi)] * 3, _EXTREMES, _JUNK)
+
+
+# Each config field, by its path in the config object, and the values a
+# hypothesis draw may give it: in range, at an edge, or of a wrong type.
+# The in-range values keep one build + train small.
+_FIELDS = {
+    "k": _ints(-2, 12),
+    "max_len": _ints(-1, 80),
+    "vocab_size": _ints(250, 320),
+    "seed": _ints(-3, 5),
+    "downsample_ratio": _floats(-1, 50),
+    "variant": st.one_of(st.sampled_from(VARIANTS), _JUNK),
+    "cost_effort_levels": st.one_of(st.lists(_floats(-10, 200), max_size=3), _JUNK),
+    "encoder.dim": _ints(-1, 16),
+    "encoder.layers": _ints(-1, 2),
+    "encoder.heads": _ints(-1, 4),
+    "encoder.ffn_mult": _ints(-1, 3),
+    "train.learning_rate": _floats(0, 0.1),
+    "train.epochs": _ints(-1, 2),
+    "train.batch_size": _ints(-1, 40),
+    "train.micro_batch": _ints(-1, 40),
+    "train.beta1": _floats(0, 1),
+    "train.beta2": _floats(0, 1),
+    "train.adam_eps": _floats(0, 1e-3),
+    "train.weight_decay": _floats(0, 0.1),
+}
+
+
+@pytest.fixture(scope="module")
+def mined_commits(tmp_path_factory):
+    workdir, _ = seeded_workdir(tmp_path_factory.mktemp("fuzz"))
+    return workdir / "commits.jsonl"
+
+
+class TestConfigFuzz:
+    """Any config, with one or two fields changed: `build` then `train` exit
+    0-3 with at most one line on stderr, and a config error exits 1 before the
+    first command writes anything."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_build_and_train_keep_the_failure_contract(self, mined_commits, data):
+        cfg = json.loads(json.dumps({**FAST_CONFIG, "train": {**FAST_CONFIG["train"], "epochs": 1}}))
+        for path in data.draw(st.lists(st.sampled_from(sorted(_FIELDS)), min_size=1, max_size=2, unique=True)):
+            section, _, key = path.rpartition(".")
+            (cfg[section] if section else cfg)[key] = data.draw(_FIELDS[path], label=path)
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp) / "out"
+            workdir.mkdir()
+            shutil.copy(mined_commits, workdir)
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps({**cfg, "workdir": str(workdir)}))
+            for command in ("build", "train"):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(["--config", str(config), command])
+                assert code in (0, 1, 2, 3), (command, code)
+                assert err.getvalue().count("\n") == (code != 0) and "Traceback" not in err.getvalue(), err.getvalue()
+                if code == EXIT_USAGE:
+                    assert command == "build", "a config error passed the build's load"
+                    assert sorted(p.name for p in workdir.iterdir()) == ["commits.jsonl"]
+                if code != EXIT_OK:
+                    break

@@ -1,4 +1,5 @@
 import math
+import threading
 import zlib
 
 import numpy as np
@@ -16,6 +17,7 @@ from fixhound.change_builder import (
     VARIANTS,
     build_example,
 )
+import fixhound.delta_model as dm
 from fixhound.delta_model import (
     DUAL_ENCODER_VARIANTS,
     FUSION_CONCAT,
@@ -23,9 +25,7 @@ from fixhound.delta_model import (
     EncodedBatch,
     batch_from_sequences,
     batch_loss,
-    cast_model,
     encode_examples,
-    equivalent_concat_model,
     forward_model,
     fuse,
     fusion_width,
@@ -36,8 +36,9 @@ from fixhound.delta_model import (
 )
 from fixhound.config import EncoderConfig
 from fixhound.repo_miner import NVF, VF
-from fixhound.tokenizer import SEP, SEP_MARKER, encode, tokenize, train_vocab
+from fixhound.tokenizer import SEP, encode, train_vocab
 from gradcheck import fd_mismatches
+from model_helpers import SEP_MARKER, cast_model, equivalent_concat_model, force_concurrent_streams, tokenize
 from test_change_builder import make_fc
 
 CFG = EncoderConfig(vocab_size=280, dim=8, layers=1, heads=2, max_len=16, ffn_mult=2)
@@ -284,3 +285,78 @@ class TestEncodeInput:
         assert batch.size == 2
         assert batch.ids_b is not None
         assert batch.labels.tolist() == [1.0, 0.0]
+
+
+class TestConcurrentStreams:
+    """A dual-stream batch may run its two encoders on two threads; each stream
+    does the same numpy ops on its own arrays, so every output is bit-identical
+    to the serial path's."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_threaded_equals_serial(self, monkeypatch, variant, dtype):
+        threads = force_concurrent_streams(monkeypatch)
+        model = cast_model(init_model(variant, CFG, seed=4), dtype)
+        batch = random_batch(variant, np.random.default_rng(8), n=5, with_labels=True)
+        results = []
+        for min_work in (math.inf, 0):
+            monkeypatch.setattr(dm, "CONCURRENT_MIN_WORK", min_work)
+            threads.clear()
+            results.append(loss_and_grads(model, batch))
+            on_worker = [t for t in threads if t != threading.main_thread().name]
+            # the forward and the backward each put one stream on the worker
+            assert len(on_worker) == (2 if min_work == 0 and variant in DUAL_STREAM_VARIANTS else 0)
+        (loss_s, grads_s, probs_s), (loss_t, grads_t, probs_t) = results
+        assert loss_s == loss_t
+        assert probs_s.dtype == probs_t.dtype and np.array_equal(probs_s, probs_t)
+        assert grads_s.keys() == grads_t.keys()
+        for name, g in grads_s.items():
+            assert g.dtype == grads_t[name].dtype and np.array_equal(g, grads_t[name]), name
+
+    def test_worker_stream_error_is_raised(self, monkeypatch):
+        threads = force_concurrent_streams(monkeypatch)
+        batch = random_batch(EMBED_SUBTRACT_DUO, np.random.default_rng(3))
+        batch.ids_b[0, 0] = CFG.vocab_size  # only the after-stream, which runs on the worker
+        with pytest.raises(ValueError, match="token id out of vocabulary range"):
+            predict_batch(init_model(EMBED_SUBTRACT_DUO, CFG, seed=0), batch)
+        assert set(threads) - {threading.main_thread().name}
+
+    def test_worker_runs_under_the_callers_errstate(self, monkeypatch):
+        # numpy keeps errstate in a context variable, which a new thread does not inherit
+        force_concurrent_streams(monkeypatch)
+        model = init_model(EMBED_SUBTRACT_DUO, CFG, seed=0)
+        model.encoder_after["pos_emb"][...] = 3e38  # finite weights whose layer-norm sums overflow float32
+        batch = random_batch(EMBED_SUBTRACT_DUO, np.random.default_rng(3))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            predict_batch(model, batch)
+
+    def test_no_worker_thread_outlives_a_call(self, monkeypatch):
+        force_concurrent_streams(monkeypatch)
+        before = threading.enumerate()
+        loss_and_grads(init_model(EMBED_CONCAT_DUO, CFG, seed=0), random_batch(EMBED_CONCAT_DUO, np.random.default_rng(1), with_labels=True))
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("cpus, blas", [(1, "1"), (2, "2"), (2, None)], ids=["one-cpu", "blas-2-threads", "blas-uncapped"])
+    def test_serial_without_two_cpus_or_one_blas_thread(self, monkeypatch, cpus, blas):
+        threads = force_concurrent_streams(monkeypatch)
+        monkeypatch.setattr(dm, "_usable_cpus", lambda: cpus)
+        for var in dm.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var)
+        if blas is not None:
+            monkeypatch.setenv("OMP_NUM_THREADS", blas)
+        loss_and_grads(init_model(EMBED_SUBTRACT_DUO, CFG, seed=0), random_batch(EMBED_SUBTRACT_DUO, np.random.default_rng(1), with_labels=True))
+        assert threads and set(threads) == {threading.main_thread().name}
+
+    def test_gate_measures_the_shorter_stream(self, monkeypatch):
+        force_concurrent_streams(monkeypatch)
+        monkeypatch.setattr(dm, "CONCURRENT_MIN_WORK", 2**16)
+        long, short = np.full(4, 512), np.array([100, 3, 3, 3])
+        assert dm._streams_concurrent(long, long)
+        assert dm._streams_concurrent(np.array([128, 1, 1, 1]), long)  # 4 rows x 128^2 = 2^16
+        assert not dm._streams_concurrent(short, long) and not dm._streams_concurrent(long, short)
+        monkeypatch.setenv("MKL_NUM_THREADS", "4")  # one capped library is not enough
+        assert not dm._streams_concurrent(long, long)
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(dm.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert dm._usable_cpus() == 1

@@ -9,12 +9,12 @@ from fixhound.config import EncoderConfig
 from fixhound.encoder import (
     LN_EPS,
     backward_batch,
-    cast_params,
     forward_batch,
     init_params,
     param_shapes,
 )
 from gradcheck import fd_mismatches
+from model_helpers import cast_params
 
 CFG = EncoderConfig(vocab_size=11, dim=16, layers=2, heads=2, max_len=12)
 

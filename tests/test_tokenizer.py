@@ -17,14 +17,13 @@ from fixhound.tokenizer import (
     SEP,
     TokenSequence,
     Vocabulary,
-    decode,
     encode,
     encode_pair,
-    tokenize,
     tokenize_batch,
     train_vocab,
 )
 from fixhound.trainer import load_checkpoint, save_checkpoint
+from model_helpers import decode, tokenize
 
 
 class TestTrainVocab:
