@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .config import read_jsonl, write_jsonl
-from .repo_miner import CommitRecord, FileChange, Hunk, Window
+from .records import CommitRecord, FileChange, Hunk, Window
 
 EMBED_SUBTRACT_DUO = "EmbedSubtract_Duo"
 EMBED_SUBTRACT_SINGLE = "EmbedSubtract_Single"

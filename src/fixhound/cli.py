@@ -4,36 +4,28 @@ All commands read one JSON config file; individual flags override config
 values, which override defaults. Every command writes a manifest (config
 digest, seed, package version) next to its outputs, and a lock file keeps
 two commands from sharing a workdir concurrently.
+
+Each command loads only the modules it runs: this module imports no other
+fixhound module at load time, so `--help` and a usage error load none, and
+each `cmd_*` imports what it uses (`repo_miner` for mine alone, numpy for
+the model commands alone).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
-import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .change_builder import VARIANTS, BuiltExample, build_examples, read_examples_jsonl, write_examples_jsonl
-from .config import DataError, RunConfig, TrainingError, UsageError, atomic_write, load_config
-from .evaluation import emit_report, evaluate, read_predictions_jsonl, write_predictions_jsonl, write_report
-from .repo_miner import (
-    CONTEXT_MAX,
-    NVF,
-    VF,
-    CommitRecord,
-    attach_labels,
-    downsample_nvf,
-    load_labels,
-    mine_repository,
-    read_commits_jsonl,
-    split_dataset,
-    write_commits_jsonl,
-)
+
+if TYPE_CHECKING:
+    from .change_builder import BuiltExample
+    from .config import RunConfig
+    from .records import CommitRecord
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,6 +47,8 @@ def _lock_holder_alive(lock: Path) -> bool:
 @contextlib.contextmanager
 def workdir_lock(workdir: Path):
     """Hold workdir/.lock (our pid) for the block; a dead run's lock is taken over once."""
+    from .config import DataError
+
     workdir.mkdir(parents=True, exist_ok=True)
     lock = workdir / ".lock"
     for attempt in (1, 2):
@@ -74,6 +68,10 @@ def workdir_lock(workdir: Path):
 
 
 def write_manifest(workdir: Path, command: str, cfg: RunConfig, outputs: list[str]) -> None:
+    import json
+
+    from .config import atomic_write
+
     manifest = {
         "command": command,
         "config_digest": cfg.digest(),
@@ -89,6 +87,12 @@ def write_manifest(workdir: Path, command: str, cfg: RunConfig, outputs: list[st
 # ---------------------------------------------------------------- mine
 
 def cmd_mine(cfg: RunConfig, workdir: Path) -> int:
+    import json
+
+    from .config import DataError, atomic_write
+    from .records import NVF, VF, write_commits_jsonl
+    from .repo_miner import CONTEXT_MAX, attach_labels, load_labels, mine_repository
+
     if not cfg.labels_file or not Path(cfg.labels_file).exists():
         raise DataError(f"labels file not found: {cfg.labels_file!r}")
     labels = load_labels(cfg.labels_file)
@@ -122,12 +126,16 @@ def cmd_mine(cfg: RunConfig, workdir: Path) -> int:
 
 def _check_context(commits: list[CommitRecord], k: int, path: Path) -> None:
     """A cut at k reads only lines the records store: refuse it up front otherwise."""
+    from .config import DataError
+
     stored = min((fc.context for rec in commits for fc in rec.files), default=k)
     if k > stored:
         raise DataError(f"{path} stores {stored} lines of context, too few for k={k}; re-run mine with k={k}")
 
 
 def _split_and_downsample(cfg: RunConfig, commits: list[CommitRecord]):
+    from .records import VF, downsample_nvf, split_dataset
+
     parts = split_dataset(commits, cfg.split_spec())
     for name in ("train", "val"):
         if any(r.label == VF for r in parts[name]):
@@ -136,6 +144,10 @@ def _split_and_downsample(cfg: RunConfig, commits: list[CommitRecord]):
 
 
 def cmd_build(cfg: RunConfig, workdir: Path) -> int:
+    from .change_builder import build_examples, write_examples_jsonl
+    from .config import DataError
+    from .records import read_commits_jsonl, write_commits_jsonl
+
     commits_path = workdir / "commits.jsonl"
     if not commits_path.exists():
         raise DataError(f"mined commits not found: {commits_path} (run mine first)")
@@ -154,6 +166,7 @@ def cmd_build(cfg: RunConfig, workdir: Path) -> int:
 
 def _train_vocab(cfg: RunConfig, train_examples: list[BuiltExample]):
     """BPE vocabulary over both views of every training example."""
+    from .config import DataError
     from .tokenizer import train_vocab
 
     if not train_examples:
@@ -163,18 +176,29 @@ def _train_vocab(cfg: RunConfig, train_examples: list[BuiltExample]):
 
 def _train_and_save(cfg: RunConfig, variant: str, train_examples, val_examples, vocab, workdir: Path, suffix: str = ""):
     """Train `variant`, then write checkpoint{suffix}.bin (model and vocabulary) and loss_log{suffix}.csv."""
+    import numpy as np
+
     from . import delta_model as dm
     from . import trainer as tr
+    from .config import TrainingError
 
-    train_batch = dm.encode_examples(train_examples, variant, vocab, cfg.max_len)
-    val_batch = dm.encode_examples(val_examples, variant, vocab, cfg.max_len)
-    result = tr.train(variant, cfg.encoder_config(vocab.size), train_batch, val_batch, cfg.train_config())
+    try:
+        # An overflow shows as a non-finite loss, which train refuses; the worker thread inherits the errstate.
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_batch = dm.encode_examples(train_examples, variant, vocab, cfg.max_len)
+            val_batch = dm.encode_examples(val_examples, variant, vocab, cfg.max_len)
+            result = tr.train(variant, cfg.encoder_config(vocab.size), train_batch, val_batch, cfg.train_config())
+    except MemoryError as exc:  # a configured model larger than memory passes the load checks
+        raise TrainingError(f"out of memory: {exc}") from None
     tr.save_checkpoint(result.model, vocab, workdir / f"checkpoint{suffix}.bin", {"k": cfg.k, "seed": cfg.seed})
     tr.write_loss_log(result.loss_log, workdir / f"loss_log{suffix}.csv")
     return result
 
 
 def cmd_train(cfg: RunConfig, workdir: Path) -> int:
+    from .change_builder import read_examples_jsonl
+    from .config import DataError
+
     train_path = workdir / "train.jsonl"
     val_path = workdir / "val.jsonl"
     if not train_path.exists() or not val_path.exists():
@@ -195,9 +219,15 @@ def cmd_train(cfg: RunConfig, workdir: Path) -> int:
 # ---------------------------------------------------------------- predict / evaluate
 
 def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
+    import math
+
     import numpy as np
 
+    from .change_builder import build_examples
+    from .config import DataError
+    from .evaluation import write_predictions_jsonl
     from .inference import predict_corpus
+    from .records import read_commits_jsonl
     from .trainer import load_checkpoint
 
     ckpt_path = Path(checkpoint) if checkpoint else workdir / "checkpoint.bin"
@@ -225,6 +255,10 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, workdir: Path, predictions: str | None) -> int:
+    from .config import DataError
+    from .evaluation import emit_report, evaluate, read_predictions_jsonl, write_report
+    from .records import read_commits_jsonl
+
     preds_path = Path(predictions) if predictions else workdir / "predictions.jsonl"
     if not preds_path.exists():
         raise DataError(f"predictions not found: {preds_path}")
@@ -246,7 +280,13 @@ def cmd_evaluate(cfg: RunConfig, workdir: Path, predictions: str | None) -> int:
 
 def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
     """Train, predict and evaluate every variant at the configured k, or the configured variant at each `sweep_k` value."""
+    from dataclasses import replace
+
+    from .change_builder import VARIANTS, build_examples
+    from .config import DataError
+    from .evaluation import emit_report, evaluate, write_predictions_jsonl, write_report
     from .inference import predict_corpus
+    from .records import read_commits_jsonl
 
     commits_path = workdir / "commits.jsonl"
     if not commits_path.exists():
@@ -304,6 +344,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    from .config import DataError, TrainingError, UsageError, load_config
+
     try:
         cfg = load_config(args.config, {"seed": args.seed, "k": args.k, "variant": args.variant, "workdir": args.out})
         workdir = Path(cfg.workdir)

@@ -2,7 +2,7 @@
 atomic file writer every artifact goes through, and the JSON-lines artifact
 reader and writer every stage shares.
 
-This module imports only the standard library at load time. `repo_miner`
+This module imports only the standard library at load time. `records`
 and the other data-layer modules import their error bases from here, so
 the two names RunConfig reads from them (the variant list and `SplitSpec`)
 are imported where they are used.
@@ -72,13 +72,14 @@ def write_jsonl(records: Iterable, path: str | Path) -> int:
 
 def read_jsonl(path: str | Path, from_dict: Callable[[dict], Record]) -> list[Record]:
     """Read the records `write_jsonl` wrote; a line that does not parse
-    (a truncated file, a foreign record) raises ArtifactError naming path:line."""
+    (a truncated file, a foreign record, bytes that are not UTF-8) raises
+    ArtifactError naming path:line."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    records.append(from_dict(json.loads(line)))
+                    records.append(from_dict(json.loads(line.decode("utf-8"))))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ArtifactError(f"{path}:{lineno}: unreadable record ({type(exc).__name__}: {exc})") from exc
     return records
@@ -230,7 +231,7 @@ class RunConfig:
         return EncoderConfig(vocab_size=vocab_size, max_len=self.max_len, **self.encoder)
 
     def split_spec(self):
-        from .repo_miner import SplitSpec
+        from .records import SplitSpec
 
         return SplitSpec.from_dict(self.split)
 

@@ -31,7 +31,7 @@ from .change_builder import (
 )
 from .config import EncoderConfig
 from .encoder import Params
-from .repo_miner import VF
+from .records import VF
 from .tokenizer import TokenSequence, Vocabulary, encode, encode_pair, tokenize_batch
 
 FUSION_SUBTRACT = "Subtract"

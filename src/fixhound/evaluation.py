@@ -25,7 +25,7 @@ from .change_builder import (
     RAW_GIT_DIFF,
 )
 from .config import DataError, atomic_write, read_jsonl, write_jsonl
-from .repo_miner import VF
+from .records import VF
 
 # Ablation table row order: variants first, the dual-subtract model last.
 REPORT_VARIANT_ORDER = (

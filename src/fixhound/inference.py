@@ -7,7 +7,7 @@ from typing import Iterable
 from .change_builder import BuiltExample
 from .delta_model import DeltaModel, encode_examples, predict_in_chunks
 from .evaluation import CommitPrediction
-from .repo_miner import NVF, VF
+from .records import NVF, VF
 from .tokenizer import Vocabulary
 
 

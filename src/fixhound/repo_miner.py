@@ -1,4 +1,4 @@
-"""Mine commit-level change records from local git repositories.
+"""Mine commit records (`records.CommitRecord`) from local git repositories.
 
 Commits are decomposed into per-file line diffs (hunks) together with the
 lines within `context` of each hunk on both sides (the merged regions of a
@@ -14,8 +14,7 @@ commit's file statuses with full object ids, and one long-lived
 `_IN_FLIGHT` requests written ahead of the reply being read. Because
 blobs are read by id rather than by `commit:path`, a file whose name is not
 valid UTF-8 is mined like any other (its stored path is decoded with
-errors="replace"). `split_dataset` and `downsample_nvf` partition the
-mined records for training, validation and test.
+errors="replace"). Of the CLI commands, only `mine` loads this module.
 """
 
 from __future__ import annotations
@@ -24,25 +23,19 @@ import contextlib
 import csv
 import io
 import logging
-import math
-import random
 import subprocess
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from difflib import SequenceMatcher
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .config import DataError, _is_int, _is_number, read_jsonl, write_jsonl
+from .change_builder import context_regions
+from .config import DataError
+from .records import NVF, VF, CommitRecord, FileChange, Hunk, Window
 
 log = logging.getLogger(__name__)
-
-VF = "VF"
-NVF = "NVF"
-
-CROSS_PROJECT = "CrossProject"
-TEMPORAL = "Temporal"
 
 # Context a mined record keeps by default: the largest k of the paper's sweep.
 CONTEXT_MAX = 9
@@ -68,103 +61,12 @@ class LabelError(DataError):
     """Malformed or inconsistent label feed."""
 
 
-class SplitError(DataError):
-    """Records that the configured split cannot partition."""
-
-
 class _UnreadableObject(Exception):
     """An object id the blob stream cannot return as a blob."""
 
 
-# Field checks for the from_dicts: a damaged artifact line fails as it is read, naming path:line.
-def _int(d: dict, name: str) -> int:
-    if not _is_int(d[name]):
-        raise ValueError(f"{name} must be an integer, not {type(d[name]).__name__}")
-    return d[name]
-
-
-def _lines(d: dict, name: str) -> tuple[str, ...]:
-    if not isinstance(d[name], list) or not all(isinstance(line, str) for line in d[name]):
-        raise ValueError(f"{name} must be a list of strings")
-    return tuple(d[name])
-
-
-@dataclass(frozen=True)
-class Hunk:
-    old_start: int  # 1-based; for pure insertions, the line the insert precedes
-    removed_lines: tuple[str, ...]
-    new_start: int
-    added_lines: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.removed_lines and not self.added_lines:
-            raise ValueError("hunk with neither removed nor added lines")
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)  # tuples serialise as JSON arrays
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Hunk":
-        return cls(_int(d, "old_start"), _lines(d, "removed_lines"), _int(d, "new_start"), _lines(d, "added_lines"))
-
-
-@dataclass(frozen=True)
-class Window:
-    """Lines `old_lo`.. of the old file and `new_lo`.. of the new file (1-based)
-    that one merged context region covers."""
-
-    old_lo: int
-    new_lo: int
-    old_lines: tuple[str, ...]
-    new_lines: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Window":
-        return cls(_int(d, "old_lo"), _int(d, "new_lo"), _lines(d, "old_lines"), _lines(d, "new_lines"))
-
-
-@dataclass(frozen=True)
-class FileChange:
-    """One file's hunks plus the only lines any cut at k <= `context` reads:
-    the merged regions of `context_regions(fc, context)`, one Window each."""
-
-    path: str
-    hunks: tuple[Hunk, ...]
-    removed_loc: int
-    added_loc: int
-    old_len: int
-    new_len: int
-    context: int
-    windows: tuple[Window, ...]
-
-    def to_dict(self) -> dict:
-        return {**self.__dict__, "hunks": [h.to_dict() for h in self.hunks], "windows": [w.to_dict() for w in self.windows]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FileChange":
-        hunks = tuple(Hunk.from_dict(h) for h in d["hunks"])
-        if hunks and not d["windows"]:
-            raise ValueError(f"{d['path']}: hunks without a context window")
-        for name in ("removed_loc", "added_loc", "old_len", "new_len", "context"):
-            _int(d, name)
-        windows = tuple(Window.from_dict(w) for w in d["windows"])
-        # A cut at k <= context finds its window as the last one starting at or
-        # before the region, so the windows must start in order and the first
-        # must start at or before the first hunk's widest region.
-        if any(a.old_lo >= b.old_lo for a, b in zip(windows, windows[1:])):
-            raise ValueError(f"{d['path']}: context windows out of order")
-        if hunks and windows[0].old_lo > max(1, hunks[0].old_start - d["context"]):
-            raise ValueError(f"{d['path']}: context windows do not cover the first hunk")
-        return cls(**{**d, "hunks": hunks, "windows": windows})
-
-
 def file_change(path: str, old_lines: tuple[str, ...] | list[str], new_lines: tuple[str, ...] | list[str], context: int) -> FileChange:
     """Diff two file versions and keep the lines a cut at k <= context can read."""
-    from .change_builder import context_regions  # change_builder imports this module
-
     hunks = diff_lines(old_lines, new_lines)
     removed, added = sum(len(h.removed_lines) for h in hunks), sum(len(h.added_lines) for h in hunks)
     fc = FileChange(path, hunks, removed, added, len(old_lines), len(new_lines), context, windows=())
@@ -173,27 +75,6 @@ def file_change(path: str, old_lines: tuple[str, ...] | list[str], new_lines: tu
         for r in context_regions(fc, context)
     )
     return replace(fc, windows=windows)
-
-
-@dataclass(frozen=True)
-class CommitRecord:
-    repo_id: str
-    commit_hash: str
-    timestamp: int  # UTC seconds
-    label: str  # VF or NVF
-    files: tuple[FileChange, ...]
-
-    def __post_init__(self):
-        if not self.files:
-            raise ValueError(f"commit {self.commit_hash} has no file changes")
-
-    def to_dict(self) -> dict:
-        return {**self.__dict__, "files": [f.to_dict() for f in self.files]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CommitRecord":
-        _int(d, "timestamp")
-        return cls(**{**d, "files": tuple(FileChange.from_dict(f) for f in d["files"])})
 
 
 def diff_lines(old: tuple[str, ...] | list[str], new: tuple[str, ...] | list[str]) -> tuple[Hunk, ...]:
@@ -410,12 +291,15 @@ def load_labels(labels_file: str | Path) -> dict[tuple[str, str], str]:
         raise LabelError(f"{labels_file}: not UTF-8 text (byte {exc.start})") from None
     except OSError as exc:
         raise LabelError(f"{labels_file}: cannot read ({exc.strerror})") from None
-    entries: dict[tuple[str, str], str] = {}
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise LabelError(f"{labels_file}: not a label feed ({exc})") from None
+    header = rows[0] if rows else None
     if header != ["repo_id", "commit_hash", "vuln_id"]:
         raise LabelError(f"{labels_file}: bad header {header!r}")
-    for lineno, row in enumerate(reader, start=2):
+    entries: dict[tuple[str, str], str] = {}
+    for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 3 or not all(row):
             raise LabelError(f"{labels_file}:{lineno}: malformed row {row!r}")
         repo_id, commit_hash, vuln_id = row
@@ -437,113 +321,3 @@ def attach_labels(
         label = VF if (rec.repo_id, rec.commit_hash) in labels else NVF
         yield replace(rec, label=label)
 
-
-def downsample_nvf(records: list[CommitRecord], ratio: float, seed: int) -> list[CommitRecord]:
-    """Keep all VF records and a seeded uniform sample of NVF records.
-
-    Target NVF count is ceil(ratio * VF count), clamped to availability.
-    Output is re-sorted by (timestamp, repo_id, commit_hash).
-    """
-    vf = [r for r in records if r.label == VF]
-    nvf = [r for r in records if r.label == NVF]
-    if not vf:
-        raise ValueError("cannot downsample: no VF records present")
-    target = min(len(nvf), math.ceil(ratio * len(vf)))
-    kept_nvf = random.Random(seed).sample(nvf, target)
-    out = vf + kept_nvf
-    out.sort(key=lambda r: (r.timestamp, r.repo_id, r.commit_hash))
-    return out
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    strategy: str
-    # CrossProject: explicit repo partitions
-    train_repos: tuple[str, ...] = ()
-    val_repos: tuple[str, ...] = ()
-    test_repos: tuple[str, ...] = ()
-    # Temporal: VF fraction boundaries plus the held-out test range start
-    train_frac: float = 0.9
-    val_frac: float = 0.1
-    test_start: int | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitSpec":
-        """Build a spec from config JSON; a field of the wrong type or range raises TypeError/ValueError."""
-        if d["strategy"] not in (CROSS_PROJECT, TEMPORAL):
-            raise ValueError(f"unknown split strategy {d['strategy']!r}")
-        if not (d.get("test_start") is None or _is_int(d["test_start"])):
-            raise TypeError(f"test_start must be an integer or null, got {d['test_start']!r}")
-        for name in ("train_frac", "val_frac"):
-            if name in d and not (_is_number(d[name]) and 0 <= d[name] <= 1):
-                raise ValueError(f"{name} must be a number in [0, 1], got {d[name]!r}")
-        for name in ("train_repos", "val_repos", "test_repos"):
-            if not (isinstance(d.get(name, []), list) and all(isinstance(r, str) for r in d.get(name, []))):
-                raise TypeError(f"{name} must be a list of strings, got {d[name]!r}")
-        return cls(**{**d, **{name: tuple(d.get(name, ())) for name in ("train_repos", "val_repos", "test_repos")}})
-
-
-def split_dataset(records: list[CommitRecord], spec: SplitSpec) -> dict[str, list[CommitRecord]]:
-    """Partition commit records per the split spec; deterministic."""
-    if spec.strategy == CROSS_PROJECT:
-        return _split_cross_project(records, spec)
-    if spec.strategy == TEMPORAL:
-        return _split_temporal(records, spec)
-    raise SplitError(f"unknown split strategy {spec.strategy!r}")
-
-
-def _split_cross_project(records, spec: SplitSpec):
-    assignment: dict[str, str] = {}
-    for part, repos in (("train", spec.train_repos), ("val", spec.val_repos), ("test", spec.test_repos)):
-        for repo in repos:
-            if repo in assignment:
-                raise SplitError(f"repo {repo!r} listed in both {assignment[repo]} and {part}")
-            assignment[repo] = part
-    out = {"train": [], "val": [], "test": []}
-    for rec in records:
-        part = assignment.get(rec.repo_id)
-        if part is None:
-            raise SplitError(f"repo {rec.repo_id!r} has commits but is listed in no partition")
-        out[part].append(rec)
-    return out
-
-
-def _split_temporal(records, spec: SplitSpec):
-    if spec.test_start is None:
-        raise SplitError("Temporal split requires test_start")
-    pre = [r for r in records if r.timestamp < spec.test_start]
-    test = [r for r in records if r.timestamp >= spec.test_start]
-    vf = sorted((r for r in pre if r.label == VF), key=lambda r: (r.timestamp, r.repo_id, r.commit_hash))
-    n_train = int(len(vf) * spec.train_frac)
-    # extend past timestamp ties so the train/val boundary is strict
-    while 0 < n_train < len(vf) and vf[n_train].timestamp == vf[n_train - 1].timestamp:
-        n_train += 1
-    boundary = vf[n_train - 1].timestamp if n_train > 0 else None
-    out = {"train": [], "val": [], "test": list(test)}
-    for rec in pre:
-        if boundary is not None and rec.timestamp <= boundary:
-            out["train"].append(rec)
-        else:
-            out["val"].append(rec)
-    for part in out.values():
-        part.sort(key=lambda r: (r.timestamp, r.repo_id, r.commit_hash))
-    return out
-
-
-def write_commits_jsonl(records: Iterable[CommitRecord], path: str | Path) -> int:
-    """Write records as JSON-lines in ascending timestamp order; returns count."""
-    return write_jsonl(sorted(records, key=lambda r: (r.timestamp, r.repo_id, r.commit_hash)), path)
-
-
-def read_commits_jsonl(path: str | Path) -> list[CommitRecord]:
-    """Read `write_commits_jsonl` output; a repeated (repo_id, commit_hash) is an unreadable record."""
-    seen: set[tuple[str, str]] = set()
-
-    def from_dict(d: dict) -> CommitRecord:
-        rec = CommitRecord.from_dict(d)
-        if (rec.repo_id, rec.commit_hash) in seen:
-            raise ValueError(f"commit {rec.commit_hash} of {rec.repo_id} appears twice")
-        seen.add((rec.repo_id, rec.commit_hash))
-        return rec
-
-    return read_jsonl(path, from_dict)

@@ -4,7 +4,8 @@ import subprocess
 import numpy as np
 import pytest
 
-from fixhound.repo_miner import CONTEXT_MAX, NVF, VF, CommitRecord, FileChange, file_change
+from fixhound.records import NVF, VF, CommitRecord, FileChange
+from fixhound.repo_miner import CONTEXT_MAX, file_change
 
 
 def run_git(repo, *args, env_extra=None):

@@ -18,7 +18,8 @@ import subprocess
 from pathlib import Path
 from typing import Iterator
 
-from fixhound.repo_miner import CONTEXT_MAX, NVF, CommitRecord, FileChange, Hunk, _is_binary, _split_lines, file_change
+from fixhound.records import NVF, CommitRecord, FileChange, Hunk
+from fixhound.repo_miner import CONTEXT_MAX, _is_binary, _split_lines, file_change
 
 log = logging.getLogger(__name__)
 

@@ -33,17 +33,17 @@ from fixhound.delta_model import (
 from fixhound.config import EncoderConfig, TrainConfig
 from fixhound.evaluation import CommitPrediction, cost_effort
 from fixhound.inference import predict_corpus
-from fixhound.repo_miner import (
+from fixhound.records import (
     CROSS_PROJECT,
     NVF,
     TEMPORAL,
     VF,
     CommitRecord,
     SplitSpec,
-    mine_repository,
     split_dataset,
     write_commits_jsonl,
 )
+from fixhound.repo_miner import mine_repository
 from fixhound.tokenizer import train_vocab
 from fixhound.trainer import f1_at_half, load_checkpoint, save_checkpoint, train
 from model_helpers import cast_model, equivalent_concat_model

@@ -24,7 +24,7 @@ from fixhound.change_builder import VARIANTS, read_examples_jsonl
 from fixhound.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _split_and_downsample, main
 from fixhound.config import MIN_VOCAB_SIZE, RunConfig, atomic_write, load_config, write_jsonl
 from fixhound.evaluation import CommitPrediction, write_predictions_jsonl
-from fixhound.repo_miner import NVF, read_commits_jsonl, write_commits_jsonl
+from fixhound.records import NVF, read_commits_jsonl, write_commits_jsonl
 from fixhound.tokenizer import MIN_VOCAB
 from model_helpers import force_concurrent_streams
 
@@ -199,6 +199,12 @@ class TestMine:
         config = write_config(tmp_path, tmp_path / "out", repos=[], labels_file=str(labels))
         assert main(["--config", str(config), "mine"]) == EXIT_DATA
         one_line_error(capsys, f"{labels}: not UTF-8 text (byte 42)")
+
+    def test_labels_field_beyond_the_csv_limit_is_data_error(self, tmp_path, capsys):
+        labels = self._labels(tmp_path, [("proj", "x" * 200_000, "CVE-1")])
+        config = write_config(tmp_path, tmp_path / "out", repos=[], labels_file=str(labels))
+        assert main(["--config", str(config), "mine"]) == EXIT_DATA
+        one_line_error(capsys, f"{labels}: not a label feed (field larger than field limit")
 
     def test_labels_file_that_is_a_directory_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path, tmp_path / "out", repos=[], labels_file=str(tmp_path))
@@ -808,6 +814,15 @@ class TestBadArtifacts:
         one_line_error(capsys, f"{path}:{len(lines) + 1}: unreadable record (ValueError: {duplicate})")
         assert not (workdir / "predictions.jsonl").exists()
 
+    def test_line_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        workdir, _ = seeded_workdir(tmp_path)
+        path = workdir / "commits.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"path": "', b'"path": "\xff', 1)
+        path.write_bytes(b"".join(lines))
+        assert main(["--config", str(write_config(tmp_path, workdir)), "build"]) == EXIT_DATA
+        one_line_error(capsys, f"{path}:3: unreadable record (UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff")
+
     @pytest.mark.parametrize(
         "artifact, command",
         [("commits.jsonl", "build"), ("train.jsonl", "train"), ("predictions.jsonl", "evaluate")],
@@ -824,6 +839,34 @@ class TestBadArtifacts:
         capsys.readouterr()
         assert main(["--config", str(config), command]) == EXIT_DATA
         one_line_error(capsys, f"{path}:{lines}: unreadable record (JSONDecodeError")
+
+
+class TestTrainingFailure:
+    """A config that passes the load checks but cannot train ends `train` and
+    `ablate` with exit 3 and one stderr line, also in a fresh process, where
+    numpy's RuntimeWarnings would reach stderr."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"train": {**FAST_CONFIG["train"], "learning_rate": 1e300}}, "training failed: non-finite loss nan at step 1"),
+            ({"encoder": {**FAST_CONFIG["encoder"], "dim": 2**40, "heads": 1}}, "training failed: out of memory: Unable to allocate"),
+        ],
+        ids=["overflowing-learning-rate", "model-beyond-memory"],
+    )
+    def test_one_line_and_exit_3(self, tmp_path, command, extra, message):
+        workdir, _ = seeded_workdir(tmp_path)
+        assert main(["--config", str(write_config(tmp_path, workdir)), "build"]) == EXIT_OK
+        config = write_config(tmp_path, workdir, **extra)
+        src = Path(cb.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fixhound.cli", "--config", str(config), command],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3 and proc.stderr.count("\n") == 1 and proc.stderr.startswith(message), proc.stderr
+        assert not list(workdir.glob("checkpoint*.bin"))
 
 
 _JUNK = st.one_of(
@@ -869,6 +912,20 @@ _FIELDS = {
 }
 
 
+def _run_quietly(*argv: str) -> tuple[int, str]:
+    """main(argv) with stdout dropped; its exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def _assert_contract(code: int, err: str) -> None:
+    """Exit 0 silently, or 1-3 with one stderr line and no traceback."""
+    assert code in (0, 1, 2, 3), code
+    assert err.count("\n") == (code != 0) and "Traceback" not in err, err
+
+
 @pytest.fixture(scope="module")
 def mined_commits(tmp_path_factory):
     workdir, _ = seeded_workdir(tmp_path_factory.mktemp("fuzz"))
@@ -894,13 +951,114 @@ class TestConfigFuzz:
             config = Path(tmp) / "config.json"
             config.write_text(json.dumps({**cfg, "workdir": str(workdir)}))
             for command in ("build", "train"):
-                err = io.StringIO()
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    code = main(["--config", str(config), command])
-                assert code in (0, 1, 2, 3), (command, code)
-                assert err.getvalue().count("\n") == (code != 0) and "Traceback" not in err.getvalue(), err.getvalue()
+                code, err = _run_quietly("--config", str(config), command)
+                _assert_contract(code, err)
                 if code == EXIT_USAGE:
                     assert command == "build", "a config error passed the build's load"
                     assert sorted(p.name for p in workdir.iterdir()) == ["commits.jsonl"]
                 if code != EXIT_OK:
                     break
+
+
+@pytest.fixture(scope="module")
+def labelled_repo(tmp_path_factory):
+    """A three-commit repository and its commit hashes."""
+    repo = init_repo(tmp_path_factory.mktemp("labels") / "proj")
+    hashes = [commit_files(repo, {"a.c": f"line {i}\n"}, f"c{i}", 1000 + i) for i in range(3)]
+    return repo, hashes
+
+
+_HEADER = "repo_id,commit_hash,vuln_id"
+
+
+@st.composite
+def _label_feeds(draw, hashes):
+    """Label-feed bytes: arbitrary bytes, or a header and rows of cells that
+    are often real (repo, commit) pairs, with CSV quoting, stray separators,
+    odd line ends and non-UTF-8 bytes."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.binary(max_size=120))
+    cell = st.one_of(st.sampled_from(["proj", *hashes, "CVE-1", "", '"', ",", '"a,b"', '"x\ny"']), st.text(max_size=8))
+    header = draw(st.one_of(st.just(_HEADER), st.sampled_from(["", "repo_id,commit_hash", f'"{_HEADER}"', _HEADER.upper(), f"{_HEADER},x"]), st.text(max_size=12)))
+    rows = draw(st.lists(st.one_of(st.lists(cell, max_size=4).map(",".join), st.text(max_size=12)), max_size=5))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    raw = eol.join([header, *rows]).encode("utf-8")
+    if draw(st.booleans()):
+        raw += eol.encode()
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\x00", b"\xc3", b"\xed\xa0\x80"])) + raw[at:]
+    return raw
+
+
+class TestLabelsFuzz:
+    """Any labels file: `mine` exits 0 or 2 with at most one stderr line, and
+    on success every mined commit is labelled VF or NVF."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mine_keeps_the_failure_contract(self, labelled_repo, data):
+        repo, hashes = labelled_repo
+        with tempfile.TemporaryDirectory() as tmp:
+            labels = Path(tmp) / "labels.csv"
+            labels.write_bytes(data.draw(_label_feeds(hashes), label="labels"))
+            workdir = Path(tmp) / "out"
+            config = write_config(Path(tmp), workdir, repos=[str(repo)], labels_file=str(labels))
+            code, err = _run_quietly("--config", str(config), "mine")
+            _assert_contract(code, err)
+            assert code in (EXIT_OK, EXIT_DATA), err
+            if code == EXIT_OK:
+                summary = json.loads((workdir / "mine_summary.json").read_text())
+                assert summary["commits"] == summary["VF"] + summary["NVF"] == len(hashes)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**64), 2**64) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutated(draw, value):
+    """`value` with one node, found by a random walk from the root, replaced
+    by a drawn JSON value or (in an object) deleted."""
+    if isinstance(value, dict) and value and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(sorted(value)))
+        if draw(st.integers(0, 5)) == 0:
+            return {k: v for k, v in value.items() if k != key}
+        return {**value, key: _mutated(draw, value[key])}
+    if isinstance(value, list) and value and draw(st.integers(0, 3)):
+        i = draw(st.integers(0, len(value) - 1))
+        return [*value[:i], _mutated(draw, value[i]), *value[i + 1 :]]
+    return draw(_JSON_VALUES)
+
+
+@st.composite
+def _damaged_line(draw, line: bytes) -> bytes:
+    """One commits.jsonl line, damaged as JSON (a node replaced or deleted) or as bytes."""
+    kind = draw(st.sampled_from(["json", "json", "json", "cut", "insert"]))
+    if kind == "json":
+        return json.dumps(_mutated(draw, json.loads(line)), ensure_ascii=False).encode("utf-8") + b"\n"
+    at = draw(st.integers(0, len(line)))
+    if kind == "cut":
+        return line[:at]
+    return line[:at] + draw(st.binary(min_size=1, max_size=4)) + line[at:]
+
+
+class TestCommitsFuzz:
+    """One damaged `commits.jsonl` line: `build` exits 0 or 2 with at most
+    one stderr line, and never a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_build_keeps_the_failure_contract(self, mined_commits, data):
+        lines = mined_commits.read_bytes().splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        lines[i] = data.draw(_damaged_line(lines[i]), label="damaged")
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp) / "out"
+            workdir.mkdir()
+            (workdir / "commits.jsonl").write_bytes(b"".join(lines))
+            code, err = _run_quietly("--config", str(write_config(Path(tmp), workdir)), "build")
+            _assert_contract(code, err)
+            assert code in (EXIT_OK, EXIT_DATA), err

@@ -35,7 +35,7 @@ from fixhound.delta_model import (
     predict_in_chunks,
 )
 from fixhound.config import EncoderConfig
-from fixhound.repo_miner import NVF, VF
+from fixhound.records import NVF, VF
 from fixhound.tokenizer import SEP, encode, train_vocab
 from gradcheck import fd_mismatches
 from model_helpers import SEP_MARKER, cast_model, equivalent_concat_model, force_concurrent_streams, tokenize

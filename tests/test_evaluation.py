@@ -17,7 +17,7 @@ from fixhound.evaluation import (
     emit_report,
     evaluate,
 )
-from fixhound.repo_miner import NVF, VF
+from fixhound.records import NVF, VF
 
 
 def pred(sha, prob, loc, repo="r"):

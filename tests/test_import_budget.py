@@ -1,7 +1,15 @@
-"""The data stages start without numpy: `--help`, `mine`, `build` and
-`evaluate` each run in a fresh interpreter, and numpy must not be in
-`sys.modules` when `main` returns. `train` and `predict` load the model
-layer, and must still succeed in the same pipeline."""
+"""Each command loads only the modules it runs. `--help`, a usage error and
+every pipeline stage run `fixhound.cli.main` in a fresh interpreter, which
+reports the modules in `sys.modules` when `main` returns:
+
+- `--help` and an argparse usage error load no fixhound module but `cli`;
+- only `mine` loads `repo_miner` and the stdlib modules only it uses
+  (`subprocess`, `difflib`, `csv`);
+- `mine`, `build` and `train` do not load `evaluation`;
+- the data stages (`mine`, `build`, `evaluate`) do not load numpy.
+
+`train` and `predict` load the model layer, and the pipeline must still
+succeed stage by stage."""
 
 import json
 import os
@@ -16,16 +24,24 @@ from conftest import make_planted_repo
 
 SRC = Path(fixhound.__file__).resolve().parents[1]
 
+# Modules a fresh interpreter may hold only if the command needs them.
+WATCHED = ("numpy", "subprocess", "difflib", "csv")
+
 CHILD = (
     "import json, sys\n"
     "from fixhound.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules}))\n"
+    f"watched = {WATCHED!r}\n"
+    "fixhound = sorted(m for m in sys.modules if m.startswith('fixhound.'))\n"
+    "print(json.dumps({'code': code, 'fixhound': fixhound, 'watched': sorted(m for m in watched if m in sys.modules)}))\n"
 )
+
+STAGES = ("mine", "build", "train", "predict", "evaluate")
 
 
 def run_fresh(*args: str) -> dict:
-    """Call fixhound.cli.main(args) in a new interpreter; its exit code and whether numpy was imported."""
+    """Call fixhound.cli.main(args) in a new interpreter; its exit code, the
+    fixhound modules it loaded and which of WATCHED it loaded."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", CHILD, *args], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -53,15 +69,40 @@ def config_path(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def pipeline(config_path) -> dict:
+    """Each stage's run_fresh result, the stages run in pipeline order."""
+    results = {}
+    for stage in STAGES:
+        results[stage] = run_fresh("--config", str(config_path), stage)
+        assert results[stage]["code"] == 0, stage
+    return results
+
+
 def test_help_does_not_import_numpy():
-    assert run_fresh("--help") == {"code": 0, "numpy": False}
+    assert run_fresh("--help") == {"code": 0, "fixhound": ["fixhound.cli"], "watched": []}
 
 
-def test_only_train_and_predict_import_numpy(config_path):
-    for stage in ("mine", "build", "train", "predict", "evaluate"):
-        result = run_fresh("--config", str(config_path), stage)
-        assert result["code"] == 0, stage
-        if stage not in ("train", "predict"):
-            assert not result["numpy"], f"{stage} imported numpy"
+def test_usage_error_loads_no_fixhound_module_but_cli():
+    assert run_fresh("no-such-command") == {"code": 1, "fixhound": ["fixhound.cli"], "watched": []}
+
+
+def test_only_train_and_predict_import_numpy(pipeline, config_path):
+    for stage, result in pipeline.items():
+        assert ("numpy" in result["watched"]) == (stage in ("train", "predict")), stage
     report = json.loads((Path(json.loads(config_path.read_text())["workdir"]) / "report.json").read_text())
     assert set(report["EmbedSubtract_Duo"]["cost_effort"]) == {"5", "20"}
+
+
+def test_only_mine_loads_the_miner(pipeline):
+    for stage, result in pipeline.items():
+        mines = stage == "mine"
+        assert ("fixhound.repo_miner" in result["fixhound"]) == mines, stage
+        for name in ("subprocess", "difflib", "csv"):
+            assert (name in result["watched"]) == mines, (stage, name)
+
+
+def test_only_predict_and_evaluate_load_evaluation(pipeline):
+    for stage, result in pipeline.items():
+        assert ("fixhound.evaluation" in result["fixhound"]) == (stage in ("predict", "evaluate")), stage
+

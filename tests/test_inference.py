@@ -21,7 +21,7 @@ from fixhound.delta_model import batch_from_sequences, init_model, predict_batch
 from fixhound.config import EncoderConfig
 from fixhound.evaluation import CommitPrediction, read_predictions_jsonl, write_predictions_jsonl
 from fixhound.inference import predict_corpus
-from fixhound.repo_miner import NVF, VF, CommitRecord
+from fixhound.records import NVF, VF, CommitRecord
 from fixhound.tokenizer import encode, encode_pair, train_vocab
 
 VOCAB = train_vocab(["alpha beta gamma delta_ omega sigma kappa theta VULNCHECK"], 300)

@@ -7,21 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import commit_files, init_repo, run_git
 from mining_oracle import apply_hunks
+from fixhound.records import NVF, VF, CommitRecord, FileChange, downsample_nvf, read_commits_jsonl, write_commits_jsonl
 from fixhound.repo_miner import (
-    NVF,
-    VF,
-    CommitRecord,
-    FileChange,
     LabelError,
     MiningError,
     attach_labels,
     diff_lines,
-    downsample_nvf,
     file_change,
     load_labels,
     mine_repository,
-    read_commits_jsonl,
-    write_commits_jsonl,
 )
 
 

@@ -14,7 +14,8 @@ import pytest
 from conftest import commit_files, init_repo, run_git
 from fixhound import repo_miner
 from fixhound.change_builder import build_example
-from fixhound.repo_miner import CONTEXT_MAX, MiningError, _UnreadableObject, mine_repository, write_commits_jsonl
+from fixhound.records import write_commits_jsonl
+from fixhound.repo_miner import CONTEXT_MAX, MiningError, _UnreadableObject, mine_repository
 from mining_oracle import mine_repository_per_commit
 
 ABSENT_COMMIT = "1" * 40  # a gitlink target that is not in the repository
@@ -269,7 +270,8 @@ class TestBlobStream:
         assert all(len("".join(body)) > 64 * 1024 for body in lines.values())
         child = textwrap.dedent("""
             import sys
-            from fixhound.repo_miner import mine_repository, write_commits_jsonl
+            from fixhound.records import write_commits_jsonl
+            from fixhound.repo_miner import mine_repository
             write_commits_jsonl(mine_repository(sys.argv[1]), sys.argv[2])
         """)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

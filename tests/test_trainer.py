@@ -10,7 +10,7 @@ import fixhound.delta_model as dm
 from fixhound.change_builder import EMBED_SUBTRACT_DUO, RAW_GIT_DIFF
 from fixhound.delta_model import EncodedBatch, init_model, predict_batch, predict_in_chunks
 from fixhound.config import EncoderConfig, TrainConfig, TrainingError
-from fixhound.repo_miner import CROSS_PROJECT, NVF, TEMPORAL, VF, CommitRecord, SplitError, SplitSpec, split_dataset
+from fixhound.records import CROSS_PROJECT, NVF, TEMPORAL, VF, CommitRecord, SplitError, SplitSpec, split_dataset
 from fixhound.tokenizer import BYTE_BASE, MIN_VOCAB, Vocabulary
 from fixhound.trainer import AdamW, CheckpointError, f1_at_half, load_checkpoint, save_checkpoint, train, write_loss_log
 
