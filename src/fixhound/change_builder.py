@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .config import read_jsonl, write_jsonl
 from .records import CommitRecord, FileChange, Hunk, Window
@@ -27,20 +27,27 @@ CODE_CONCAT = "CodeConcat"
 CODE_CONCAT_NOCONTEXT = "CodeConcat_NoContext"
 RAW_GIT_DIFF = "RawGitDiff"
 
-VARIANTS = (
-    EMBED_SUBTRACT_DUO,
-    EMBED_SUBTRACT_SINGLE,
-    EMBED_CONCAT_DUO,
-    CODE_CONCAT,
-    CODE_CONCAT_NOCONTEXT,
-    RAW_GIT_DIFF,
-)
 
-# Variants whose model consumes two separate text streams.
-DUAL_STREAM_VARIANTS = (EMBED_SUBTRACT_DUO, EMBED_SUBTRACT_SINGLE, EMBED_CONCAT_DUO)
+class Variant(NamedTuple):
+    """How one ablation variant renders a change and fuses its encodings."""
 
-# Single-stream variants whose two text segments are joined by one SEP token.
-PAIR_VARIANTS = (CODE_CONCAT, CODE_CONCAT_NOCONTEXT)
+    fields: tuple[str, ...]  # the BuiltExample texts it encodes, in order
+    fusion: str  # "Subtract" or "Concat" of two encoded streams, or "Sequence": one (two fields SEP-joined)
+    own_encoders: bool  # whether the two streams have independent encoders
+
+
+_CUT = ("code_before", "code_after")
+
+# Every ablation variant, in the paper's table row order (the full model last);
+# every module reads a variant's texts, fusion and encoders from here.
+VARIANTS = {
+    EMBED_CONCAT_DUO: Variant(_CUT, "Concat", True),
+    EMBED_SUBTRACT_SINGLE: Variant(_CUT, "Subtract", False),
+    CODE_CONCAT: Variant(_CUT, "Sequence", False),
+    CODE_CONCAT_NOCONTEXT: Variant(("removed_code", "added_code"), "Sequence", False),
+    RAW_GIT_DIFF: Variant(("raw_diff",), "Sequence", False),
+    EMBED_SUBTRACT_DUO: Variant(_CUT, "Subtract", True),
+}
 
 
 @dataclass(frozen=True)
@@ -179,16 +186,10 @@ class BuiltExample:
     raw_diff: str
 
     def variant_texts(self, variant: str) -> tuple[str, ...]:
-        """The text segments `variant` encodes: two streams for the dual
-        variants, the two sides of one SEP-joined sequence for the pair
-        variants, one text for RawGitDiff."""
-        if variant in DUAL_STREAM_VARIANTS or variant == CODE_CONCAT:
-            return (self.code_before, self.code_after)
-        if variant == CODE_CONCAT_NOCONTEXT:
-            return (self.removed_code, self.added_code)
-        if variant == RAW_GIT_DIFF:
-            return (self.raw_diff,)
-        raise ValueError(f"unknown variant {variant!r}")
+        """The texts `variant` encodes: its table fields, in order."""
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        return tuple(getattr(self, name) for name in VARIANTS[variant].fields)
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)

@@ -72,14 +72,18 @@ def write_jsonl(records: Iterable, path: str | Path) -> int:
 
 def read_jsonl(path: str | Path, from_dict: Callable[[dict], Record]) -> list[Record]:
     """Read the records `write_jsonl` wrote; a line that does not parse
-    (a truncated file, a foreign record, bytes that are not UTF-8) raises
-    ArtifactError naming path:line."""
+    (a truncated file, a foreign record, bytes that are not UTF-8, a lone
+    surrogate escape that no writer can write back) raises ArtifactError
+    naming path:line."""
     records = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    records.append(from_dict(json.loads(line.decode("utf-8"))))
+                    obj = json.loads(line.decode("utf-8"))
+                    if b"\\ud" in line or b"\\uD" in line:  # raises UnicodeEncodeError on a lone surrogate
+                        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                    records.append(from_dict(obj))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ArtifactError(f"{path}:{lineno}: unreadable record ({type(exc).__name__}: {exc})") from exc
     return records
@@ -185,7 +189,7 @@ class RunConfig:
             ("downsample_ratio", "a number", _is_number),
             ("repos", "a list of strings", lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v)),
         ]
-        checks += [(name, "a string", lambda v: isinstance(v, str)) for name in ("labels_file", "workdir")]
+        checks += [(name, "a string", lambda v: isinstance(v, str)) for name in ("labels_file", "workdir", "variant")]
         checks += [(name, "an object", lambda v: isinstance(v, dict)) for name in ("encoder", "train", "split")]
         for name, expected, ok in checks:
             if not ok(getattr(self, name)):

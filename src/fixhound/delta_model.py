@@ -1,9 +1,9 @@
 """Variant assembly: encoder(s) -> fusion -> feed-forward head -> probability.
 
-The six ablation variants share one classifier interface. Dual-stream
-variants embed code_before and code_after separately and fuse by
+The variants of `change_builder.VARIANTS` share one classifier interface.
+Dual-stream variants embed their two texts separately and fuse by
 element-wise subtraction (delta) or concatenation; single-stream variants
-run one encoder over a single rendered text. The two streams of a large
+run one encoder over one sequence. The two streams of a large
 batch run on two threads (see `_streams_concurrent`), with bit-identical
 results.
 """
@@ -17,40 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder as enc
-from .change_builder import (
-    CODE_CONCAT,
-    CODE_CONCAT_NOCONTEXT,
-    DUAL_STREAM_VARIANTS,
-    EMBED_CONCAT_DUO,
-    EMBED_SUBTRACT_DUO,
-    EMBED_SUBTRACT_SINGLE,
-    PAIR_VARIANTS,
-    RAW_GIT_DIFF,
-    VARIANTS,
-    BuiltExample,
-)
+from .change_builder import VARIANTS, BuiltExample
 from .config import EncoderConfig
 from .encoder import Params
 from .records import VF
 from .tokenizer import TokenSequence, Vocabulary, encode, encode_pair, tokenize_batch
 
-FUSION_SUBTRACT = "Subtract"
-FUSION_CONCAT = "Concat"
-FUSION_SINGLE = "SingleStream"
-
 PROB_CLAMP = 1e-7
-
-_FUSION_BY_VARIANT = {
-    EMBED_SUBTRACT_DUO: FUSION_SUBTRACT,
-    EMBED_SUBTRACT_SINGLE: FUSION_SUBTRACT,
-    EMBED_CONCAT_DUO: FUSION_CONCAT,
-    CODE_CONCAT: FUSION_SINGLE,
-    CODE_CONCAT_NOCONTEXT: FUSION_SINGLE,
-    RAW_GIT_DIFF: FUSION_SINGLE,
-}
-
-# Variants with two independently parameterized encoders.
-DUAL_ENCODER_VARIANTS = (EMBED_SUBTRACT_DUO, EMBED_CONCAT_DUO)
 
 # Rows × T² of the shorter stream from which a batch's two encoder streams run
 # on two threads. Both streams' forward and backward at dim 32 with one BLAS
@@ -61,12 +34,8 @@ CONCURRENT_MIN_WORK = 2**16
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def fusion_mode(variant: str) -> str:
-    return _FUSION_BY_VARIANT[variant]
-
-
 def fusion_width(variant: str, dim: int) -> int:
-    return 2 * dim if fusion_mode(variant) == FUSION_CONCAT else dim
+    return 2 * dim if VARIANTS[variant].fusion == "Concat" else dim
 
 
 @dataclass
@@ -118,23 +87,20 @@ def init_model(variant: str, config: EncoderConfig, seed: int, dtype=np.float32)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     before = enc.init_params(config, seed, dtype=dtype)
-    if variant in DUAL_ENCODER_VARIANTS:
-        after = enc.init_params(config, seed + 1, dtype=dtype)
-    else:
-        after = before
+    after = enc.init_params(config, seed + 1, dtype=dtype) if VARIANTS[variant].own_encoders else before
     head = init_head(variant, config, seed + 2, dtype=dtype)
     return DeltaModel(variant=variant, config=config, encoder_before=before, encoder_after=after, head=head)
 
 
-def fuse(e_before: np.ndarray, e_after: np.ndarray, mode: str) -> np.ndarray:
-    """Combine the two stream embeddings (batched on the leading axis)."""
-    if mode == FUSION_SUBTRACT:
+def fuse(e_before: np.ndarray, e_after: np.ndarray, fusion: str) -> np.ndarray:
+    """Combine the two stream embeddings (batched on the leading axis) by a table fusion."""
+    if fusion == "Subtract":
         if e_before.shape != e_after.shape:
             raise ValueError("subtract fusion requires equal embedding dims")
         return e_before - e_after
-    if mode == FUSION_CONCAT:
+    if fusion == "Concat":
         return np.concatenate([e_before, e_after], axis=-1)
-    raise ValueError(f"unknown fusion mode {mode!r}")
+    raise ValueError(f"unknown fusion {fusion!r}")
 
 
 def _stack(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
@@ -177,15 +143,15 @@ def batch_from_sequences(seq_pairs: list[tuple[TokenSequence, ...]], labels=None
 
 
 def encode_examples(examples: list[BuiltExample], variant: str, vocab: Vocabulary, max_len: int) -> EncodedBatch:
-    """The examples' `variant` segments and labels as one batch, tokenized in one call.
+    """The examples' `variant` texts and labels as one batch, tokenized in one call.
 
-    The variant alone picks the encoding: two sequences for the dual-stream
-    variants, one SEP-joined pair for the pair variants, else one sequence."""
+    The variant's fusion and field count pick the encoding: two sequences to
+    fuse, one SEP-joined pair of fields, or one sequence of one field."""
     segments = [ex.variant_texts(variant) for ex in examples]
     tokens = iter(tokenize_batch([t for seg in segments for t in seg], vocab))
-    if variant in DUAL_STREAM_VARIANTS:
+    if VARIANTS[variant].fusion != "Sequence":
         seqs = [(encode(next(tokens), max_len), encode(next(tokens), max_len)) for _ in segments]
-    elif variant in PAIR_VARIANTS:
+    elif len(VARIANTS[variant].fields) == 2:
         seqs = [(encode_pair(next(tokens), next(tokens), max_len),) for _ in segments]
     else:
         seqs = [(encode(next(tokens), max_len),) for _ in segments]
@@ -236,8 +202,8 @@ def _both(concurrent: bool, first, second):
 
 def forward_model(model: DeltaModel, batch: EncodedBatch):
     """Per-example probabilities plus the cache needed for backward."""
-    mode = fusion_mode(model.variant)
-    if mode == FUSION_SINGLE:
+    fusion = VARIANTS[model.variant].fusion
+    if fusion == "Sequence":
         if batch.ids_b is not None:
             raise ValueError(f"{model.variant} expects a single input stream")
         e, cache_a = enc.forward_batch(model.encoder_before, model.config, batch.ids_a, batch.lens_a)
@@ -251,7 +217,7 @@ def forward_model(model: DeltaModel, batch: EncodedBatch):
             lambda: enc.forward_batch(model.encoder_before, model.config, batch.ids_a, batch.lens_a),
             lambda: enc.forward_batch(model.encoder_after, model.config, batch.ids_b, batch.lens_b),
         )
-        fused = fuse(e_b, e_a, mode)
+        fused = fuse(e_b, e_a, fusion)
     z1 = fused @ model.head["w1"] + model.head["b1"]
     u = np.tanh(z1)
     logit = (u @ model.head["w2"] + model.head["b2"])[:, 0]
@@ -273,14 +239,14 @@ def backward_model(model: DeltaModel, batch: EncodedBatch, cache, d_logit: np.nd
     grads["head.b1"] = dz1.sum(axis=0)
     d_fused = dz1 @ model.head["w1"].T
 
-    mode = fusion_mode(model.variant)
-    if mode == FUSION_SINGLE:
+    fusion = VARIANTS[model.variant].fusion
+    if fusion == "Sequence":
         enc_grads = enc.backward_batch(model.encoder_before, model.config, cache["enc_a"], d_fused)
         for name, g in enc_grads.items():
             grads["enc_before." + name] = g
         return grads
 
-    if mode == FUSION_SUBTRACT:
+    if fusion == "Subtract":
         d_e_before, d_e_after = d_fused, -d_fused
     else:
         d = model.config.dim

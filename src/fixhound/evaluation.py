@@ -16,26 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .change_builder import (
-    CODE_CONCAT,
-    CODE_CONCAT_NOCONTEXT,
-    EMBED_CONCAT_DUO,
-    EMBED_SUBTRACT_DUO,
-    EMBED_SUBTRACT_SINGLE,
-    RAW_GIT_DIFF,
-)
+from .change_builder import VARIANTS
 from .config import DataError, atomic_write, read_jsonl, write_jsonl
 from .records import VF
-
-# Ablation table row order: variants first, the dual-subtract model last.
-REPORT_VARIANT_ORDER = (
-    EMBED_CONCAT_DUO,
-    EMBED_SUBTRACT_SINGLE,
-    CODE_CONCAT,
-    CODE_CONCAT_NOCONTEXT,
-    RAW_GIT_DIFF,
-    EMBED_SUBTRACT_DUO,
-)
 
 # Change-size ranges (lo, hi]; loc <= 1 is assigned to the first bucket.
 SIZE_BUCKETS = ((1, 20), (20, 40), (40, 60), (60, 80), (80, 100), (100, None))
@@ -172,7 +155,7 @@ def evaluate(preds: list[CommitPrediction], labels: Labels, levels=(5, 20)) -> E
 def report_rows(reports: dict[str, EvalReport], levels=(5, 20)) -> list[list[str]]:
     """Header plus one row per method, in the ablation table's row order."""
     header = ["Method", "F1", "Precision", "Recall"] + [f"CostEffort@{l}" for l in levels]
-    ordered = [v for v in REPORT_VARIANT_ORDER if v in reports]
+    ordered = [v for v in VARIANTS if v in reports]
     ordered += [m for m in reports if m not in ordered]
     rows = [header]
     for method in ordered:

@@ -27,17 +27,9 @@ MIN_VOCAB = NUM_SPECIALS + 256
 class Vocabulary:
     merges: list[tuple[int, int]] = field(default_factory=list)
 
-    def __post_init__(self):
-        self._token_bytes: dict[int, bytes] = {BYTE_BASE + b: bytes([b]) for b in range(256)}
-        for rank, (left, right) in enumerate(self.merges):
-            self._token_bytes[MIN_VOCAB + rank] = self._token_bytes[left] + self._token_bytes[right]
-
     @property
     def size(self) -> int:
         return MIN_VOCAB + len(self.merges)
-
-    def token_bytes(self, token_id: int) -> bytes:
-        return self._token_bytes[token_id]
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vocabulary":

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import delta_model as dm
+from .change_builder import VARIANTS
 from .config import DataError, EncoderConfig, TrainConfig, TrainingError, atomic_write
 from .delta_model import DeltaModel, EncodedBatch
 from .encoder import Params, param_shapes
@@ -202,8 +203,9 @@ def load_checkpoint(path: str | Path) -> tuple[DeltaModel, Vocabulary, dict]:
     """Read a checkpoint; returns the model, its vocabulary and the extra config dict.
 
     Raises CheckpointError when the file is malformed, its merges are not a
-    vocabulary of the size the encoder embeds, or its tensor names, shapes
-    and values are not exactly those of the model its config describes.
+    vocabulary of the size the encoder embeds, its shared_encoders flag is
+    not the variant's, or its tensor names, shapes and values are not exactly
+    those of the model its config describes.
     """
     data = Path(path).read_bytes()
     off = 0
@@ -240,11 +242,14 @@ def load_checkpoint(path: str | Path) -> tuple[DeltaModel, Vocabulary, dict]:
     try:
         enc_config = EncoderConfig.from_dict(config["encoder"])
         vocab = Vocabulary.from_dict(config)
-        shared = config["shared_encoders"]
         extra = config["extra"]
         if not isinstance(extra, dict):
             raise TypeError(f"extra is {extra!r}, not an object")
         expected = {"head." + k: v for k, v in dm.head_shapes(config["variant"], enc_config).items()}
+        shared = not VARIANTS[config["variant"]].own_encoders  # the table decides; the stored flag must agree
+        if config["shared_encoders"] is not shared:
+            sharing = "shares one encoder" if shared else "has two encoders"
+            raise ValueError(f"shared_encoders is {config['shared_encoders']!r}, but {config['variant']} {sharing}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model config ({type(exc).__name__}: {exc})") from exc
     if vocab.size != enc_config.vocab_size:

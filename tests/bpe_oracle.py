@@ -13,6 +13,7 @@ from collections import Counter
 from typing import Iterable
 
 from fixhound.tokenizer import BYTE_BASE, MIN_VOCAB, Vocabulary
+from model_helpers import token_bytes
 
 
 def _byte_ids(text: str) -> list[int]:
@@ -47,9 +48,10 @@ def train_vocab(corpus: Iterable[str], vocab_size: int) -> Vocabulary:
         if not counts:
             break
         top = max(counts.values())
+        table = token_bytes(vocab)
         best = min(
             (p for p, c in counts.items() if c == top),
-            key=lambda p: (vocab.token_bytes(p[0]), vocab.token_bytes(p[1])),
+            key=lambda p: (table[p[0]], table[p[1]]),
         )
         new_id = vocab.size
         sequences = [_merge_sequence(s, best, new_id) for s in sequences]

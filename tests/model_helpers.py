@@ -6,6 +6,8 @@
   equal a subtraction model's (acceptance criterion 2).
 - `tokenize` and `decode` turn one text into content ids and one token
   sequence back into text; `SEP_MARKER` is how `decode` renders SEP.
+- `token_bytes` maps every byte and merge token id of a vocabulary to
+  the bytes it stands for.
 - `force_concurrent_streams` runs a dual-stream model's two encoders on two
   threads on any machine and batch.
 """
@@ -23,7 +25,7 @@ from fixhound import encoder as enc
 from fixhound.change_builder import EMBED_CONCAT_DUO, EMBED_SUBTRACT_DUO
 from fixhound.delta_model import DeltaModel
 from fixhound.encoder import Params
-from fixhound.tokenizer import BOS, EOS, PAD, SEP, UNK, TokenSequence, Vocabulary, tokenize_batch
+from fixhound.tokenizer import BOS, BYTE_BASE, EOS, MIN_VOCAB, PAD, SEP, UNK, TokenSequence, Vocabulary, tokenize_batch
 
 # How `decode` renders the SEP token; texts are never split at it.
 SEP_MARKER = " ⟨SEP⟩ "
@@ -58,6 +60,14 @@ def equivalent_concat_model(m: DeltaModel) -> DeltaModel:
     return DeltaModel(variant=EMBED_CONCAT_DUO, config=m.config, encoder_before=before, encoder_after=after, head=head)
 
 
+def token_bytes(vocab: Vocabulary) -> dict[int, bytes]:
+    """The bytes behind each byte and merge token id of `vocab`."""
+    table = {BYTE_BASE + b: bytes([b]) for b in range(256)}
+    for rank, (left, right) in enumerate(vocab.merges):
+        table[MIN_VOCAB + rank] = table[left] + table[right]
+    return table
+
+
 def tokenize(text: str, vocab: Vocabulary) -> list[int]:
     """Content token ids for one text (no specials, no padding)."""
     return tokenize_batch([text], vocab)[0]
@@ -66,6 +76,7 @@ def tokenize(text: str, vocab: Vocabulary) -> list[int]:
 def decode(seq: TokenSequence | Iterable[int], vocab: Vocabulary) -> str:
     """Inverse of encode for untruncated sequences; SEP renders as SEP_MARKER."""
     ids = seq.ids if isinstance(seq, TokenSequence) else tuple(seq)
+    table = token_bytes(vocab)
     out = bytearray()
     for i in ids:
         if i in (PAD, BOS, EOS, UNK):
@@ -73,7 +84,7 @@ def decode(seq: TokenSequence | Iterable[int], vocab: Vocabulary) -> str:
         if i == SEP:
             out.extend(SEP_MARKER.encode("utf-8"))
         else:
-            out.extend(vocab.token_bytes(i))
+            out.extend(table[i])
     return out.decode("utf-8", errors="replace")
 
 

@@ -13,7 +13,6 @@ import numpy as np
 import fixhound.inference as inf
 from conftest import commit_files, init_repo, make_planted_commits, make_planted_file_change
 from fixhound.change_builder import (
-    DUAL_STREAM_VARIANTS,
     EMBED_SUBTRACT_DUO,
     VARIANTS,
     build_example,
@@ -62,7 +61,7 @@ GRAD_CFG = EncoderConfig(vocab_size=64, dim=16, layers=2, heads=2, max_len=32, f
 
 
 def _random_batch(variant, rng, n=2):
-    dual = variant in DUAL_STREAM_VARIANTS
+    dual = VARIANTS[variant].fusion != "Sequence"
     ids_a = rng.integers(0, GRAD_CFG.vocab_size, size=(n, GRAD_CFG.max_len))
     lens_a = rng.integers(2, GRAD_CFG.max_len + 1, size=n)
     kw = {}

@@ -226,6 +226,16 @@ class TestBuiltExample:
         assert expected.keys() == set(VARIANTS)
         for variant in VARIANTS:
             assert ex.variant_texts(variant) == expected[variant]
+        # each variant's (fields, fusion, own encoders), as the paper's ablation defines it
+        cut = ("code_before", "code_after")
+        assert VARIANTS == {
+            EMBED_CONCAT_DUO: (cut, "Concat", True),
+            EMBED_SUBTRACT_SINGLE: (cut, "Subtract", False),
+            CODE_CONCAT: (cut, "Sequence", False),
+            CODE_CONCAT_NOCONTEXT: (("removed_code", "added_code"), "Sequence", False),
+            RAW_GIT_DIFF: (("raw_diff",), "Sequence", False),
+            EMBED_SUBTRACT_DUO: (cut, "Subtract", True),
+        }
 
     def test_round_trip(self, single_edit_fc):
         ex = build_example(single_edit_fc, 3, "VF", "r", "h")

@@ -505,29 +505,37 @@ class TestPipeline:
         assert not (workdir / "checkpoint.bin").exists()
 
     @pytest.mark.parametrize(
-        "damage, message",
+        "damage, message, variant",
         [
-            (_resaved_head(lambda head: head.pop("b2")), "missing tensor 'head.b2'"),
+            (_resaved_head(lambda head: head.pop("b2")), "missing tensor 'head.b2'", "RawGitDiff"),
             (
                 _resaved_head(lambda head: head.update(w1=np.zeros((2 * head["w1"].shape[0], head["w1"].shape[1]), np.float32))),
                 "'head.w1' has shape",
+                "RawGitDiff",
             ),
-            (_overwritten(16, b"x"), "unreadable config block"),  # the first byte of the JSON config
-            (_overwritten(20, b"\xff{"), "unreadable config block"),
-            (_overwritten(4, struct.pack("<I", 1)), "unsupported version 1"),  # a checkpoint without its merges
-            (_first_dim(2**63), "truncated tensor"),
-            (_rewritten_config(lambda c: c.update(extra=0)), "extra is 0, not an object"),
+            (_overwritten(16, b"x"), "unreadable config block", "RawGitDiff"),  # the first byte of the JSON config
+            (_overwritten(20, b"\xff{"), "unreadable config block", "RawGitDiff"),
+            (_overwritten(4, struct.pack("<I", 1)), "unsupported version 1", "RawGitDiff"),  # a checkpoint without its merges
+            (_first_dim(2**63), "truncated tensor", "RawGitDiff"),
+            (_rewritten_config(lambda c: c.update(extra=0)), "extra is 0, not an object", "RawGitDiff"),
+            # two trained encoders relabelled as a variant that shares one
+            (
+                _rewritten_config(lambda c: c.update(variant="EmbedSubtract_Single")),
+                "shared_encoders is False, but EmbedSubtract_Single shares one encoder",
+                "EmbedSubtract_Duo",
+            ),
+            (_rewritten_config(lambda c: c.update(shared_encoders="no")), "shared_encoders is 'no'", "RawGitDiff"),
         ],
         ids=[
             "missing-head-b2", "wrong-shape-head-w1", "config-not-json", "config-not-utf8", "version-1", "dim-2^63",
-            "extra-not-object",
+            "extra-not-object", "variant-disagrees-with-sharing", "sharing-not-bool",
         ],
     )
-    def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, damage, message):
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, damage, message, variant):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "build"]) == EXIT_OK
-        assert main(["--config", str(config), "train"]) == EXIT_OK
+        assert main(["--config", str(config), "--variant", variant, "train"]) == EXIT_OK
         damage(workdir / "checkpoint.bin")
         capsys.readouterr()
         assert main(["--config", str(config), "predict"]) == EXIT_DATA
@@ -632,11 +640,12 @@ class TestGuards:
             ("train", {"encoder": 32}, "bad encoder config: expected an object"),
             ("train", {"train": "fast"}, "bad train config: expected an object"),
             ("build", {"split": None}, "bad split config: expected an object"),
+            ("build", {"variant": {}}, "bad variant config: expected a string, got {}"),  # the table lookup needs a key
         ],
         ids=[
             "k-str", "k-bool", "max_len-float", "vocab_size-str", "seed-null", "since-str", "until-list",
             "levels-int", "levels-str-item", "downsample-str", "repos-str", "repos-int-item",
-            "encoder-int", "train-str", "split-null",
+            "encoder-int", "train-str", "split-null", "variant-object",
         ],
     )
     def test_bad_top_level_type_is_usage_error(self, tmp_path, capsys, command, extra, message):
@@ -823,6 +832,18 @@ class TestBadArtifacts:
         assert main(["--config", str(write_config(tmp_path, workdir)), "build"]) == EXIT_DATA
         one_line_error(capsys, f"{path}:3: unreadable record (UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff")
 
+    @pytest.mark.parametrize("escape", [b"\\ud800", b"\\uDFFF"])
+    def test_lone_surrogate_escape_is_data_error(self, tmp_path, capsys, escape):
+        # valid JSON, but no UTF-8 artifact can hold the string; an escaped surrogate pair is one character
+        workdir, _ = seeded_workdir(tmp_path)
+        path = workdir / "commits.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"path": "', b'"path": "\\ud83d\\ude00', 1)
+        lines[2] = lines[2].replace(b'"path": "', b'"path": "' + escape, 1)
+        path.write_bytes(b"".join(lines))
+        assert main(["--config", str(write_config(tmp_path, workdir)), "build"]) == EXIT_DATA
+        one_line_error(capsys, f"{path}:3: unreadable record (UnicodeEncodeError: ", "surrogates not allowed")
+
     @pytest.mark.parametrize(
         "artifact, command",
         [("commits.jsonl", "build"), ("train.jsonl", "train"), ("predictions.jsonl", "evaluate")],
@@ -895,7 +916,7 @@ _FIELDS = {
     "vocab_size": _ints(250, 320),
     "seed": _ints(-3, 5),
     "downsample_ratio": _floats(-1, 50),
-    "variant": st.one_of(st.sampled_from(VARIANTS), _JUNK),
+    "variant": st.one_of(st.sampled_from(tuple(VARIANTS)), _JUNK),
     "cost_effort_levels": st.one_of(st.lists(_floats(-10, 200), max_size=3), _JUNK),
     "encoder.dim": _ints(-1, 16),
     "encoder.layers": _ints(-1, 2),
@@ -1035,10 +1056,15 @@ def _mutated(draw, value):
 
 @st.composite
 def _damaged_line(draw, line: bytes) -> bytes:
-    """One commits.jsonl line, damaged as JSON (a node replaced or deleted) or as bytes."""
-    kind = draw(st.sampled_from(["json", "json", "json", "cut", "insert"]))
+    """One commits.jsonl line, damaged as JSON (a node replaced or deleted), as
+    bytes, or with a surrogate escape (which hypothesis text never draws)
+    after a quote, often inside a string."""
+    kind = draw(st.sampled_from(["json", "json", "json", "cut", "insert", "surrogate"]))
     if kind == "json":
         return json.dumps(_mutated(draw, json.loads(line)), ensure_ascii=False).encode("utf-8") + b"\n"
+    if kind == "surrogate":
+        at = draw(st.sampled_from([i + 1 for i, c in enumerate(line) if c == ord('"')]))
+        return line[:at] + draw(st.sampled_from([b"\\ud800", b"\\uDFFF", b"\\ud83d\\ude00"])) + line[at:]
     at = draw(st.integers(0, len(line)))
     if kind == "cut":
         return line[:at]

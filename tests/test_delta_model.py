@@ -8,20 +8,15 @@ import pytest
 from fixhound.change_builder import (
     CODE_CONCAT,
     CODE_CONCAT_NOCONTEXT,
-    DUAL_STREAM_VARIANTS,
     EMBED_CONCAT_DUO,
     EMBED_SUBTRACT_DUO,
     EMBED_SUBTRACT_SINGLE,
-    PAIR_VARIANTS,
     RAW_GIT_DIFF,
     VARIANTS,
     build_example,
 )
 import fixhound.delta_model as dm
 from fixhound.delta_model import (
-    DUAL_ENCODER_VARIANTS,
-    FUSION_CONCAT,
-    FUSION_SUBTRACT,
     EncodedBatch,
     batch_from_sequences,
     batch_loss,
@@ -47,7 +42,7 @@ VOCAB = train_vocab(["int main() { return 0; }", "if (x < 0) return -1;"], 280)
 
 
 def random_batch(variant, rng, n=3, with_labels=False):
-    dual = variant in DUAL_STREAM_VARIANTS
+    dual = VARIANTS[variant].fusion != "Sequence"
     ids_a = rng.integers(0, CFG.vocab_size, size=(n, CFG.max_len))
     lens_a = rng.integers(2, CFG.max_len + 1, size=n)
     kw = {}
@@ -62,17 +57,17 @@ class TestFuse:
     def test_subtract_example(self):
         a = np.array([[3.0, 1.0]])
         b = np.array([[1.0, 4.0]])
-        assert np.array_equal(fuse(a, b, FUSION_SUBTRACT), np.array([[2.0, -3.0]]))
+        assert np.array_equal(fuse(a, b, "Subtract"), np.array([[2.0, -3.0]]))
 
     def test_subtract_antisymmetric(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(2, 4, 8))
-        assert np.array_equal(fuse(a, b, FUSION_SUBTRACT), -fuse(b, a, FUSION_SUBTRACT))
+        assert np.array_equal(fuse(a, b, "Subtract"), -fuse(b, a, "Subtract"))
 
     def test_concat_example(self):
         a = np.array([[1.0, 2.0]])
         b = np.array([[3.0, 4.0]])
-        assert np.array_equal(fuse(a, b, FUSION_CONCAT), np.array([[1.0, 2.0, 3.0, 4.0]]))
+        assert np.array_equal(fuse(a, b, "Concat"), np.array([[1.0, 2.0, 3.0, 4.0]]))
 
     def test_widths(self):
         assert fusion_width(EMBED_SUBTRACT_DUO, 8) == 8
@@ -82,7 +77,7 @@ class TestFuse:
 
 class TestStructure:
     def test_dual_variants_have_independent_encoders(self):
-        for variant in DUAL_ENCODER_VARIANTS:
+        for variant in [v for v, spec in VARIANTS.items() if spec.own_encoders]:
             m = init_model(variant, CFG, seed=0)
             assert not m.shared_encoders
             assert any(not np.array_equal(m.encoder_before[n], m.encoder_after[n]) for n in m.encoder_before)
@@ -244,11 +239,11 @@ class TestEncodeInput:
         assert SEP_MARKER in ex.raw_diff and SEP_MARKER in ex.removed_code
         for variant in VARIANTS:
             batch = encode_examples([ex], variant, VOCAB, 256)
-            assert (batch.ids_b is not None) == (variant in DUAL_STREAM_VARIANTS), variant
+            assert (batch.ids_b is not None) == (VARIANTS[variant].fusion != "Sequence"), variant
             rows = [batch.ids_a[0]] if batch.ids_b is None else [batch.ids_a[0], batch.ids_b[0]]
             assert not any(row[-1] for row in rows), variant  # nothing truncated
             seps = [np.flatnonzero(row == SEP).tolist() for row in rows]
-            if variant in PAIR_VARIANTS:
+            if VARIANTS[variant].fusion == "Sequence" and len(VARIANTS[variant].fields) == 2:
                 first = ex.variant_texts(variant)[0]
                 assert seps == [[1 + len(tokenize(first, VOCAB))]], variant
             else:
@@ -305,7 +300,7 @@ class TestConcurrentStreams:
             results.append(loss_and_grads(model, batch))
             on_worker = [t for t in threads if t != threading.main_thread().name]
             # the forward and the backward each put one stream on the worker
-            assert len(on_worker) == (2 if min_work == 0 and variant in DUAL_STREAM_VARIANTS else 0)
+            assert len(on_worker) == (2 if min_work == 0 and VARIANTS[variant].fusion != "Sequence" else 0)
         (loss_s, grads_s, probs_s), (loss_t, grads_t, probs_t) = results
         assert loss_s == loss_t
         assert probs_s.dtype == probs_t.dtype and np.array_equal(probs_s, probs_t)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixhound.change_builder import VARIANTS
 from fixhound.evaluation import (
-    REPORT_VARIANT_ORDER,
     CommitPrediction,
     EvalReport,
     EvaluationError,
@@ -184,12 +184,13 @@ class TestReports:
         assert lines[1] == "RawGitDiff,0.000,0.200,0.300,0.250,0.500"
 
     def test_six_methods_follow_table_order(self):
-        # insert in scrambled order; output must follow the fixed row order
-        scrambled = list(REPORT_VARIANT_ORDER)[::-1]
-        text = emit_report(self._reports(scrambled), "csv")
+        # insert in scrambled order; output must follow the paper's ablation row order
+        paper_rows = ["EmbedConcat_Duo", "EmbedSubtract_Single", "CodeConcat", "CodeConcat_NoContext", "RawGitDiff", "EmbedSubtract_Duo"]
+        assert list(VARIANTS) == paper_rows
+        text = emit_report(self._reports(paper_rows[::-1]), "csv")
         lines = text.strip().split("\n")
         assert len(lines) == 7
-        assert [l.split(",")[0] for l in lines[1:]] == list(REPORT_VARIANT_ORDER)
+        assert [l.split(",")[0] for l in lines[1:]] == paper_rows
 
     def test_three_decimal_places(self):
         reports = {"RawGitDiff": EvalReport(f1=1 / 3, precision=2 / 3, recall=0.5, counts={}, cost_effort={5: 0.1, 20: 0.9})}

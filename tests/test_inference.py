@@ -10,10 +10,9 @@ from conftest import make_planted_commits, make_planted_file_change
 from fixhound.change_builder import (
     CODE_CONCAT,
     CODE_CONCAT_NOCONTEXT,
-    DUAL_STREAM_VARIANTS,
     EMBED_SUBTRACT_DUO,
-    PAIR_VARIANTS,
     RAW_GIT_DIFF,
+    VARIANTS,
     build_example,
     build_examples,
 )
@@ -134,9 +133,9 @@ class TestCorpus:
 def per_file_sequences(ex, variant, vocab, max_len):
     """One file's sequences, each segment tokenized on its own by the oracle."""
     tokens = [bpe_oracle.tokenize(t, vocab) for t in ex.variant_texts(variant)]
-    if variant in DUAL_STREAM_VARIANTS:
+    if VARIANTS[variant].fusion != "Sequence":
         return tuple(encode(t, max_len) for t in tokens)
-    if variant in PAIR_VARIANTS:
+    if len(VARIANTS[variant].fields) == 2:
         return (encode_pair(*tokens, max_len),)
     return (encode(tokens[0], max_len),)
 

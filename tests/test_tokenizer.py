@@ -23,7 +23,7 @@ from fixhound.tokenizer import (
     train_vocab,
 )
 from fixhound.trainer import load_checkpoint, save_checkpoint
-from model_helpers import decode, tokenize
+from model_helpers import decode, token_bytes, tokenize
 
 
 class TestTrainVocab:
@@ -44,7 +44,7 @@ class TestTrainVocab:
         (best, _), = pairs.most_common(1)
         assert len(vocab.merges) == 1
         left, right = vocab.merges[0]
-        assert (vocab.token_bytes(left) + vocab.token_bytes(right)) == bytes(best)
+        assert (token_bytes(vocab)[left] + token_bytes(vocab)[right]) == bytes(best)
 
     def test_deterministic(self):
         corpus = ["def foo():\n    return 1\n", "def bar():\n    return 2\n"]
@@ -56,7 +56,7 @@ class TestTrainVocab:
         # "ab" and "cd" both occur twice; ("a","b") is the smaller pair
         vocab = train_vocab(["ab", "ab", "cd", "cd"], MIN_VOCAB + 1)
         left, right = vocab.merges[0]
-        assert vocab.token_bytes(left) == b"a" and vocab.token_bytes(right) == b"b"
+        assert token_bytes(vocab)[left] == b"a" and token_bytes(vocab)[right] == b"b"
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
