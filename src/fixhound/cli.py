@@ -188,7 +188,7 @@ def _train_and_save(cfg: RunConfig, variant: str, train_examples, val_examples, 
             train_batch = dm.encode_examples(train_examples, variant, vocab, cfg.max_len)
             val_batch = dm.encode_examples(val_examples, variant, vocab, cfg.max_len)
             result = tr.train(variant, cfg.encoder_config(vocab.size), train_batch, val_batch, cfg.train_config())
-    except MemoryError as exc:  # a configured model larger than memory passes the load checks
+    except MemoryError as exc:  # the load checks bound the model's size, not this machine's memory
         raise TrainingError(f"out of memory: {exc}") from None
     tr.save_checkpoint(result.model, vocab, workdir / f"checkpoint{suffix}.bin", {"k": cfg.k, "seed": cfg.seed})
     tr.write_loss_log(result.loss_log, workdir / f"loss_log{suffix}.csv")

@@ -1,6 +1,8 @@
 """Run configuration, the error classes behind the CLI's exit codes, the
 atomic file writer every artifact goes through, and the JSON-lines artifact
-reader and writer every stage shares.
+reader and writer every stage shares. Each field of the four config classes
+(these three and `records.SplitSpec`) carries its one rule as field
+metadata, and `checked` applies the rules to one section of a config.
 
 This module imports only the standard library at load time. `records`
 and the other data-layer modules import their error bases from here, so
@@ -15,7 +17,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -94,133 +96,137 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_finite(value) -> bool:
     """A number (not a bool) other than NaN and ±inf."""
-    return _is_number(value) and -math.inf < value < math.inf
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and -math.inf < value < math.inf
+
+
+def _is_path(value) -> bool:
+    """A string the OS takes as a path: no NUL, and `os.fsencode` accepts it. That
+    refuses a lone surrogate such as '\\ud800', but not the 'w\\udcff' that Python
+    reads from the non-UTF-8 argument `--out $'w\\xff'`."""
+    try:
+        os.fsencode(value)
+    except (UnicodeEncodeError, TypeError):
+        return False
+    return isinstance(value, str) and "\0" not in value
+
+
+def rule(what: str, ok: Callable[[object], bool]) -> dict:
+    """A config field's metadata: the one test its value must pass, and the words
+    that name it in `bad <section> config: <field> must be <what>, got <value!r>`."""
+    return {"what": what, "ok": ok}
+
+
+def at_least(lo: int) -> dict:
+    return rule(f"an integer >= {lo}", lambda v: _is_int(v) and v >= lo)
+
+
+def list_of(what: str, ok: Callable[[object], bool]) -> dict:
+    return rule(f"a list of {what}", lambda v: isinstance(v, list) and all(map(ok, v)))
+
+
+# Caps on the work a config asks for, the same on every machine. 2^27 encoder
+# parameters besides `tok_emb` (which the learned vocabulary sizes) admit the
+# paper's CodeBERT-sized encoder: dim 768, 12 layers, ffn_mult 4, max_len 512.
+MAX_EPOCHS = 10_000
+MAX_ENCODER_PARAMS = 2**27
+
+# Rules that several fields share. The run config hands its seed, max_len and
+# vocab_size on to the train and encoder configs, whose fields share its rules.
+SEED = at_least(0)
+MAX_LEN = at_least(3)  # BOS, SEP and EOS
+VOCAB_SIZE = rule(f"an integer in [{MIN_VOCAB_SIZE}, 2^31]", lambda v: _is_int(v) and MIN_VOCAB_SIZE <= v <= MAX_VOCAB_SIZE)
+POSITIVE = rule("a finite number > 0", lambda v: _is_finite(v) and v > 0)
+BETA = rule("a number in [0, 1)", lambda v: _is_finite(v) and 0 <= v < 1)
+OBJECT = rule("an object", lambda v: isinstance(v, dict))
+PATH = rule("a string without NUL that os.fsencode accepts", _is_path)
+
+
+def checked(section: str, cls: type, values: dict, **given):
+    """`cls(**values, **given)`, or UsageError naming the first key of `values`
+    that is not a field of `cls` left to it, then the first field (in field
+    order) that its rule refuses or that has no value and no default."""
+    rules = {f.name: f for f in fields(cls) if f.name not in given}
+    for key in values:
+        if key not in rules:
+            raise UsageError(f"bad {section} config: key must be one of {', '.join(rules)}, got {key!r}")
+    for name, f in rules.items():
+        if name in values:
+            if not f.metadata["ok"](values[name]):
+                raise UsageError(f"bad {section} config: {name} must be {f.metadata['what']}, got {values[name]!r}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise UsageError(f"bad {section} config: {name} must be {f.metadata['what']}, got nothing")
+    return cls(**values, **given)
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    vocab_size: int
-    dim: int
-    layers: int
-    heads: int
-    max_len: int
-    ffn_mult: int = 4
-
-    def __post_init__(self):
-        if not all(_is_int(v) for v in asdict(self).values()):
-            raise TypeError(f"encoder fields must be integers, got {asdict(self)}")
-        if min(self.vocab_size, self.dim, self.heads, self.max_len, self.ffn_mult) < 1:
-            raise ValueError("config fields must be positive")
-        if self.dim % self.heads != 0:
-            raise ValueError("dim must be divisible by heads")
-        if self.layers < 0:
-            raise ValueError("layers must be non-negative")
+    vocab_size: int = field(metadata=VOCAB_SIZE)
+    dim: int = field(metadata=at_least(1))
+    layers: int = field(metadata=at_least(0))
+    heads: int = field(metadata=at_least(1))
+    max_len: int = field(metadata=MAX_LEN)
+    ffn_mult: int = field(default=4, metadata=at_least(1))
 
     @property
     def ffn_hidden(self) -> int:
         return self.ffn_mult * self.dim
 
+    @property
+    def params_besides_tok_emb(self) -> int:
+        """The sizes `encoder.param_shapes` gives besides `tok_emb`, summed in closed form."""
+        d, h = self.dim, self.ffn_hidden
+        return (self.max_len + 2) * d + self.layers * (4 * d * d + 2 * d * h + 9 * d + h)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
+    def from_dict(cls, d: dict, **given) -> "EncoderConfig":
+        """A run config's encoder block (vocab_size and max_len `given`) or a
+        checkpoint's, through `checked` and the two rules across its fields."""
+        enc = checked("encoder", cls, d, **given)
+        if enc.dim % enc.heads:
+            raise UsageError(f"bad encoder config: dim must be divisible by heads ({enc.heads}), got {enc.dim}")
+        if enc.params_besides_tok_emb > MAX_ENCODER_PARAMS:
+            raise UsageError(f"bad encoder config: parameters besides tok_emb must be at most 2^27, got {enc.params_besides_tok_emb}")
+        return enc
 
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
-    epochs: int = 10
-    batch_size: int = 128
-    micro_batch: int | None = None  # gradient-accumulation chunk size
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, ok, expected in (
-            ("epochs", _is_int(self.epochs) and self.epochs >= 1, "an integer >= 1"),  # 0 would select no epoch
-            ("batch_size", _is_int(self.batch_size) and self.batch_size >= 1, "an integer >= 1"),
-            ("micro_batch", self.micro_batch is None or (_is_int(self.micro_batch) and self.micro_batch >= 1), "null or an integer >= 1"),
-            ("seed", _is_int(self.seed) and self.seed >= 0, "an integer >= 0"),
-            ("learning_rate", _is_finite(self.learning_rate) and self.learning_rate >= 0, "a finite number >= 0"),
-            ("adam_eps", _is_finite(self.adam_eps) and self.adam_eps > 0, "a finite number > 0"),
-            ("beta1", _is_finite(self.beta1) and 0 <= self.beta1 < 1, "a number in [0, 1)"),
-            ("beta2", _is_finite(self.beta2) and 0 <= self.beta2 < 1, "a number in [0, 1)"),
-            ("weight_decay", _is_finite(self.weight_decay) and self.weight_decay >= 0, "a finite number >= 0"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must be {expected}, got {getattr(self, name)!r}")
+    learning_rate: float = field(default=5e-5, metadata=POSITIVE)
+    beta1: float = field(default=0.9, metadata=BETA)
+    beta2: float = field(default=0.999, metadata=BETA)
+    adam_eps: float = field(default=1e-8, metadata=POSITIVE)
+    weight_decay: float = field(default=0.01, metadata=rule("a finite number >= 0", lambda v: _is_finite(v) and v >= 0))
+    epochs: int = field(default=10, metadata=rule(f"an integer in [1, {MAX_EPOCHS}]", lambda v: _is_int(v) and 1 <= v <= MAX_EPOCHS))
+    batch_size: int = field(default=128, metadata=at_least(1))
+    # gradient-accumulation chunk size
+    micro_batch: int | None = field(default=None, metadata=rule("null or an integer >= 1", lambda v: v is None or _is_int(v) and v >= 1))
+    seed: int = field(default=0, metadata=SEED)
 
 
 @dataclass
 class RunConfig:
-    repos: list[str] = field(default_factory=list)
-    labels_file: str = ""
-    workdir: str = "fixhound_out"
-    k: int = 3
-    max_len: int = 512
-    vocab_size: int = 512
-    encoder: dict = field(default_factory=lambda: {"dim": 32, "layers": 1, "heads": 2, "ffn_mult": 2})
-    variant: str = "EmbedSubtract_Duo"
-    train: dict = field(default_factory=dict)
-    split: dict = field(default_factory=lambda: {"strategy": "Temporal", "test_start": None})
-    cost_effort_levels: list[float] = field(default_factory=lambda: [5, 20])
-    downsample_ratio: float = 38.0
-    seed: int = 0
-    since: int = 0
-    until: int = 2**62
-
-    def validate(self) -> None:
-        from .change_builder import VARIANTS
-
-        checks = [(name, "an integer", _is_int) for name in ("k", "max_len", "vocab_size", "seed", "since", "until")]
-        checks += [
-            ("cost_effort_levels", "a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
-            ("downsample_ratio", "a number", _is_number),
-            ("repos", "a list of strings", lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v)),
-        ]
-        checks += [(name, "a string", lambda v: isinstance(v, str)) for name in ("labels_file", "workdir", "variant")]
-        checks += [(name, "an object", lambda v: isinstance(v, dict)) for name in ("encoder", "train", "split")]
-        for name, expected, ok in checks:
-            if not ok(getattr(self, name)):
-                raise UsageError(f"bad {name} config: expected {expected}, got {getattr(self, name)!r}")
-        for name, bad, rule in (
-            ("k", self.k < 0, "non-negative"),
-            ("seed", self.seed < 0, "non-negative"),
-            ("max_len", self.max_len < 3, "at least 3 (BOS, SEP and EOS)"),
-            ("vocab_size", not MIN_VOCAB_SIZE <= self.vocab_size <= MAX_VOCAB_SIZE, f"in [{MIN_VOCAB_SIZE}, 2^31]"),
-            ("downsample_ratio", not (_is_finite(self.downsample_ratio) and self.downsample_ratio > 0), "a finite number > 0"),
-        ):
-            if bad:
-                raise UsageError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        if self.variant not in VARIANTS:
-            raise UsageError(f"unknown variant {self.variant!r}; choose from {', '.join(VARIANTS)}")
-        for level in self.cost_effort_levels:
-            if not 0 < level <= 100:
-                raise UsageError(f"CostEffort level {level} outside (0, 100]")
-        lr = self.train.get("learning_rate", TrainConfig.learning_rate)
-        if not (_is_finite(lr) and lr > 0):  # TrainConfig also takes 0, which trains nothing
-            raise UsageError(f"bad train config: learning_rate must be a finite number > 0, got {lr!r}")
-        # build the nested configs now, so a bad one fails here and not mid-command
-        for section, build in (
-            ("encoder", lambda: self.encoder_config(self.vocab_size)),
-            ("train", self.train_config),
-            ("split", self.split_spec),
-        ):
-            try:
-                build()
-            except (KeyError, TypeError, ValueError) as exc:
-                raise UsageError(f"bad {section} config ({type(exc).__name__}: {exc})") from exc
+    repos: list[str] = field(default_factory=list, metadata=list_of("strings without NUL that os.fsencode accepts", _is_path))
+    labels_file: str = field(default="", metadata=PATH)
+    workdir: str = field(default="fixhound_out", metadata=PATH)
+    k: int = field(default=3, metadata=at_least(0))
+    max_len: int = field(default=512, metadata=MAX_LEN)
+    vocab_size: int = field(default=512, metadata=VOCAB_SIZE)
+    encoder: dict = field(default_factory=lambda: {"dim": 32, "layers": 1, "heads": 2, "ffn_mult": 2}, metadata=OBJECT)
+    variant: str = field(default="EmbedSubtract_Duo", metadata=rule("a string", lambda v: isinstance(v, str)))
+    train: dict = field(default_factory=dict, metadata=OBJECT)
+    split: dict = field(default_factory=lambda: {"strategy": "Temporal", "test_start": None}, metadata=OBJECT)
+    cost_effort_levels: list[float] = field(
+        default_factory=lambda: [5, 20], metadata=list_of("numbers in (0, 100]", lambda x: _is_finite(x) and 0 < x <= 100)
+    )
+    downsample_ratio: float = field(default=38.0, metadata=POSITIVE)
+    seed: int = field(default=0, metadata=SEED)
+    since: int = field(default=0, metadata=rule("an integer", _is_int))
+    until: int = field(default=2**62, metadata=rule("an integer", _is_int))
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -229,35 +235,35 @@ class RunConfig:
         return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(**{**self.train, "seed": self.seed})
+        return checked("train", TrainConfig, self.train, seed=self.seed)
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
-        return EncoderConfig(vocab_size=vocab_size, max_len=self.max_len, **self.encoder)
+        return EncoderConfig.from_dict(self.encoder, vocab_size=vocab_size, max_len=self.max_len)
 
     def split_spec(self):
         from .records import SplitSpec
 
-        return SplitSpec.from_dict(self.split)
+        return checked("split", SplitSpec, self.split)
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    cfg = RunConfig()
+    """Defaults, then the JSON object at `path`, then the non-None `overrides`;
+    every section is checked here, so a bad one fails before any command runs."""
+    from .change_builder import VARIANTS
+
+    values = {}
     if path is not None:
         p = Path(path)
-        if not p.exists():
+        if not p.is_file():
             raise DataError(f"config file not found: {p}")
         try:
-            data = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            values = json.loads(p.read_text(encoding="utf-8"))
+        except ValueError as exc:  # also UnicodeDecodeError
             raise UsageError(f"config file {p} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(values, dict):
             raise UsageError(f"config file {p} does not hold a JSON object")
-        for key, value in data.items():
-            if key not in RunConfig.__dataclass_fields__:
-                raise UsageError(f"unknown config key {key!r}")
-            setattr(cfg, key, value)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    cfg.validate()
+    cfg = checked("run", RunConfig, {**values, **{key: value for key, value in overrides.items() if value is not None}})
+    if cfg.variant not in VARIANTS:
+        raise UsageError(f"bad run config: variant must be one of {', '.join(VARIANTS)}, got {cfg.variant!r}")
+    cfg.encoder_config(cfg.vocab_size), cfg.train_config(), cfg.split_spec()  # each checks its section
     return cfg

@@ -226,7 +226,7 @@ def forward_model(model: DeltaModel, batch: EncodedBatch):
     return probs, cache
 
 
-def backward_model(model: DeltaModel, batch: EncodedBatch, cache, d_logit: np.ndarray) -> Params:
+def backward_model(model: DeltaModel, cache, d_logit: np.ndarray) -> Params:
     """Gradients for all model parameters given d(loss)/d(logit)."""
     u = cache["u"]
     fused = cache["fused"]
@@ -275,7 +275,7 @@ def loss_and_grads(model: DeltaModel, batch: EncodedBatch):
     clamped = (probs <= PROB_CLAMP) | (probs >= 1.0 - PROB_CLAMP)
     d_logit = np.where(clamped, 0.0, probs - labels) / batch.size
     d_logit = d_logit.astype(probs.dtype)
-    grads = backward_model(model, batch, cache, d_logit)
+    grads = backward_model(model, cache, d_logit)
     return loss, grads, probs
 
 

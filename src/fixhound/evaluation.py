@@ -61,7 +61,7 @@ class EvalReport:
     precision: float
     recall: float
     counts: dict[str, int]
-    cost_effort: dict[int, float] = field(default_factory=dict)
+    cost_effort: dict[float, float] = field(default_factory=dict)  # keyed by the level as configured
     buckets: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -147,7 +147,7 @@ def evaluate(preds: list[CommitPrediction], labels: Labels, levels=(5, 20)) -> E
     f1, precision, recall, counts = classification_metrics(preds, labels)
     report = EvalReport(f1=f1, precision=precision, recall=recall, counts=counts)
     for level in levels:
-        report.cost_effort[int(level)] = cost_effort(preds, labels, level)
+        report.cost_effort[level] = cost_effort(preds, labels, level)
     report.buckets = bucketed_f1(preds, labels)
     return report
 
@@ -162,7 +162,7 @@ def report_rows(reports: dict[str, EvalReport], levels=(5, 20)) -> list[list[str
         r = reports[method]
         rows.append(
             [method, f"{r.f1:.3f}", f"{r.precision:.3f}", f"{r.recall:.3f}"]
-            + [f"{r.cost_effort[int(l)]:.3f}" for l in levels]
+            + [f"{r.cost_effort[l]:.3f}" for l in levels]
         )
     return rows
 

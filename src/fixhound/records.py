@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .config import DataError, _is_int, _is_number, read_jsonl, write_jsonl
+from .config import DataError, _is_finite, _is_int, list_of, read_jsonl, rule, write_jsonl
 
 VF = "VF"
 NVF = "NVF"
@@ -28,6 +28,10 @@ TEMPORAL = "Temporal"
 
 class SplitError(DataError):
     """Records that the configured split cannot partition."""
+
+
+_REPOS = list_of("strings", lambda r: isinstance(r, str))
+_FRACTION = rule("a number in [0, 1]", lambda v: _is_finite(v) and 0 <= v <= 1)
 
 
 # Field checks for the from_dicts: a damaged artifact line fails as it is read, naming path:line.
@@ -155,30 +159,15 @@ def downsample_nvf(records: list[CommitRecord], ratio: float, seed: int) -> list
 
 @dataclass(frozen=True)
 class SplitSpec:
-    strategy: str
+    strategy: str = field(metadata=rule(f"{CROSS_PROJECT!r} or {TEMPORAL!r}", lambda v: v in (CROSS_PROJECT, TEMPORAL)))
     # CrossProject: explicit repo partitions
-    train_repos: tuple[str, ...] = ()
-    val_repos: tuple[str, ...] = ()
-    test_repos: tuple[str, ...] = ()
+    train_repos: Sequence[str] = field(default=(), metadata=_REPOS)
+    val_repos: Sequence[str] = field(default=(), metadata=_REPOS)
+    test_repos: Sequence[str] = field(default=(), metadata=_REPOS)
     # Temporal: VF fraction boundaries plus the held-out test range start
-    train_frac: float = 0.9
-    val_frac: float = 0.1
-    test_start: int | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitSpec":
-        """Build a spec from config JSON; a field of the wrong type or range raises TypeError/ValueError."""
-        if d["strategy"] not in (CROSS_PROJECT, TEMPORAL):
-            raise ValueError(f"unknown split strategy {d['strategy']!r}")
-        if not (d.get("test_start") is None or _is_int(d["test_start"])):
-            raise TypeError(f"test_start must be an integer or null, got {d['test_start']!r}")
-        for name in ("train_frac", "val_frac"):
-            if name in d and not (_is_number(d[name]) and 0 <= d[name] <= 1):
-                raise ValueError(f"{name} must be a number in [0, 1], got {d[name]!r}")
-        for name in ("train_repos", "val_repos", "test_repos"):
-            if not (isinstance(d.get(name, []), list) and all(isinstance(r, str) for r in d.get(name, []))):
-                raise TypeError(f"{name} must be a list of strings, got {d[name]!r}")
-        return cls(**{**d, **{name: tuple(d.get(name, ())) for name in ("train_repos", "val_repos", "test_repos")}})
+    train_frac: float = field(default=0.9, metadata=_FRACTION)
+    val_frac: float = field(default=0.1, metadata=_FRACTION)
+    test_start: int | None = field(default=None, metadata=rule("null or an integer", lambda v: v is None or _is_int(v)))
 
 
 def split_dataset(records: list[CommitRecord], spec: SplitSpec) -> dict[str, list[CommitRecord]]:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -22,9 +23,9 @@ import fixhound.trainer as tr
 from conftest import commit_files, init_repo, make_planted_commits, make_planted_repo
 from fixhound.change_builder import VARIANTS, read_examples_jsonl
 from fixhound.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _split_and_downsample, main
-from fixhound.config import MIN_VOCAB_SIZE, RunConfig, atomic_write, load_config, write_jsonl
+from fixhound.config import MIN_VOCAB_SIZE, EncoderConfig, RunConfig, TrainConfig, atomic_write, load_config, write_jsonl
 from fixhound.evaluation import CommitPrediction, write_predictions_jsonl
-from fixhound.records import NVF, read_commits_jsonl, write_commits_jsonl
+from fixhound.records import NVF, SplitSpec, read_commits_jsonl, write_commits_jsonl
 from fixhound.tokenizer import MIN_VOCAB
 from model_helpers import force_concurrent_streams
 
@@ -615,6 +616,8 @@ class TestGuards:
     def test_missing_config_file_is_data_error(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "ghost.json"), "build"]) == EXIT_DATA
         one_line_error(capsys, "ghost.json")
+        assert main(["--config", str(tmp_path), "build"]) == EXIT_DATA  # a directory
+        one_line_error(capsys, f"config file not found: {tmp_path}")
 
     def test_invalid_json_config_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "c.json"
@@ -625,22 +628,22 @@ class TestGuards:
     @pytest.mark.parametrize(
         "command, extra, message",
         [
-            ("build", {"k": "3"}, "bad k config: expected an integer, got '3'"),
-            ("build", {"k": True}, "bad k config"),
-            ("train", {"max_len": 64.0}, "bad max_len config"),
-            ("train", {"vocab_size": "300"}, "bad vocab_size config"),
-            ("build", {"seed": None}, "bad seed config"),
-            ("mine", {"since": "2020"}, "bad since config"),
-            ("mine", {"until": [1]}, "bad until config"),
-            ("evaluate", {"cost_effort_levels": 5}, "bad cost_effort_levels config: expected a list of numbers"),
-            ("evaluate", {"cost_effort_levels": ["5"]}, "bad cost_effort_levels config"),
-            ("build", {"downsample_ratio": "38"}, "bad downsample_ratio config: expected a number"),
-            ("mine", {"repos": "proj"}, "bad repos config: expected a list of strings"),
-            ("mine", {"repos": [1]}, "bad repos config"),
-            ("train", {"encoder": 32}, "bad encoder config: expected an object"),
-            ("train", {"train": "fast"}, "bad train config: expected an object"),
-            ("build", {"split": None}, "bad split config: expected an object"),
-            ("build", {"variant": {}}, "bad variant config: expected a string, got {}"),  # the table lookup needs a key
+            ("build", {"k": "3"}, "bad run config: k must be an integer >= 0, got '3'"),
+            ("build", {"k": True}, "bad run config: k must be an integer >= 0, got True"),
+            ("train", {"max_len": 64.0}, "bad run config: max_len must be an integer >= 3, got 64.0"),
+            ("train", {"vocab_size": "300"}, f"bad run config: vocab_size must be an integer in [{MIN_VOCAB_SIZE}, 2^31], got '300'"),
+            ("build", {"seed": None}, "bad run config: seed must be an integer >= 0, got None"),
+            ("mine", {"since": "2020"}, "bad run config: since must be an integer, got '2020'"),
+            ("mine", {"until": [1]}, "bad run config: until must be an integer, got [1]"),
+            ("evaluate", {"cost_effort_levels": 5}, "bad run config: cost_effort_levels must be a list of numbers in (0, 100], got 5"),
+            ("evaluate", {"cost_effort_levels": ["5"]}, "bad run config: cost_effort_levels must be a list of numbers in (0, 100], got ['5']"),
+            ("build", {"downsample_ratio": "38"}, "bad run config: downsample_ratio must be a finite number > 0, got '38'"),
+            ("mine", {"repos": "proj"}, "bad run config: repos must be a list of strings without NUL that os.fsencode accepts, got 'proj'"),
+            ("mine", {"repos": [1]}, "bad run config: repos must be a list of strings without NUL that os.fsencode accepts, got [1]"),
+            ("train", {"encoder": 32}, "bad run config: encoder must be an object, got 32"),
+            ("train", {"train": "fast"}, "bad run config: train must be an object, got 'fast'"),
+            ("build", {"split": None}, "bad run config: split must be an object, got None"),
+            ("build", {"variant": {}}, "bad run config: variant must be a string, got {}"),  # the table lookup needs a key
         ],
         ids=[
             "k-str", "k-bool", "max_len-float", "vocab_size-str", "seed-null", "since-str", "until-list",
@@ -656,32 +659,37 @@ class TestGuards:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"seed": -1}, "bad run config: seed must be an integer >= 0, got -1"),
             ({"downsample_ratio": -1.0}, "downsample_ratio must be a finite number > 0, got -1.0"),
             ({"downsample_ratio": math.nan}, "downsample_ratio must be a finite number > 0, got nan"),
             ({"downsample_ratio": 0}, "downsample_ratio must be a finite number > 0, got 0"),
-            ({"vocab_size": 5}, f"vocab_size must be in [{MIN_VOCAB_SIZE}, 2^31], got 5"),
-            ({"vocab_size": 2**31 + 1}, f"vocab_size must be in [{MIN_VOCAB_SIZE}, 2^31], got {2**31 + 1}"),
-            ({"k": 2**63}, f"bad k config: expected an integer, got {2**63}"),
-            ({"max_len": 2}, "max_len must be at least 3"),
+            ({"vocab_size": 5}, f"vocab_size must be an integer in [{MIN_VOCAB_SIZE}, 2^31], got 5"),
+            ({"vocab_size": 2**31 + 1}, f"vocab_size must be an integer in [{MIN_VOCAB_SIZE}, 2^31], got {2**31 + 1}"),
+            ({"k": 2**63}, f"bad run config: k must be an integer >= 0, got {2**63}"),
+            ({"max_len": 2}, "bad run config: max_len must be an integer >= 3, got 2"),
             ({"train": {"learning_rate": "x"}}, "learning_rate must be a finite number > 0, got 'x'"),
             ({"train": {"learning_rate": 0}}, "learning_rate must be a finite number > 0, got 0"),
             ({"train": {"learning_rate": math.inf}}, "learning_rate must be a finite number > 0, got inf"),
-            ({"train": {"epochs": 1.5}}, "epochs must be an integer >= 1, got 1.5"),
-            ({"train": {"epochs": 0}}, "epochs must be an integer >= 1, got 0"),
+            ({"train": {"epochs": 1.5}}, "bad train config: epochs must be an integer in [1, 10000], got 1.5"),
+            ({"train": {"epochs": 0}}, "bad train config: epochs must be an integer in [1, 10000], got 0"),
+            ({"train": {"epochs": 2**31 - 1}}, f"bad train config: epochs must be an integer in [1, 10000], got {2**31 - 1}"),
             ({"train": {"batch_size": 32.0}}, "batch_size must be an integer >= 1, got 32.0"),
             ({"train": {"batch_size": True}}, "batch_size must be an integer >= 1, got True"),
             ({"train": {"micro_batch": "4"}}, "micro_batch must be null or an integer >= 1, got '4'"),
             ({"train": {"micro_batch": False}}, "micro_batch must be null or an integer >= 1, got False"),
             ({"train": {"beta2": 1.0}}, "beta2 must be a number in [0, 1), got 1.0"),
-            ({"encoder": {"dim": 16, "layers": 1, "heads": 0}}, "config fields must be positive"),
-            ({"encoder": {"dim": 16.0, "layers": 1, "heads": 2}}, "encoder fields must be integers"),
+            ({"encoder": {"dim": 16, "layers": 1, "heads": 0}}, "bad encoder config: heads must be an integer >= 1, got 0"),
+            ({"encoder": {"dim": 16.0, "layers": 1, "heads": 2}}, "bad encoder config: dim must be an integer >= 1, got 16.0"),
+            # each of these would exhaust time or memory: the encoder's parameters besides tok_emb are bounded
+            ({"encoder": {**FAST_CONFIG["encoder"], "layers": 2**31 - 1}}, "bad encoder config: parameters besides tok_emb must be at most 2^27, got "),
+            ({"max_len": 2**31 - 1}, "bad encoder config: parameters besides tok_emb must be at most 2^27, got "),
+            ({"encoder": {**FAST_CONFIG["encoder"], "dim": 2**40, "heads": 1}}, "bad encoder config: parameters besides tok_emb must be at most 2^27, got "),
         ],
         ids=[
             "seed-negative", "downsample-negative", "downsample-nan", "downsample-zero", "vocab-size-5", "vocab-size-2^31+1",
             "k-2^63", "max-len-2",
-            "lr-str", "lr-zero", "lr-inf", "epochs-float", "epochs-zero", "batch-size-float", "batch-size-bool", "micro-batch-str",
-            "micro-batch-bool", "beta2-one", "heads-zero", "dim-float",
+            "lr-str", "lr-zero", "lr-inf", "epochs-float", "epochs-zero", "epochs-2^31-1", "batch-size-float", "batch-size-bool",
+            "micro-batch-str", "micro-batch-bool", "beta2-one", "heads-zero", "dim-float", "layers-2^31-1", "max-len-2^31-1", "dim-2^40",
         ],
     )
     def test_bad_value_is_usage_error_before_mine_writes(self, tmp_path, capsys, extra, message):
@@ -708,12 +716,12 @@ class TestGuards:
             ({"encoder": {"dim": 15, "layers": 1, "heads": 2}}, "divisible by heads"),
             ({"encoder": {**FAST_CONFIG["encoder"], "depth": 2}}, "'depth'"),
             ({"train": {"lr": 1e-3}}, "'lr'"),
-            ({"train": [3e-3, 2]}, "bad train config"),
+            ({"train": [3e-3, 2]}, "bad run config: train must be an object, got [0.003, 2]"),
             ({"train": {"batch_size": 0}}, "batch_size"),
-            ({"split": {"test_start": 5}}, "'strategy'"),
-            ({"split": {"strategy": "Sideways"}}, "unknown split strategy 'Sideways'"),
-            ({"split": {"strategy": "Temporal", "test_start": "soon"}}, "test_start must be an integer or null"),
-            ({"split": {"strategy": "Temporal", "test_start": True}}, "test_start must be an integer or null"),
+            ({"split": {"test_start": 5}}, "bad split config: strategy must be 'CrossProject' or 'Temporal', got nothing"),
+            ({"split": {"strategy": "Sideways"}}, "bad split config: strategy must be 'CrossProject' or 'Temporal', got 'Sideways'"),
+            ({"split": {"strategy": "Temporal", "test_start": "soon"}}, "bad split config: test_start must be null or an integer, got 'soon'"),
+            ({"split": {"strategy": "Temporal", "test_start": True}}, "bad split config: test_start must be null or an integer, got True"),
             ({"split": {"strategy": "Temporal", "test_start": 5, "train_frac": "most"}}, "train_frac must be a number in [0, 1]"),
             ({"split": {"strategy": "Temporal", "test_start": 5, "train_frac": 1.5}}, "train_frac must be a number in [0, 1]"),
             ({"split": {"strategy": "Temporal", "test_start": 5, "val_frac": False}}, "val_frac must be a number in [0, 1]"),
@@ -744,6 +752,46 @@ class TestGuards:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_bytes(b'{"k": "\xff"}')
+        assert main(["--config", str(p), "build"]) == EXIT_USAGE
+        one_line_error(capsys, "is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("cls", [RunConfig, EncoderConfig, TrainConfig, SplitSpec], ids=lambda cls: cls.__name__)
+    def test_every_config_field_has_one_rule(self, cls):
+        rules = {f.name for f in dataclasses.fields(cls) if set(f.metadata) == {"what", "ok"}}
+        assert {f.name for f in dataclasses.fields(cls)} == rules
+
+    @pytest.mark.parametrize("field", ["workdir", "labels_file", "repos"])
+    @pytest.mark.parametrize("name", ["w\ud800", "w\0x"], ids=["lone-surrogate", "nul"])
+    def test_path_the_os_cannot_take_is_usage_error(self, tmp_path, field, name):
+        path = str(tmp_path / name)
+        values = {"workdir": str(tmp_path / "out"), field: [path] if field == "repos" else path}
+        code, err = _run_quietly("--config", str(write_config(tmp_path, **values)), "mine")
+        assert code == EXIT_USAGE and err.count("\n") == 1, err
+        assert err.startswith(f"error: bad run config: {field} must be ") and "os.fsencode accepts, got " in err, err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("field", ["workdir", "labels_file", "repos"])
+    def test_path_that_is_not_utf8_loads(self, tmp_path, field):
+        # `--out $'w\xff'` reaches Python as 'w\udcff', which os.fsencode turns back into the byte 0xff
+        path = str(tmp_path / "w\udcff")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("repo_id,commit_hash,vuln_id\n")
+        values = {"workdir": str(tmp_path / "out"), "labels_file": str(labels), "repos": [], field: [path] if field == "repos" else path}
+        code, err = _run_quietly("--config", str(write_config(tmp_path, **values)), "mine")
+        if field == "workdir":
+            assert code == EXIT_OK and os.path.exists(os.path.join(os.fsencode(tmp_path), b"w\xff", b"commits.jsonl")), err
+        else:  # the config loads; the path names no file
+            assert code == EXIT_DATA and err.count("\n") == 1 and "not found" in err, err
+
+    def test_the_papers_encoder_and_the_largest_vocabulary_load(self):
+        # CodeBERT's size: 85M parameters besides tok_emb, under the 2^27 bound
+        encoder = {"dim": 768, "layers": 12, "heads": 12, "ffn_mult": 4}
+        cfg = load_config(None, {"encoder": encoder, "max_len": 512, "vocab_size": 2**31})
+        assert cfg.encoder_config(cfg.vocab_size).params_besides_tok_emb == 85_449_216
 
 
 class TestBadArtifacts:
@@ -872,9 +920,8 @@ class TestTrainingFailure:
         "extra, message",
         [
             ({"train": {**FAST_CONFIG["train"], "learning_rate": 1e300}}, "training failed: non-finite loss nan at step 1"),
-            ({"encoder": {**FAST_CONFIG["encoder"], "dim": 2**40, "heads": 1}}, "training failed: out of memory: Unable to allocate"),
         ],
-        ids=["overflowing-learning-rate", "model-beyond-memory"],
+        ids=["overflowing-learning-rate"],
     )
     def test_one_line_and_exit_3(self, tmp_path, command, extra, message):
         workdir, _ = seeded_workdir(tmp_path)
@@ -889,18 +936,34 @@ class TestTrainingFailure:
         assert proc.returncode == 3 and proc.stderr.count("\n") == 1 and proc.stderr.startswith(message), proc.stderr
         assert not list(workdir.glob("checkpoint*.bin"))
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_out_of_memory_is_one_line_and_exit_3(self, tmp_path, capsys, monkeypatch, command):
+        # The load checks bound the model's size the same on every machine, so a model may still not fit in this one's memory.
+        workdir, _ = seeded_workdir(tmp_path)
+        config = write_config(tmp_path, workdir)
+        assert main(["--config", str(config), "build"]) == EXIT_OK
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 4.00 GiB for an array with shape (32768, 32768)")
+
+        monkeypatch.setattr(tr, "train", no_memory)
+        capsys.readouterr()
+        assert main(["--config", str(config), command]) == 3
+        assert capsys.readouterr().err == "training failed: out of memory: Unable to allocate 4.00 GiB for an array with shape (32768, 32768)\n"
+        assert not list(workdir.glob("checkpoint*.bin"))
+
 
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3), st.floats(allow_nan=True, allow_infinity=True),
     st.lists(st.integers(0, 3), max_size=2), st.just({}),
 )
-# 2**63 is the smallest int outside int64. Large sizes inside int64 are not
-# drawn: they pass the load checks and then exhaust memory or time.
+# 2**63 is the smallest int outside int64.
 _EXTREMES = st.sampled_from([0, -1, 0.0, -0.5, 1.0, math.nan, math.inf, -math.inf, 1e300, 2**63])
+_HUGE = st.sampled_from([2**31 - 1, 2**31, 2**62])
 
 
 def _ints(lo, hi):
-    return st.one_of(*[st.integers(lo, hi)] * 3, _EXTREMES, _JUNK)
+    return st.one_of(*[st.integers(lo, hi)] * 3, _EXTREMES, _HUGE, _JUNK)
 
 
 def _floats(lo, hi):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import encoder_oracle
 from fixhound import encoder
-from fixhound.config import EncoderConfig
+from fixhound.config import EncoderConfig, UsageError
 from fixhound.encoder import (
     LN_EPS,
     backward_batch,
@@ -338,7 +339,14 @@ class TestInit:
         assert all(v.dtype == np.float64 for v in p64.values())
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(vocab_size=10, dim=10, layers=1, heads=3, max_len=8)
-        with pytest.raises(ValueError):
-            EncoderConfig(vocab_size=10, dim=8, layers=-1, heads=2, max_len=8)
+        # the one check every encoder block goes through, a run config's or a checkpoint's
+        with pytest.raises(UsageError, match=r"dim must be divisible by heads \(3\), got 10"):
+            EncoderConfig.from_dict({"vocab_size": 300, "dim": 10, "layers": 1, "heads": 3, "max_len": 8})
+        with pytest.raises(UsageError, match="layers must be an integer >= 0, got -1"):
+            EncoderConfig.from_dict({"vocab_size": 300, "dim": 8, "layers": -1, "heads": 2, "max_len": 8})
+
+    @pytest.mark.parametrize("layers, ffn_mult", [(0, 1), (1, 4), (3, 2)])
+    def test_parameter_bound_counts_what_param_shapes_gives(self, layers, ffn_mult):
+        cfg = EncoderConfig(vocab_size=11, dim=8, layers=layers, heads=2, max_len=12, ffn_mult=ffn_mult)
+        sizes = [math.prod(shape) for name, shape in param_shapes(cfg).items() if name != "tok_emb"]
+        assert cfg.params_besides_tok_emb == sum(sizes)

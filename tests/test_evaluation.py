@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import pytest
@@ -224,3 +225,15 @@ class TestEvaluate:
         assert report.counts == {"tp": 1, "fp": 1, "fn": 1, "tn": 0}
         assert set(report.cost_effort) == {5, 20}
         assert sum(b["commit_count"] for b in report.buckets.values()) == 3
+
+    def test_cost_effort_is_keyed_by_the_level_as_configured(self):
+        # a 47.7 stored under int(47.7) overwrote the 47 beside it
+        preds = [pred("a", 0.9, 400), pred("b", 0.8, 77)] + [pred(sha, 0.1, loc) for sha, loc in zip("cdef", (130, 131, 131, 131))]
+        labels = label_map(preds, {"a", "b"})
+        report = evaluate(preds, labels, levels=[47, 47.7])
+        assert report.cost_effort == {47: 0.5, 47.7: 1.0}
+        assert emit_report({"m": report}, "csv", [47, 47.7]).splitlines() == [
+            "Method,F1,Precision,Recall,CostEffort@47,CostEffort@47.7",
+            "m,1.000,1.000,1.000,0.500,1.000",
+        ]
+        assert json.loads(emit_report({"m": report}, "json", [47, 47.7]))["m"]["cost_effort"] == {"47": 0.5, "47.7": 1.0}
