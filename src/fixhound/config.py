@@ -131,6 +131,7 @@ def list_of(what: str, ok: Callable[[object], bool]) -> dict:
 # paper's CodeBERT-sized encoder: dim 768, 12 layers, ffn_mult 4, max_len 512.
 MAX_EPOCHS = 10_000
 MAX_ENCODER_PARAMS = 2**27
+MAX_LAYERS = 1_024  # a layer costs 16 arrays at any width, so the parameter cap alone lets 2^23 tiny ones in
 
 # Rules that several fields share. The run config hands its seed, max_len and
 # vocab_size on to the train and encoder configs, whose fields share its rules.
@@ -164,7 +165,7 @@ def checked(section: str, cls: type, values: dict, **given):
 class EncoderConfig:
     vocab_size: int = field(metadata=VOCAB_SIZE)
     dim: int = field(metadata=at_least(1))
-    layers: int = field(metadata=at_least(0))
+    layers: int = field(metadata=rule(f"an integer in [0, {MAX_LAYERS}]", lambda v: _is_int(v) and 0 <= v <= MAX_LAYERS))
     heads: int = field(metadata=at_least(1))
     max_len: int = field(metadata=MAX_LEN)
     ffn_mult: int = field(default=4, metadata=at_least(1))

@@ -3,9 +3,10 @@
 The variants of `change_builder.VARIANTS` share one classifier interface.
 Dual-stream variants embed their two texts separately and fuse by
 element-wise subtraction (delta) or concatenation; single-stream variants
-run one encoder over one sequence. The two streams of a large
-batch run on two threads (see `_streams_concurrent`), with bit-identical
-results.
+run one encoder over one sequence. A batch keeps only real tokens
+(`EncodedBatch`); `_padded` pads each stream to its longest row right
+before the encoder. The two streams of a large batch run on two threads
+(see `_streams_concurrent`), with bit-identical results.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import contextvars
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .change_builder import VARIANTS, BuiltExample
 from .config import EncoderConfig
 from .encoder import Params
 from .records import VF
-from .tokenizer import TokenSequence, Vocabulary, encode, encode_pair, tokenize_batch
+from .tokenizer import PAD, TokenSequence, Vocabulary, encode, encode_pair, tokenize_batch
 
 PROB_CLAMP = 1e-7
 
@@ -103,43 +105,51 @@ def fuse(e_before: np.ndarray, e_after: np.ndarray, fusion: str) -> np.ndarray:
     raise ValueError(f"unknown fusion {fusion!r}")
 
 
-def _stack(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.array([s.ids for s in seqs], dtype=np.int64)
+def _stream(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """The sequences' ids end to end in one int64 array, and their lengths."""
     lens = np.array([s.attention_length for s in seqs], dtype=np.int64)
-    return ids, lens
+    return np.fromiter(chain.from_iterable(s.ids for s in seqs), dtype=np.int64, count=int(lens.sum())), lens
+
+
+def _padded(ids: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Rows ids[starts[i] : starts[i] + lens[i]] as the encoder's (rows, max(lens))
+    input, PAD after each row's tokens: the one place PAD is written."""
+    widths = lens.tolist()
+    out = np.full((len(widths), max(widths, default=0)), PAD, dtype=np.int64)
+    for row, start, width in zip(out, starts.tolist(), widths):
+        row[:width] = ids[start : start + width]
+    return out
 
 
 @dataclass
 class EncodedBatch:
-    """Tokenized inputs for one batch; ids_b is None for single-stream models."""
+    """Tokenized inputs for one batch; ids_b is None for single-stream models.
+
+    A stream keeps only real tokens: row i is ids[starts[i] : starts[i] + lens[i]].
+    `encode_examples` lays the rows end to end (the default starts), and `take`
+    shares its parent's ids, so it costs O(rows taken)."""
 
     ids_a: np.ndarray
     lens_a: np.ndarray
     ids_b: np.ndarray | None = None
     lens_b: np.ndarray | None = None
     labels: np.ndarray | None = None  # float 0/1 per example
+    starts_a: np.ndarray | None = None
+    starts_b: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.starts_a is None:
+            self.starts_a, self.starts_b = (None if n is None else np.cumsum(n) - n for n in (self.lens_a, self.lens_b))
 
     @property
     def size(self) -> int:
-        return self.ids_a.shape[0]
+        return self.lens_a.size
 
     def take(self, idx: np.ndarray | slice) -> "EncodedBatch":
-        return EncodedBatch(
-            ids_a=self.ids_a[idx],
-            lens_a=self.lens_a[idx],
-            ids_b=None if self.ids_b is None else self.ids_b[idx],
-            lens_b=None if self.lens_b is None else self.lens_b[idx],
-            labels=None if self.labels is None else self.labels[idx],
+        a, b, labels, starts_a, starts_b = (
+            None if x is None else x[idx] for x in (self.lens_a, self.lens_b, self.labels, self.starts_a, self.starts_b)
         )
-
-
-def batch_from_sequences(seq_pairs: list[tuple[TokenSequence, ...]], labels=None) -> EncodedBatch:
-    ids_a, lens_a = _stack([p[0] for p in seq_pairs])
-    ids_b = lens_b = None
-    if seq_pairs and len(seq_pairs[0]) == 2:
-        ids_b, lens_b = _stack([p[1] for p in seq_pairs])
-    lab = None if labels is None else np.asarray(labels, dtype=np.float64)
-    return EncodedBatch(ids_a=ids_a, lens_a=lens_a, ids_b=ids_b, lens_b=lens_b, labels=lab)
+        return EncodedBatch(self.ids_a, a, self.ids_b, b, labels, starts_a, starts_b)
 
 
 def encode_examples(examples: list[BuiltExample], variant: str, vocab: Vocabulary, max_len: int) -> EncodedBatch:
@@ -147,15 +157,15 @@ def encode_examples(examples: list[BuiltExample], variant: str, vocab: Vocabular
 
     The variant's fusion and field count pick the encoding: two sequences to
     fuse, one SEP-joined pair of fields, or one sequence of one field."""
-    segments = [ex.variant_texts(variant) for ex in examples]
-    tokens = iter(tokenize_batch([t for seg in segments for t in seg], vocab))
+    tokens = tokenize_batch([t for ex in examples for t in ex.variant_texts(variant)], vocab)
     if VARIANTS[variant].fusion != "Sequence":
-        seqs = [(encode(next(tokens), max_len), encode(next(tokens), max_len)) for _ in segments]
+        seqs = [encode(t, max_len) for t in tokens]
+        streams = _stream(seqs[0::2]) + _stream(seqs[1::2])
     elif len(VARIANTS[variant].fields) == 2:
-        seqs = [(encode_pair(next(tokens), next(tokens), max_len),) for _ in segments]
+        streams = _stream([encode_pair(a, b, max_len) for a, b in zip(tokens[0::2], tokens[1::2])])
     else:
-        seqs = [(encode(next(tokens), max_len),) for _ in segments]
-    return batch_from_sequences(seqs, [1.0 if ex.label == VF else 0.0 for ex in examples])
+        streams = _stream([encode(t, max_len) for t in tokens])
+    return EncodedBatch(*streams, labels=np.array([float(ex.label == VF) for ex in examples], dtype=np.float64))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -206,16 +216,15 @@ def forward_model(model: DeltaModel, batch: EncodedBatch):
     if fusion == "Sequence":
         if batch.ids_b is not None:
             raise ValueError(f"{model.variant} expects a single input stream")
-        e, cache_a = enc.forward_batch(model.encoder_before, model.config, batch.ids_a, batch.lens_a)
-        fused = e
+        fused, cache_a = enc.forward_batch(model.encoder_before, model.config, _padded(batch.ids_a, batch.starts_a, batch.lens_a), batch.lens_a)
         cache_b = None
     else:
         if batch.ids_b is None:
             raise ValueError(f"{model.variant} expects two input streams")
         (e_b, cache_a), (e_a, cache_b) = _both(
             _streams_concurrent(batch.lens_a, batch.lens_b),
-            lambda: enc.forward_batch(model.encoder_before, model.config, batch.ids_a, batch.lens_a),
-            lambda: enc.forward_batch(model.encoder_after, model.config, batch.ids_b, batch.lens_b),
+            lambda: enc.forward_batch(model.encoder_before, model.config, _padded(batch.ids_a, batch.starts_a, batch.lens_a), batch.lens_a),
+            lambda: enc.forward_batch(model.encoder_after, model.config, _padded(batch.ids_b, batch.starts_b, batch.lens_b), batch.lens_b),
         )
         fused = fuse(e_b, e_a, fusion)
     z1 = fused @ model.head["w1"] + model.head["b1"]

@@ -6,12 +6,11 @@ attention and the final layer-normed states are mean-pooled over the
 non-PAD positions. Everything is plain numpy so the backward pass can be
 checked against finite differences in 64-bit arithmetic.
 
-Inputs arrive PAD-filled to ``max_len``, but a batch is cut to its longest
-real sequence before embedding, so encoder cost scales with
-``max(attn_lens)`` per batch and ``max_len`` is only the cap (and the size
-of the positional table). The cut is exact: PAD keys are masked and PAD
-queries are never pooled, so the dropped columns move no output or
-gradient.
+A batch arrives padded only to its longest real sequence (by
+``delta_model``), so encoder cost scales with ``max(attn_lens)`` per batch
+and ``max_len`` is only the cap (and the size of the positional table).
+PAD keys are masked and PAD queries are never pooled, so PAD positions
+move no output or gradient.
 """
 
 from __future__ import annotations
@@ -125,19 +124,15 @@ def _attention_backward(attn, q, k, v, dctx, scale):
 def forward_batch(params: Params, config: EncoderConfig, ids: np.ndarray, attn_lens: np.ndarray):
     """Pooled embeddings for a batch; returns (pooled (B,d), cache).
 
-    ids is (B, max_len) int; attn_lens (B,) counts of non-PAD positions,
-    each in [1, max_len]. Only the first max(attn_lens) columns are
-    encoded; the cache holds that width.
+    ids is (B, T) int, T at most max_len; attn_lens (B,) counts of non-PAD
+    positions, each in [1, T]. The cache holds width T.
     """
-    if ids.shape[1] != config.max_len:
-        raise ValueError("sequence length does not match config max_len")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
-    if attn_lens.shape != ids.shape[:1] or attn_lens.min() < 1 or attn_lens.max() > ids.shape[1]:
-        raise ValueError("attn_lens must have shape (B,) with entries in [1, max_len]")
+    T = ids.shape[1]
+    if attn_lens.shape != ids.shape[:1] or attn_lens.min() < 1 or attn_lens.max() > T or T > config.max_len:
+        raise ValueError("attn_lens must have shape (B,) with entries in [1, T], and T at most max_len")
     dtype = params["tok_emb"].dtype
-    T = int(attn_lens.max())
-    ids = ids[:, :T]
     key_mask = np.arange(T)[None, :] < attn_lens[:, None]  # (B,T)
     # adding 0 or -inf masks exactly; a batch of full rows needs no mask
     key_bias = None if attn_lens.min() == T else np.where(key_mask, 0.0, -np.inf).astype(dtype)[:, None, None, :]

@@ -1,12 +1,12 @@
-"""Byte-level BPE vocabulary and fixed-length encoding.
+"""Byte-level BPE vocabulary and sequence encoding.
 
 Ids 0..4 are the special tokens, 5..260 the raw bytes, and everything
 above comes from merges learned on the training corpus (most frequent
 adjacent pair first, ties broken by lexicographically smaller pair of
 token byte strings). Training and tokenization run on one numpy array
 holding every text of a call, with a separator after each text that no
-merge crosses. Encoding wraps content ids in BOS/EOS and pads to a fixed
-length; overlong content is truncated head-preserving.
+merge crosses. Encoding wraps content ids in BOS/EOS, at most `max_len`
+ids and no PAD; overlong content is truncated head-preserving.
 """
 
 from __future__ import annotations
@@ -51,9 +51,12 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    ids: tuple[int, ...]
-    attention_length: int
+    ids: tuple[int, ...]  # real tokens only: BOS ... EOS
     truncated: bool
+
+    @property
+    def attention_length(self) -> int:
+        return len(self.ids)
 
 
 def _flat_ids(texts: list[str]) -> np.ndarray:
@@ -143,22 +146,17 @@ def tokenize_batch(texts: Iterable[str], vocab: Vocabulary) -> list[list[int]]:
 
 
 def encode(content: list[int], max_len: int) -> TokenSequence:
-    """BOS + content + EOS, PAD-filled to max_len; tail truncated if over."""
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
+    """BOS + content + EOS, the content's tail truncated to fit max_len."""
     budget = max_len - 2
-    ids = [BOS] + content[:budget] + [EOS]
-    return _pad(ids, max_len, truncated=len(content) > budget)
+    return TokenSequence(ids=(BOS, *content[:budget], EOS), truncated=len(content) > budget)
 
 
 def encode_pair(a: list[int], b: list[int], max_len: int) -> TokenSequence:
-    """BOS + a + SEP + b + EOS, PAD-filled to max_len.
+    """BOS + a + SEP + b + EOS, at most max_len ids.
 
     Overlong pairs are truncated proportionally to their untruncated
     lengths; a side already within half the budget is never touched.
     """
-    if max_len < 3:
-        raise ValueError("max_len must be at least 3 for pair encoding")
     budget = max_len - 3
     if len(a) + len(b) <= budget:
         keep_a, keep_b = len(a), len(b)
@@ -169,11 +167,5 @@ def encode_pair(a: list[int], b: list[int], max_len: int) -> TokenSequence:
     else:
         keep_a = math.ceil(budget * len(a) / (len(a) + len(b)))
         keep_b = budget - keep_a
-    ids = [BOS] + a[:keep_a] + [SEP] + b[:keep_b] + [EOS]
-    return _pad(ids, max_len, truncated=keep_a < len(a) or keep_b < len(b))
-
-
-def _pad(ids: list[int], max_len: int, truncated: bool) -> TokenSequence:
-    attention_length = len(ids)
-    ids.extend([PAD] * (max_len - len(ids)))
-    return TokenSequence(ids=tuple(ids), attention_length=attention_length, truncated=truncated)
+    ids = (BOS, *a[:keep_a], SEP, *b[:keep_b], EOS)
+    return TokenSequence(ids=ids, truncated=keep_a < len(a) or keep_b < len(b))

@@ -111,7 +111,8 @@ def train(
     config: TrainConfig,
     max_steps: int | None = None,
 ) -> TrainResult:
-    """Joint single-phase optimization; returns the best-validation-F1 model.
+    """Joint single-phase optimization; returns the best-validation-F1 model,
+    the one with the lowest validation loss among epochs tied on F1.
 
     The per-step training loss and per-epoch validation loss are logged as
     (step, epoch, loss, split) rows.
@@ -127,7 +128,7 @@ def train(
 
     loss_log: list[tuple[int, int, float, str]] = []
     val_history: list[tuple[int, float]] = []
-    best_f1 = -1.0
+    best = (-1.0, -math.inf)  # (val F1, -val loss): F1 ties go to the lower val loss
     best_epoch = -1
     best_state: Params | None = None
     step = 0
@@ -152,8 +153,8 @@ def train(
         val_f1 = f1_at_half(val_probs, val_batch.labels)
         loss_log.append((step, epoch, float(val_loss), "val"))
         val_history.append((epoch, val_f1))
-        if val_f1 > best_f1:
-            best_f1 = val_f1
+        if (val_f1, -val_loss) > best:
+            best = (val_f1, -val_loss)
             best_epoch = epoch
             best_state = copy.deepcopy(model.all_params())
         if stop:
@@ -162,7 +163,7 @@ def train(
     assert best_state is not None
     for name, arr in model.all_params().items():
         arr[...] = best_state[name]
-    return TrainResult(model=model, loss_log=loss_log, val_history=val_history, best_epoch=best_epoch, best_val_f1=best_f1)
+    return TrainResult(model=model, loss_log=loss_log, val_history=val_history, best_epoch=best_epoch, best_val_f1=best[0])
 
 
 def write_loss_log(loss_log, path: str | Path) -> None:

@@ -144,7 +144,7 @@ def bench_pair(batch: int, width: int, repeats: int, seed: int = 0) -> dict:
     """Both encoders of a dual-stream model, forward then backward, serial and threaded."""
     rng = np.random.default_rng(seed)
     params = [encoder.init_params(CONFIG, seed=seed + i, dtype=np.float32) for i in (0, 1)]
-    ids = [rng.integers(0, CONFIG.vocab_size, size=(batch, CONFIG.max_len)) for _ in params]
+    ids = [rng.integers(0, CONFIG.vocab_size, size=(batch, width)) for _ in params]  # padded to the longest row, as delta_model does
     lens = np.full(batch, width)
     d_pooled = [rng.normal(size=(batch, CONFIG.dim)).astype(np.float32) for _ in params]
 

@@ -10,12 +10,20 @@
   the bytes it stands for.
 - `force_concurrent_streams` runs a dual-stream model's two encoders on two
   threads on any machine and batch.
+- `padded_batch` turns PAD-filled id arrays plus row lengths into an
+  `EncodedBatch`, which holds only the real tokens.
+- `padded_encode`, `padded_encode_pair`, `padded_stack` and `cut` are the
+  padded input path that `EncodedBatch` replaced, kept as an oracle: each
+  view PAD-filled to max_len, the views stacked into an (N, max_len) array,
+  and a batch cut to its longest row before the encoder.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import threading
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -23,7 +31,7 @@ import numpy as np
 from fixhound import delta_model as dm
 from fixhound import encoder as enc
 from fixhound.change_builder import EMBED_CONCAT_DUO, EMBED_SUBTRACT_DUO
-from fixhound.delta_model import DeltaModel
+from fixhound.delta_model import DeltaModel, EncodedBatch
 from fixhound.encoder import Params
 from fixhound.tokenizer import BOS, BYTE_BASE, EOS, MIN_VOCAB, PAD, SEP, UNK, TokenSequence, Vocabulary, tokenize_batch
 
@@ -106,3 +114,67 @@ def force_concurrent_streams(monkeypatch) -> list[str]:
 
         monkeypatch.setattr(enc, name, traced)
     return threads
+
+
+def padded_batch(ids_a, lens_a, ids_b=None, lens_b=None, labels=None) -> EncodedBatch:
+    """The batch of padded (N, width) id arrays and their row lengths: each
+    row's first `lens` ids, end to end per stream."""
+
+    def stream(ids, lens):
+        lens = np.asarray(lens, dtype=np.int64)
+        return np.asarray(ids, dtype=np.int64)[np.arange(np.shape(ids)[1]) < lens[:, None]], lens
+
+    b = (None, None) if ids_b is None else stream(ids_b, lens_b)
+    return EncodedBatch(*stream(ids_a, lens_a), *b, labels=labels)
+
+
+@dataclass(frozen=True)
+class PaddedSequence:
+    ids: tuple[int, ...]  # PAD-filled to max_len
+    attention_length: int
+    truncated: bool
+
+
+def padded_encode(content: list[int], max_len: int) -> PaddedSequence:
+    """BOS + content + EOS, PAD-filled to max_len; tail truncated if over."""
+    budget = max_len - 2
+    ids = [BOS] + content[:budget] + [EOS]
+    return _pad(ids, max_len, truncated=len(content) > budget)
+
+
+def padded_encode_pair(a: list[int], b: list[int], max_len: int) -> PaddedSequence:
+    """BOS + a + SEP + b + EOS, PAD-filled to max_len.
+
+    Overlong pairs are truncated proportionally to their untruncated
+    lengths; a side already within half the budget is never touched.
+    """
+    budget = max_len - 3
+    if len(a) + len(b) <= budget:
+        keep_a, keep_b = len(a), len(b)
+    elif len(a) <= budget / 2:
+        keep_a, keep_b = len(a), budget - len(a)
+    elif len(b) <= budget / 2:
+        keep_a, keep_b = budget - len(b), len(b)
+    else:
+        keep_a = math.ceil(budget * len(a) / (len(a) + len(b)))
+        keep_b = budget - keep_a
+    ids = [BOS] + a[:keep_a] + [SEP] + b[:keep_b] + [EOS]
+    return _pad(ids, max_len, truncated=keep_a < len(a) or keep_b < len(b))
+
+
+def _pad(ids: list[int], max_len: int, truncated: bool) -> PaddedSequence:
+    attention_length = len(ids)
+    ids.extend([PAD] * (max_len - len(ids)))
+    return PaddedSequence(ids=tuple(ids), attention_length=attention_length, truncated=truncated)
+
+
+def padded_stack(seqs: list[PaddedSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """The sequences as one (N, max_len) id array, and their real lengths."""
+    ids = np.array([s.ids for s in seqs], dtype=np.int64)
+    lens = np.array([s.attention_length for s in seqs], dtype=np.int64)
+    return ids, lens
+
+
+def cut(ids: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """A padded batch's first max(lens) columns, the width the encoder ran."""
+    return ids[:, : int(lens.max(initial=0))]

@@ -22,7 +22,6 @@ from fixhound.change_builder import (
 )
 from fixhound.cli import EXIT_OK, main
 from fixhound.delta_model import (
-    EncodedBatch,
     encode_examples,
     forward_model,
     init_model,
@@ -45,7 +44,7 @@ from fixhound.records import (
 from fixhound.repo_miner import mine_repository
 from fixhound.tokenizer import train_vocab
 from fixhound.trainer import f1_at_half, load_checkpoint, save_checkpoint, train
-from model_helpers import cast_model, equivalent_concat_model
+from model_helpers import cast_model, equivalent_concat_model, padded_batch
 from test_change_builder import make_fc
 from test_evaluation import brute_force_cost_effort
 
@@ -69,7 +68,7 @@ def _random_batch(variant, rng, n=2):
         kw["ids_b"] = rng.integers(0, GRAD_CFG.vocab_size, size=(n, GRAD_CFG.max_len))
         kw["lens_b"] = rng.integers(2, GRAD_CFG.max_len + 1, size=n)
     labels = rng.integers(0, 2, size=n).astype(np.float64)
-    return EncodedBatch(ids_a=ids_a, lens_a=lens_a, labels=labels, **kw)
+    return padded_batch(ids_a=ids_a, lens_a=lens_a, labels=labels, **kw)
 
 
 def test_criterion_1_gradient_correctness(capfd):

@@ -681,7 +681,9 @@ class TestGuards:
             ({"encoder": {"dim": 16, "layers": 1, "heads": 0}}, "bad encoder config: heads must be an integer >= 1, got 0"),
             ({"encoder": {"dim": 16.0, "layers": 1, "heads": 2}}, "bad encoder config: dim must be an integer >= 1, got 16.0"),
             # each of these would exhaust time or memory: the encoder's parameters besides tok_emb are bounded
-            ({"encoder": {**FAST_CONFIG["encoder"], "layers": 2**31 - 1}}, "bad encoder config: parameters besides tok_emb must be at most 2^27, got "),
+            ({"encoder": {**FAST_CONFIG["encoder"], "layers": 2**31 - 1}}, f"bad encoder config: layers must be an integer in [0, 1024], got {2**31 - 1}"),
+            # within the parameter bound, but 2^23 - 1 one-wide layers are ~134M arrays
+            ({"max_len": 3, "encoder": {"dim": 1, "heads": 1, "ffn_mult": 1, "layers": 2**23 - 1}}, f"bad encoder config: layers must be an integer in [0, 1024], got {2**23 - 1}"),
             ({"max_len": 2**31 - 1}, "bad encoder config: parameters besides tok_emb must be at most 2^27, got "),
             ({"encoder": {**FAST_CONFIG["encoder"], "dim": 2**40, "heads": 1}}, "bad encoder config: parameters besides tok_emb must be at most 2^27, got "),
         ],
@@ -689,7 +691,7 @@ class TestGuards:
             "seed-negative", "downsample-negative", "downsample-nan", "downsample-zero", "vocab-size-5", "vocab-size-2^31+1",
             "k-2^63", "max-len-2",
             "lr-str", "lr-zero", "lr-inf", "epochs-float", "epochs-zero", "epochs-2^31-1", "batch-size-float", "batch-size-bool",
-            "micro-batch-str", "micro-batch-bool", "beta2-one", "heads-zero", "dim-float", "layers-2^31-1", "max-len-2^31-1", "dim-2^40",
+            "micro-batch-str", "micro-batch-bool", "beta2-one", "heads-zero", "dim-float", "layers-2^31-1", "layers-2^23-1-dim-1", "max-len-2^31-1", "dim-2^40",
         ],
     )
     def test_bad_value_is_usage_error_before_mine_writes(self, tmp_path, capsys, extra, message):

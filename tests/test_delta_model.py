@@ -17,8 +17,6 @@ from fixhound.change_builder import (
 )
 import fixhound.delta_model as dm
 from fixhound.delta_model import (
-    EncodedBatch,
-    batch_from_sequences,
     batch_loss,
     encode_examples,
     forward_model,
@@ -31,9 +29,20 @@ from fixhound.delta_model import (
 )
 from fixhound.config import EncoderConfig
 from fixhound.records import NVF, VF
-from fixhound.tokenizer import SEP, encode, train_vocab
+from fixhound.tokenizer import PAD, SEP, tokenize_batch, train_vocab
 from gradcheck import fd_mismatches
-from model_helpers import SEP_MARKER, cast_model, equivalent_concat_model, force_concurrent_streams, tokenize
+from model_helpers import (
+    SEP_MARKER,
+    cast_model,
+    cut,
+    equivalent_concat_model,
+    force_concurrent_streams,
+    padded_batch,
+    padded_encode,
+    padded_encode_pair,
+    padded_stack,
+    tokenize,
+)
 from test_change_builder import make_fc
 
 CFG = EncoderConfig(vocab_size=280, dim=8, layers=1, heads=2, max_len=16, ffn_mult=2)
@@ -50,7 +59,7 @@ def random_batch(variant, rng, n=3, with_labels=False):
         kw["ids_b"] = rng.integers(0, CFG.vocab_size, size=(n, CFG.max_len))
         kw["lens_b"] = rng.integers(2, CFG.max_len + 1, size=n)
     labels = rng.integers(0, 2, size=n).astype(np.float64) if with_labels else None
-    return EncodedBatch(ids_a=ids_a, lens_a=lens_a, labels=labels, **kw)
+    return padded_batch(ids_a=ids_a, lens_a=lens_a, labels=labels, **kw)
 
 
 class TestFuse:
@@ -119,7 +128,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         ids = rng.integers(0, CFG.vocab_size, size=(2, CFG.max_len))
         lens = np.array([9, 16])
-        batch = EncodedBatch(ids_a=ids, lens_a=lens, ids_b=ids.copy(), lens_b=lens.copy())
+        batch = padded_batch(ids_a=ids, lens_a=lens, ids_b=ids.copy(), lens_b=lens.copy())
         # the single-stream variant normally gets one stream; drive fusion directly
         m_dual = init_model(EMBED_SUBTRACT_DUO, CFG, seed=3)
         m_dual.encoder_after = m_dual.encoder_before
@@ -227,7 +236,8 @@ class TestEncodeInput:
     def test_dual_stream_yields_two_sequences(self):
         ex = build_example(make_fc(["int a;"], ["int b;"]), 3, VF)
         batch = encode_examples([ex, ex], EMBED_SUBTRACT_DUO, VOCAB, 16)
-        assert batch.ids_a.shape == batch.ids_b.shape == (2, 16)
+        assert batch.lens_a.shape == batch.lens_b.shape == (2,)
+        assert batch.ids_a.shape == (batch.lens_a.sum(),) and batch.ids_b.shape == (batch.lens_b.sum(),)
         assert batch.labels.tolist() == [1.0, 1.0]
 
     def test_sep_token_only_at_segment_boundary(self):
@@ -240,8 +250,8 @@ class TestEncodeInput:
         for variant in VARIANTS:
             batch = encode_examples([ex], variant, VOCAB, 256)
             assert (batch.ids_b is not None) == (VARIANTS[variant].fusion != "Sequence"), variant
-            rows = [batch.ids_a[0]] if batch.ids_b is None else [batch.ids_a[0], batch.ids_b[0]]
-            assert not any(row[-1] for row in rows), variant  # nothing truncated
+            rows = [batch.ids_a[: batch.lens_a[0]]] if batch.ids_b is None else [batch.ids_a[: batch.lens_a[0]], batch.ids_b[: batch.lens_b[0]]]
+            assert all(len(row) < 256 for row in rows), variant  # nothing truncated
             seps = [np.flatnonzero(row == SEP).tolist() for row in rows]
             if VARIANTS[variant].fusion == "Sequence" and len(VARIANTS[variant].fields) == 2:
                 first = ex.variant_texts(variant)[0]
@@ -253,7 +263,7 @@ class TestEncodeInput:
         ex = build_example(make_fc(["just a"], ["diff body"]), 3, NVF)
         batch = encode_examples([ex], RAW_GIT_DIFF, VOCAB, 32)
         assert batch.ids_b is None
-        assert SEP not in batch.ids_a[0]
+        assert SEP not in batch.ids_a
 
     def test_empty_example_list(self):
         batch = encode_examples([], CODE_CONCAT, VOCAB, 16)
@@ -274,12 +284,88 @@ class TestEncodeInput:
         assert p.shape == (5,)
         assert np.all((0.0 < p) & (p < 1.0))
 
-    def test_batch_from_sequences_shapes(self):
-        seqs = (encode(tokenize("a", VOCAB), 16), encode(tokenize("b", VOCAB), 16))
-        batch = batch_from_sequences([seqs, seqs], labels=[1.0, 0.0])
-        assert batch.size == 2
-        assert batch.ids_b is not None
-        assert batch.labels.tolist() == [1.0, 0.0]
+
+
+def padded_encode_examples(examples, variant, max_len):
+    """The replaced `encode_examples`: every view PAD-filled to max_len, each
+    stream stacked into one (N, max_len) id array with its row lengths."""
+    segments = [ex.variant_texts(variant) for ex in examples]
+    tokens = iter(tokenize_batch([t for seg in segments for t in seg], VOCAB))
+    if VARIANTS[variant].fusion != "Sequence":
+        seqs = [(padded_encode(next(tokens), max_len), padded_encode(next(tokens), max_len)) for _ in segments]
+    elif len(VARIANTS[variant].fields) == 2:
+        seqs = [(padded_encode_pair(next(tokens), next(tokens), max_len),) for _ in segments]
+    else:
+        seqs = [(padded_encode(next(tokens), max_len),) for _ in segments]
+    return [padded_stack([row[i] for row in seqs]) for i in range(len(seqs[0]))], seqs
+
+
+class TestPaddedPathEquivalence:
+    """`encode_examples` and `EncodedBatch.take` against the padded path they
+    replaced (tests/model_helpers.py): each view PAD-filled to max_len, the
+    views stacked into an (N, max_len) array, and a batch cut to its longest
+    row before the encoder. Every take must give the encoder the oracle's ids
+    and lengths, while a stream stores only its real tokens."""
+
+    MAX_LEN = 32
+    TAKES = [
+        np.array([9, 0, 5, 2]),  # a training batch of a permutation
+        np.array([3, 3, 0]),  # a row taken twice
+        np.arange(10)[::-1],
+        np.array([7]),
+        np.zeros(0, dtype=np.int64),
+        slice(0, 4),
+        slice(4, 8),
+        slice(8, 12),  # runs past the last row
+        slice(3, 3),  # empty
+        slice(None),
+    ]
+
+    def _examples(self):
+        # shuffled sizes, from one changed line to views far over MAX_LEN, with
+        # the removed side longer, shorter or as long as the added one
+        rng = np.random.default_rng(21)
+        examples = []
+        for i, n in enumerate(rng.permutation([1, 2, 3, 5, 8, 1, 13, 2, 21, 4])):
+            old = [f"a{j}" for j in range(n if i % 3 else 1 + n // 4)]
+            new = [f"b{j}" for j in range(n if i % 3 != 1 else 1 + n // 4)]
+            examples.append(build_example(make_fc(old, new), 3, VF if i % 2 else NVF))
+        return examples
+
+    @pytest.mark.parametrize("variant", [EMBED_SUBTRACT_DUO, CODE_CONCAT, RAW_GIT_DIFF], ids=["dual", "pair", "single"])
+    def test_every_take_gives_the_oracles_encoder_input(self, variant):
+        examples = self._examples()
+        batch = encode_examples(examples, variant, VOCAB, self.MAX_LEN)
+        oracle, seqs = padded_encode_examples(examples, variant, self.MAX_LEN)
+        truncated = [s.truncated for row in seqs for s in row]
+        assert any(truncated) and not all(truncated)
+        assert len({int(n) for ids, lens in oracle for n in lens}) > 3  # the rows' lengths differ
+        if variant == CODE_CONCAT:  # overlong pairs split at more than one place
+            assert len({s.ids.index(SEP) for (s,) in seqs if s.truncated}) > 1
+        assert (batch.ids_b is None) == (len(oracle) == 1)
+        for idx in self.TAKES:
+            taken = batch.take(idx)
+            assert np.array_equal(taken.labels, batch.labels[idx])
+            streams = [(taken.ids_a, taken.starts_a, taken.lens_a), (taken.ids_b, taken.starts_b, taken.lens_b)]
+            for (ids, starts, lens), (oracle_ids, oracle_lens) in zip(streams, oracle):
+                padded = dm._padded(ids, starts, lens)
+                assert padded.dtype == np.int64
+                assert np.array_equal(lens, oracle_lens[idx]), idx
+                assert np.array_equal(padded, cut(oracle_ids[idx], oracle_lens[idx])), idx
+
+    @pytest.mark.parametrize("variant", [EMBED_SUBTRACT_DUO, CODE_CONCAT, RAW_GIT_DIFF], ids=["dual", "pair", "single"])
+    def test_each_stream_stores_only_its_real_tokens(self, variant):
+        # encode_examples lays the rows end to end; a take copies no ids
+        examples = self._examples()
+        batch = encode_examples(examples, variant, VOCAB, self.MAX_LEN)
+        oracle, _ = padded_encode_examples(examples, variant, self.MAX_LEN)
+        streams = [(batch.ids_a, batch.starts_a, batch.lens_a), (batch.ids_b, batch.starts_b, batch.lens_b)][: len(oracle)]
+        for (ids, starts, lens), (_, oracle_lens) in zip(streams, oracle):
+            assert ids.dtype == np.int64 and ids.shape == (oracle_lens.sum(),)
+            assert PAD not in ids
+            assert np.array_equal(starts, np.cumsum(oracle_lens) - oracle_lens)
+        for taken in (batch.take(np.array([9, 0, 5, 2])), batch.take(slice(2, 7))):
+            assert taken.ids_a is batch.ids_a and taken.ids_b is batch.ids_b
 
 
 class TestConcurrentStreams:
@@ -311,7 +397,7 @@ class TestConcurrentStreams:
     def test_worker_stream_error_is_raised(self, monkeypatch):
         threads = force_concurrent_streams(monkeypatch)
         batch = random_batch(EMBED_SUBTRACT_DUO, np.random.default_rng(3))
-        batch.ids_b[0, 0] = CFG.vocab_size  # only the after-stream, which runs on the worker
+        batch.ids_b[0] = CFG.vocab_size  # only the after-stream, which runs on the worker
         with pytest.raises(ValueError, match="token id out of vocabulary range"):
             predict_batch(init_model(EMBED_SUBTRACT_DUO, CFG, seed=0), batch)
         assert set(threads) - {threading.main_thread().name}

@@ -15,7 +15,7 @@ from fixhound.encoder import (
     param_shapes,
 )
 from gradcheck import fd_mismatches
-from model_helpers import cast_params
+from model_helpers import cast_params, cut
 
 CFG = EncoderConfig(vocab_size=11, dim=16, layers=2, heads=2, max_len=12)
 
@@ -180,9 +180,9 @@ class TestBackward:
 
 
 class TestTrimEquivalence:
-    """The batch is cut to its longest real row; a max_len-wide batch is the
-    padded path it replaces. Rows must encode (and back-propagate) the same
-    whether they run at their own width or padded to max_len."""
+    """A batch runs at the width of its input, which `delta_model` pads to the
+    longest real row. Rows must encode (and back-propagate) the same whether
+    they run at their own width or padded to max_len."""
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_trimmed_matches_padded(self, dtype, tol):
@@ -196,7 +196,7 @@ class TestTrimEquivalence:
         alone_pooled = []
         alone_grads = {name: np.zeros_like(v) for name, v in params.items()}
         for i, n in enumerate(lens):
-            pooled, cache = forward_batch(params, CFG, ids[i : i + 1], lens[i : i + 1])
+            pooled, cache = forward_batch(params, CFG, ids[i : i + 1, :n], lens[i : i + 1])
             assert cache["lnf"][0].shape[1] == n
             alone_pooled.append(pooled[0])
             for name, g in backward_batch(params, CFG, cache, d_pooled[i : i + 1]).items():
@@ -215,21 +215,14 @@ class TestTrimEquivalence:
         for name, g in padded_grads.items():
             assert np.abs(g - alone_grads[name]).max() <= tol * scale, name
 
-    def test_cache_width_is_longest_real_row(self):
-        params = init_params(CFG, seed=0)
-        ids = np.zeros((3, CFG.max_len), dtype=np.int64)
-        _, cache = forward_batch(params, CFG, ids, np.array([3, 6, 2]))
-        assert cache["ids"].shape == (3, 6)
-        assert cache["lnf"][0].shape[:2] == (3, 6)
-        for layer in cache["layers"]:
-            assert layer["attn"].shape[-2:] == (6, 6)
-
 
 class TestOracleEquivalence:
     """The in-place softmax, GEMM weight gradients and sorted embedding
-    scatter against the kernels they replaced (tests/encoder_oracle.py):
-    the forward pass does the same arithmetic in the same order, so pooled
-    outputs are bit-identical; the backward pass sums in another order."""
+    scatter against the kernels they replaced (tests/encoder_oracle.py),
+    which take max_len-wide input and cut it to the longest row; the encoder
+    takes that exact width. The forward pass does the same arithmetic in the
+    same order, so pooled outputs are bit-identical; the backward pass sums
+    in another order."""
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     @pytest.mark.parametrize("layers", [0, 2])
@@ -244,7 +237,7 @@ class TestOracleEquivalence:
         ids[np.arange(cfg.max_len)[None, :] >= lens[:, None]] = 0
         d_pooled = rng.normal(size=(len(lens), cfg.dim)).astype(dtype)
 
-        pooled, cache = forward_batch(params, cfg, ids, lens)
+        pooled, cache = forward_batch(params, cfg, cut(ids, lens), lens)
         ref_pooled, ref_cache = encoder_oracle.forward_batch(params, cfg, ids, lens)
         assert pooled.dtype == ref_pooled.dtype == dtype
         assert np.array_equal(pooled, ref_pooled)
@@ -342,7 +335,7 @@ class TestInit:
         # the one check every encoder block goes through, a run config's or a checkpoint's
         with pytest.raises(UsageError, match=r"dim must be divisible by heads \(3\), got 10"):
             EncoderConfig.from_dict({"vocab_size": 300, "dim": 10, "layers": 1, "heads": 3, "max_len": 8})
-        with pytest.raises(UsageError, match="layers must be an integer >= 0, got -1"):
+        with pytest.raises(UsageError, match=r"layers must be an integer in \[0, 1024\], got -1"):
             EncoderConfig.from_dict({"vocab_size": 300, "dim": 8, "layers": -1, "heads": 2, "max_len": 8})
 
     @pytest.mark.parametrize("layers, ffn_mult", [(0, 1), (1, 4), (3, 2)])

@@ -16,12 +16,13 @@ from fixhound.change_builder import (
     build_example,
     build_examples,
 )
-from fixhound.delta_model import batch_from_sequences, init_model, predict_batch
+from fixhound.delta_model import init_model, predict_batch
 from fixhound.config import EncoderConfig
 from fixhound.evaluation import CommitPrediction, read_predictions_jsonl, write_predictions_jsonl
 from fixhound.inference import predict_corpus
 from fixhound.records import NVF, VF, CommitRecord
-from fixhound.tokenizer import encode, encode_pair, train_vocab
+from fixhound.tokenizer import train_vocab
+from model_helpers import padded_batch, padded_encode, padded_encode_pair, padded_stack
 
 VOCAB = train_vocab(["alpha beta gamma delta_ omega sigma kappa theta VULNCHECK"], 300)
 CFG = EncoderConfig(vocab_size=VOCAB.size, dim=8, layers=1, heads=2, max_len=32, ffn_mult=2)
@@ -134,10 +135,10 @@ def per_file_sequences(ex, variant, vocab, max_len):
     """One file's sequences, each segment tokenized on its own by the oracle."""
     tokens = [bpe_oracle.tokenize(t, vocab) for t in ex.variant_texts(variant)]
     if VARIANTS[variant].fusion != "Sequence":
-        return tuple(encode(t, max_len) for t in tokens)
+        return tuple(padded_encode(t, max_len) for t in tokens)
     if len(VARIANTS[variant].fields) == 2:
-        return (encode_pair(*tokens, max_len),)
-    return (encode(tokens[0], max_len),)
+        return (padded_encode_pair(*tokens, max_len),)
+    return (padded_encode(tokens[0], max_len),)
 
 
 def per_file_prediction(commit, model, vocab, k):
@@ -146,7 +147,8 @@ def per_file_prediction(commit, model, vocab, k):
     for fc in sorted(commit.files, key=lambda f: f.path):
         ex = build_example(fc, k, commit.label, commit.repo_id, commit.commit_hash)
         seqs = per_file_sequences(ex, model.variant, vocab, model.config.max_len)
-        file_probs.append((fc.path, float(predict_batch(model, batch_from_sequences([seqs]))[0])))
+        batch = padded_batch(*[arr for seq in seqs for arr in padded_stack([seq])])
+        file_probs.append((fc.path, float(predict_batch(model, batch)[0])))
     total = 0.0
     for _, p in file_probs:
         total += p

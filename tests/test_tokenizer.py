@@ -23,7 +23,7 @@ from fixhound.tokenizer import (
     train_vocab,
 )
 from fixhound.trainer import load_checkpoint, save_checkpoint
-from model_helpers import decode, token_bytes, tokenize
+from model_helpers import decode, padded_encode, padded_encode_pair, token_bytes, tokenize
 
 
 class TestTrainVocab:
@@ -80,7 +80,7 @@ def vocab():
 class TestEncode:
     def test_empty_text(self, vocab):
         seq = encode(tokenize("", vocab), 8)
-        assert seq.ids == (BOS, EOS, PAD, PAD, PAD, PAD, PAD, PAD)
+        assert seq.ids == (BOS, EOS)
         assert seq.attention_length == 2
         assert not seq.truncated
 
@@ -88,8 +88,8 @@ class TestEncode:
         seq = encode(tokenize("the fox", vocab), 32)
         assert seq.ids[0] == BOS
         assert seq.ids[seq.attention_length - 1] == EOS
-        assert all(i == PAD for i in seq.ids[seq.attention_length :])
-        assert len(seq.ids) == 32
+        assert PAD not in seq.ids
+        assert len(seq.ids) == seq.attention_length < 32
 
     def test_round_trip_when_untruncated(self, vocab):
         for text in ["the quick brown fox", "zebra!", "tab\tand\nnewline"]:
@@ -113,8 +113,7 @@ class TestEncode:
 class TestEncodePair:
     def test_both_empty(self, vocab):
         seq = encode_pair(tokenize("", vocab), tokenize("", vocab), 8)
-        assert seq.ids[:3] == (BOS, SEP, EOS)
-        assert all(i == PAD for i in seq.ids[3:])
+        assert seq.ids == (BOS, SEP, EOS)
 
     def test_proportional_truncation(self, vocab):
         # 10 and 10 content tokens with 13 content slots -> keep 7 + 6
@@ -140,6 +139,27 @@ class TestEncodePair:
         seq = encode_pair(tokenize("ab", vocab), tokenize("cd", vocab), 64)
         assert not seq.truncated
         assert decode(seq, vocab) == "ab ⟨SEP⟩ cd"
+
+
+class TestAgainstPaddedEncode:
+    """`encode` and `encode_pair` against the PAD-filling versions they replaced
+    (tests/model_helpers.py): the same real tokens and truncation flag, over
+    every content length up to past the budget and every pair split."""
+
+    def test_encode(self):
+        for max_len in range(3, 14):
+            for n in range(16):
+                content = list(range(MIN_VOCAB, MIN_VOCAB + n))
+                old, new = padded_encode(content, max_len), encode(content, max_len)
+                assert new.ids == old.ids[: old.attention_length] and new.truncated == old.truncated
+
+    def test_encode_pair(self):
+        for max_len in range(3, 14):
+            for n in range(16):
+                for m in range(16):
+                    a, b = list(range(MIN_VOCAB, MIN_VOCAB + n)), list(range(BYTE_BASE, BYTE_BASE + m))
+                    old, new = padded_encode_pair(a, b, max_len), encode_pair(a, b, max_len)
+                    assert new.ids == old.ids[: old.attention_length] and new.truncated == old.truncated
 
 
 class TestSerialization:
@@ -212,8 +232,7 @@ class TestEncodingProperties:
         s1 = encode(tokenize(text, v), max_len)
         s2 = encode(tokenize(text, v), max_len)
         assert s1 == s2
-        assert len(s1.ids) == max_len
-        assert s1.attention_length <= max_len
+        assert len(s1.ids) == s1.attention_length <= max_len
         content = s1.ids[1 : s1.attention_length - 1]
         assert all(i >= MIN_VOCAB - 256 for i in content)  # no specials inside content
         if not s1.truncated:

@@ -13,6 +13,7 @@ from fixhound.config import EncoderConfig, TrainConfig, TrainingError
 from fixhound.records import CROSS_PROJECT, NVF, TEMPORAL, VF, CommitRecord, SplitError, SplitSpec, split_dataset
 from fixhound.tokenizer import BYTE_BASE, MIN_VOCAB, Vocabulary
 from fixhound.trainer import AdamW, CheckpointError, f1_at_half, load_checkpoint, save_checkpoint, train, write_loss_log
+from model_helpers import padded_batch
 
 CFG = EncoderConfig(vocab_size=64, dim=8, layers=1, heads=2, max_len=12, ffn_mult=2)
 
@@ -162,7 +163,7 @@ def _toy_batches(n=16, seed=0):
     # plant a separable signal: positive examples start with token 5
     ids[labels > 0.5, 1] = 5
     ids[labels <= 0.5, 1] = 6
-    batch = EncodedBatch(ids_a=ids, lens_a=lens, labels=labels)
+    batch = padded_batch(ids_a=ids, lens_a=lens, labels=labels)
     return batch, batch
 
 
@@ -185,10 +186,11 @@ class TestTrainLoop:
         # joint training: a single step must move the before-encoder, the
         # after-encoder, and the head all at once
         train_b, val_b = _toy_batches()
-        dual = EncodedBatch(
-            ids_a=train_b.ids_a,
+        ids = train_b.ids_a.reshape(train_b.size, CFG.max_len)  # every toy row is max_len long
+        dual = padded_batch(
+            ids_a=ids,
             lens_a=train_b.lens_a,
-            ids_b=np.flip(train_b.ids_a, axis=1).copy(),
+            ids_b=np.flip(ids, axis=1).copy(),
             lens_b=train_b.lens_a.copy(),
             labels=train_b.labels,
         )
@@ -219,11 +221,27 @@ class TestTrainLoop:
         train_b, val_b = _toy_batches()
         cfg = TrainConfig(learning_rate=2e-3, epochs=5, batch_size=8, seed=0)
         result = train(RAW_GIT_DIFF, CFG, train_b, val_b, cfg)
+        val_loss = {epoch: loss for _, epoch, loss, split in result.loss_log if split == "val"}
         best_epochs = [e for e, f1 in result.val_history if f1 == result.best_val_f1]
-        assert result.best_epoch == best_epochs[0]
+        # among the epochs tied on F1, the lowest val loss (the earliest of equal losses)
+        assert result.best_epoch == min(best_epochs, key=lambda e: (val_loss[e], e))
         # returned model reproduces the recorded best F1 on the val set
         probs = predict_batch(result.model, val_b)
         assert f1_at_half(probs, val_b.labels) == result.best_val_f1
+
+    def test_zero_f1_everywhere_returns_the_lowest_val_loss(self):
+        # a validation set without VF scores F1 0 in every epoch; training still
+        # lowers its loss, and the epoch that reached the lowest one is kept
+        train_b, _ = _toy_batches()
+        val_b = train_b.take(np.flatnonzero(train_b.labels < 0.5))
+        cfg = TrainConfig(learning_rate=2e-3, epochs=5, batch_size=8, seed=0)
+        result = train(RAW_GIT_DIFF, CFG, train_b, val_b, cfg)
+        assert [f1 for _, f1 in result.val_history] == [0.0] * 5
+        val_loss = {epoch: loss for _, epoch, loss, split in result.loss_log if split == "val"}
+        lowest = min(val_loss, key=lambda e: (val_loss[e], e))
+        assert lowest > 0
+        assert result.best_epoch == lowest
+        assert dm.batch_loss(predict_batch(result.model, val_b), val_b.labels) == val_loss[lowest]
 
     def test_micro_batching_matches_full_batch(self):
         train_b, val_b = _toy_batches()
@@ -266,7 +284,7 @@ class TestPredictInChunks:
         kw = {}
         if variant == EMBED_SUBTRACT_DUO:
             kw = {"ids_b": rng.integers(0, CFG.vocab_size, size=(n, CFG.max_len)), "lens_b": rng.permutation(lens_a)}
-        batch = EncodedBatch(ids_a=rng.integers(0, CFG.vocab_size, size=(n, CFG.max_len)), lens_a=lens_a, **kw)
+        batch = padded_batch(ids_a=rng.integers(0, CFG.vocab_size, size=(n, CFG.max_len)), lens_a=lens_a, **kw)
         model = init_model(variant, CFG, seed=2, dtype=dtype)
         model.head["w2"] *= 50  # spread the probabilities away from 0.5
 
@@ -278,7 +296,7 @@ class TestPredictInChunks:
         assert np.abs(chunked - expected).max() <= tol * np.abs(expected).max()
 
     def test_empty_batch(self):
-        batch = EncodedBatch(ids_a=np.zeros((0, CFG.max_len), dtype=np.int64), lens_a=np.zeros(0, dtype=np.int64))
+        batch = padded_batch(ids_a=np.zeros((0, CFG.max_len), dtype=np.int64), lens_a=np.zeros(0, dtype=np.int64))
         assert predict_in_chunks(init_model(RAW_GIT_DIFF, CFG, seed=0), batch, chunk=4).shape == (0,)
 
 
@@ -366,5 +384,5 @@ class TestCheckpoints:
         loaded, _, _ = load_checkpoint(path)
         rng = np.random.default_rng(0)
         ids = rng.integers(0, CKPT_CFG.vocab_size, size=(4, CKPT_CFG.max_len))
-        batch = EncodedBatch(ids_a=ids, lens_a=np.full(4, CKPT_CFG.max_len))
+        batch = padded_batch(ids_a=ids, lens_a=np.full(4, CKPT_CFG.max_len))
         assert np.array_equal(predict_batch(model, batch), predict_batch(loaded, batch))
