@@ -14,11 +14,9 @@ and training, validation and prediction all encode `build_examples` output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .config import read_jsonl, write_jsonl
-from .records import CommitRecord, FileChange, Hunk, Window
+from .records import CommitRecord, FileChange, Hunk, Window, _count, _str, _verdict
 
 EMBED_SUBTRACT_DUO = "EmbedSubtract_Duo"
 EMBED_SUBTRACT_SINGLE = "EmbedSubtract_Single"
@@ -76,9 +74,7 @@ def _hunk_spans(h: Hunk, k: int) -> tuple[int, int, int, int]:
 
 
 def context_regions(fc: FileChange, k: int) -> tuple[Region, ...]:
-    """Group hunks into merged context regions at window size k."""
-    if k < 0:
-        raise ValueError("context window must be non-negative")
+    """Group hunks into merged context regions at window size k >= 0."""
     regions: list[Region] = []
     cur: list[Hunk] = []
     cur_span = (0, -1, 0, -1)
@@ -187,8 +183,6 @@ class BuiltExample:
 
     def variant_texts(self, variant: str) -> tuple[str, ...]:
         """The texts `variant` encodes: its table fields, in order."""
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
         return tuple(getattr(self, name) for name in VARIANTS[variant].fields)
 
     def to_dict(self) -> dict:
@@ -196,15 +190,11 @@ class BuiltExample:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BuiltExample":
+        """A train.jsonl or val.jsonl line, its fields checked as a commit record's are."""
+        for name in ("repo_id", "commit_hash", "path", "code_before", "code_after", "removed_code", "added_code", "raw_diff"):
+            _str(d, name)
+        _count(d, "k"), _count(d, "removed_loc"), _count(d, "added_loc"), _verdict(d, "label")
         return cls(**d)
-
-
-def write_examples_jsonl(examples: Iterable[BuiltExample], path: str | Path) -> int:
-    return write_jsonl(examples, path)
-
-
-def read_examples_jsonl(path: str | Path) -> list[BuiltExample]:
-    return read_jsonl(path, BuiltExample.from_dict)
 
 
 def build_example(
@@ -215,10 +205,8 @@ def build_example(
     commit_hash: str = "",
 ) -> BuiltExample:
     """Cut the paper-style (code_before, code_after) pair at window size k
-    and render every variant's text from the same regions; k may not
-    exceed the context the record stores."""
-    if k > fc.context:
-        raise ValueError(f"{fc.path}: k={k} exceeds the {fc.context} lines of context the record stores")
+    and render every variant's text from the same regions; k must not
+    exceed the context the record stores (`cli._check_context`)."""
     regions = context_regions(fc, k)
     return BuiltExample(
         repo_id=repo_id,

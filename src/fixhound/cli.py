@@ -144,8 +144,8 @@ def _split_and_downsample(cfg: RunConfig, commits: list[CommitRecord]):
 
 
 def cmd_build(cfg: RunConfig, workdir: Path) -> int:
-    from .change_builder import build_examples, write_examples_jsonl
-    from .config import DataError
+    from .change_builder import build_examples
+    from .config import DataError, write_jsonl
     from .records import read_commits_jsonl, write_commits_jsonl
 
     commits_path = workdir / "commits.jsonl"
@@ -155,7 +155,7 @@ def cmd_build(cfg: RunConfig, workdir: Path) -> int:
     _check_context(commits, cfg.k, commits_path)
     parts = _split_and_downsample(cfg, commits)
     for name in ("train", "val"):
-        write_examples_jsonl(build_examples(parts[name], cfg.k), workdir / f"{name}.jsonl")
+        write_jsonl(build_examples(parts[name], cfg.k), workdir / f"{name}.jsonl")
     write_commits_jsonl(parts["test"], workdir / "test_commits.jsonl")
     write_manifest(workdir, "build", cfg, ["train.jsonl", "val.jsonl", "test_commits.jsonl"])
     print(f"built train={len(parts['train'])} val={len(parts['val'])} test={len(parts['test'])} commits at k={cfg.k}")
@@ -196,15 +196,15 @@ def _train_and_save(cfg: RunConfig, variant: str, train_examples, val_examples, 
 
 
 def cmd_train(cfg: RunConfig, workdir: Path) -> int:
-    from .change_builder import read_examples_jsonl
-    from .config import DataError
+    from .change_builder import BuiltExample
+    from .config import DataError, read_jsonl
 
     train_path = workdir / "train.jsonl"
     val_path = workdir / "val.jsonl"
     if not train_path.exists() or not val_path.exists():
         raise DataError(f"built dataset not found in {workdir} (run build first)")
-    train_examples = read_examples_jsonl(train_path)
-    val_examples = read_examples_jsonl(val_path)
+    train_examples = read_jsonl(train_path, BuiltExample.from_dict)
+    val_examples = read_jsonl(val_path, BuiltExample.from_dict)
     for path, examples in ((train_path, train_examples), (val_path, val_examples)):
         for ex in examples:
             if ex.k != cfg.k:
@@ -224,8 +224,7 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
     import numpy as np
 
     from .change_builder import build_examples
-    from .config import DataError
-    from .evaluation import write_predictions_jsonl
+    from .config import DataError, write_jsonl
     from .inference import predict_corpus
     from .records import read_commits_jsonl
     from .trainer import load_checkpoint
@@ -248,7 +247,7 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
     for pred in preds:
         if not math.isfinite(pred.commit_prob):  # the mean of the file probabilities, so any NaN shows here
             raise DataError(f"{ckpt_path} gives commit {pred.commit_hash} a probability of {pred.commit_prob}: its weights overflow")
-    write_predictions_jsonl(preds, workdir / "predictions.jsonl")
+    write_jsonl(preds, workdir / "predictions.jsonl")
     write_manifest(workdir, "predict", cfg, ["predictions.jsonl"])
     print(f"predicted {len(preds)} commits")
     return EXIT_OK
@@ -283,8 +282,8 @@ def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
     from dataclasses import replace
 
     from .change_builder import VARIANTS, build_examples
-    from .config import DataError
-    from .evaluation import emit_report, evaluate, write_predictions_jsonl, write_report
+    from .config import DataError, write_jsonl
+    from .evaluation import emit_report, evaluate, write_report
     from .inference import predict_corpus
     from .records import read_commits_jsonl
 
@@ -306,7 +305,7 @@ def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
             tag, key = (f"{variant}_k{k}", f"{variant}@k={k}") if sweep_k else (variant, variant)
             result = _train_and_save(sub, variant, train, val, vocab, workdir, f"_{tag}")
             preds = predict_corpus(test, result.model, vocab, cfg.train_config().batch_size)
-            write_predictions_jsonl(preds, workdir / f"predictions_{tag}.jsonl")
+            write_jsonl(preds, workdir / f"predictions_{tag}.jsonl")
             reports[key] = evaluate(preds, labels, cfg.cost_effort_levels)
             # partial results stay on disk if a later run fails
             write_report(reports, workdir / f"{name}.csv", "csv", cfg.cost_effort_levels)
@@ -368,9 +367,7 @@ def main(argv: list[str] | None = None) -> int:
                 return cmd_predict(cfg, workdir, args.checkpoint)
             if args.command == "evaluate":
                 return cmd_evaluate(cfg, workdir, args.predictions)
-            if args.command == "ablate":
-                return cmd_ablate(cfg, workdir, sweep_k)
-            raise UsageError(f"unknown command {args.command!r}")
+            return cmd_ablate(cfg, workdir, sweep_k)  # the parser admits no other command
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -74,35 +74,28 @@ def head_shapes(variant: str, config: EncoderConfig) -> dict[str, tuple[int, ...
     return {"w1": (width, hidden), "b1": (hidden,), "w2": (hidden, 1), "b2": (1,)}
 
 
-def init_head(variant: str, config: EncoderConfig, seed: int, dtype=np.float32) -> Params:
+def init_head(variant: str, config: EncoderConfig, seed: int) -> Params:
     rng = np.random.default_rng(seed)
     shapes = head_shapes(variant, config)
     return {
-        "w1": rng.normal(0.0, enc.INIT_STD, size=shapes["w1"]).astype(dtype),
-        "b1": np.zeros(shapes["b1"], dtype=dtype),
-        "w2": rng.normal(0.0, enc.INIT_STD, size=shapes["w2"]).astype(dtype),
-        "b2": np.zeros(shapes["b2"], dtype=dtype),
+        "w1": rng.normal(0.0, enc.INIT_STD, size=shapes["w1"]).astype(np.float32),
+        "b1": np.zeros(shapes["b1"], dtype=np.float32),
+        "w2": rng.normal(0.0, enc.INIT_STD, size=shapes["w2"]).astype(np.float32),
+        "b2": np.zeros(shapes["b2"], dtype=np.float32),
     }
 
 
-def init_model(variant: str, config: EncoderConfig, seed: int, dtype=np.float32) -> DeltaModel:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    before = enc.init_params(config, seed, dtype=dtype)
-    after = enc.init_params(config, seed + 1, dtype=dtype) if VARIANTS[variant].own_encoders else before
-    head = init_head(variant, config, seed + 2, dtype=dtype)
+def init_model(variant: str, config: EncoderConfig, seed: int) -> DeltaModel:
+    """Seeded float32 parameters: the encoder(s) at seed and seed + 1, the head at seed + 2."""
+    before = enc.init_params(config, seed)
+    after = enc.init_params(config, seed + 1) if VARIANTS[variant].own_encoders else before
+    head = init_head(variant, config, seed + 2)
     return DeltaModel(variant=variant, config=config, encoder_before=before, encoder_after=after, head=head)
 
 
 def fuse(e_before: np.ndarray, e_after: np.ndarray, fusion: str) -> np.ndarray:
-    """Combine the two stream embeddings (batched on the leading axis) by a table fusion."""
-    if fusion == "Subtract":
-        if e_before.shape != e_after.shape:
-            raise ValueError("subtract fusion requires equal embedding dims")
-        return e_before - e_after
-    if fusion == "Concat":
-        return np.concatenate([e_before, e_after], axis=-1)
-    raise ValueError(f"unknown fusion {fusion!r}")
+    """Combine the two stream embeddings (batched on the leading axis) by "Subtract" or "Concat"."""
+    return e_before - e_after if fusion == "Subtract" else np.concatenate([e_before, e_after], axis=-1)
 
 
 def _stream(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:

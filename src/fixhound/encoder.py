@@ -50,17 +50,17 @@ def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> Params:
-    """Scaled-normal weights (std 0.02), layer-norm gain 1 / bias 0."""
+def init_params(config: EncoderConfig, seed: int) -> Params:
+    """Scaled-normal float32 weights (std 0.02), layer-norm gain 1 / bias 0."""
     rng = np.random.default_rng(seed)
     params: Params = {}
     for name, shape in param_shapes(config).items():
         if name.endswith(".g"):
-            params[name] = np.ones(shape, dtype=dtype)
+            params[name] = np.ones(shape, dtype=np.float32)
         elif name.endswith((".b", ".b1", ".b2", "bq", "bk", "bv", "bo")):
-            params[name] = np.zeros(shape, dtype=dtype)
+            params[name] = np.zeros(shape, dtype=np.float32)
         else:
-            params[name] = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
+            params[name] = rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
     return params
 
 

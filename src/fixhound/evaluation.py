@@ -14,11 +14,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from .change_builder import VARIANTS
-from .config import DataError, atomic_write, read_jsonl, write_jsonl
-from .records import VF
+from .config import DataError, _is_finite, atomic_write, read_jsonl
+from .records import VF, _count, _str, _verdict, once_per_commit
 
 # Change-size ranges (lo, hi]; loc <= 1 is assigned to the first bucket.
 SIZE_BUCKETS = ((1, 20), (20, 40), (40, 60), (60, 80), (80, 100), (100, None))
@@ -44,15 +43,20 @@ class CommitPrediction:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CommitPrediction":
-        return cls(**{**d, "file_probs": tuple((p, pr) for p, pr in d["file_probs"])})
-
-
-def write_predictions_jsonl(preds: Iterable[CommitPrediction], path: str | Path) -> int:
-    return write_jsonl(preds, path)
+        """A predictions.jsonl line, its fields checked as a commit record's are."""
+        _str(d, "repo_id"), _str(d, "commit_hash"), _count(d, "commit_loc"), _verdict(d, "predicted")
+        if not (_is_finite(d["commit_prob"]) and 0 <= d["commit_prob"] <= 1):
+            raise ValueError(f"commit_prob must be a number in [0, 1], not {d['commit_prob']!r}")
+        if not isinstance(d["file_probs"], list) or not all(
+            isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and _is_finite(p[1]) for p in d["file_probs"]
+        ):
+            raise ValueError("file_probs must be a list of [path, finite number] pairs")
+        return cls(**{**d, "file_probs": tuple(map(tuple, d["file_probs"]))})
 
 
 def read_predictions_jsonl(path: str | Path) -> list[CommitPrediction]:
-    return read_jsonl(path, CommitPrediction.from_dict)
+    """Read predictions.jsonl; a repeated (repo_id, commit_hash) is an unreadable record."""
+    return read_jsonl(path, once_per_commit(CommitPrediction.from_dict))
 
 
 @dataclass
@@ -168,16 +172,14 @@ def report_rows(reports: dict[str, EvalReport], levels=(5, 20)) -> list[list[str
 
 
 def emit_report(reports: dict[str, EvalReport], fmt: str = "csv", levels=(5, 20)) -> str:
-    """Render reports as CSV or aligned text, three decimal places."""
+    """Render reports as "csv", aligned "text" (three decimal places) or "json"."""
     rows = report_rows(reports, levels)
     if fmt == "csv":
         return "\n".join(",".join(row) for row in rows) + "\n"
     if fmt == "text":
         widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows) + "\n"
-    if fmt == "json":
-        return json.dumps({m: r.to_dict() for m, r in reports.items()}, indent=2, sort_keys=True) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")
+    return json.dumps({m: r.to_dict() for m, r in reports.items()}, indent=2, sort_keys=True) + "\n"
 
 
 def write_report(reports: dict[str, EvalReport], path: str | Path, fmt: str = "csv", levels=(5, 20)) -> None:

@@ -15,9 +15,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .config import DataError, _is_finite, _is_int, list_of, read_jsonl, rule, write_jsonl
+from .config import DataError, Record, _is_finite, _is_int, list_of, read_jsonl, rule, write_jsonl
 
 VF = "VF"
 NVF = "NVF"
@@ -39,6 +39,21 @@ def _int(d: dict, name: str) -> int:
     if not _is_int(d[name]):
         raise ValueError(f"{name} must be an integer, not {type(d[name]).__name__}")
     return d[name]
+
+
+def _count(d: dict, name: str) -> None:
+    if _int(d, name) < 0:
+        raise ValueError(f"{name} must be >= 0, not {d[name]}")
+
+
+def _str(d: dict, name: str) -> None:
+    if not isinstance(d[name], str):
+        raise ValueError(f"{name} must be a string, not {type(d[name]).__name__}")
+
+
+def _verdict(d: dict, name: str) -> None:
+    if d[name] not in (VF, NVF):
+        raise ValueError(f"{name} must be {VF!r} or {NVF!r}, not {d[name]!r}")
 
 
 def _lines(d: dict, name: str) -> tuple[str, ...]:
@@ -103,11 +118,12 @@ class FileChange:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FileChange":
+        _str(d, "path")
         hunks = tuple(Hunk.from_dict(h) for h in d["hunks"])
         if hunks and not d["windows"]:
             raise ValueError(f"{d['path']}: hunks without a context window")
         for name in ("removed_loc", "added_loc", "old_len", "new_len", "context"):
-            _int(d, name)
+            _count(d, name)
         windows = tuple(Window.from_dict(w) for w in d["windows"])
         # A cut at k <= context finds its window as the last one starting at or
         # before the region, so the windows must start in order and the first
@@ -136,7 +152,7 @@ class CommitRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CommitRecord":
-        _int(d, "timestamp")
+        _str(d, "repo_id"), _str(d, "commit_hash"), _int(d, "timestamp"), _verdict(d, "label")
         return cls(**{**d, "files": tuple(FileChange.from_dict(f) for f in d["files"])})
 
 
@@ -148,8 +164,6 @@ def downsample_nvf(records: list[CommitRecord], ratio: float, seed: int) -> list
     """
     vf = [r for r in records if r.label == VF]
     nvf = [r for r in records if r.label == NVF]
-    if not vf:
-        raise ValueError("cannot downsample: no VF records present")
     target = min(len(nvf), math.ceil(ratio * len(vf)))
     kept_nvf = random.Random(seed).sample(nvf, target)
     out = vf + kept_nvf
@@ -172,11 +186,7 @@ class SplitSpec:
 
 def split_dataset(records: list[CommitRecord], spec: SplitSpec) -> dict[str, list[CommitRecord]]:
     """Partition commit records per the split spec; deterministic."""
-    if spec.strategy == CROSS_PROJECT:
-        return _split_cross_project(records, spec)
-    if spec.strategy == TEMPORAL:
-        return _split_temporal(records, spec)
-    raise SplitError(f"unknown split strategy {spec.strategy!r}")
+    return (_split_cross_project if spec.strategy == CROSS_PROJECT else _split_temporal)(records, spec)
 
 
 def _split_cross_project(records, spec: SplitSpec):
@@ -222,15 +232,20 @@ def write_commits_jsonl(records: Iterable[CommitRecord], path: str | Path) -> in
     return write_jsonl(sorted(records, key=lambda r: (r.timestamp, r.repo_id, r.commit_hash)), path)
 
 
-def read_commits_jsonl(path: str | Path) -> list[CommitRecord]:
-    """Read `write_commits_jsonl` output; a repeated (repo_id, commit_hash) is an unreadable record."""
+def once_per_commit(from_dict: Callable[[dict], Record]) -> Callable[[dict], Record]:
+    """`from_dict` for one `read_jsonl` call, refusing a (repo_id, commit_hash) it has read before."""
     seen: set[tuple[str, str]] = set()
 
-    def from_dict(d: dict) -> CommitRecord:
-        rec = CommitRecord.from_dict(d)
+    def once(d: dict) -> Record:
+        rec = from_dict(d)
         if (rec.repo_id, rec.commit_hash) in seen:
             raise ValueError(f"commit {rec.commit_hash} of {rec.repo_id} appears twice")
         seen.add((rec.repo_id, rec.commit_hash))
         return rec
 
-    return read_jsonl(path, from_dict)
+    return once
+
+
+def read_commits_jsonl(path: str | Path) -> list[CommitRecord]:
+    """Read `write_commits_jsonl` output; a repeated (repo_id, commit_hash) is an unreadable record."""
+    return read_jsonl(path, once_per_commit(CommitRecord.from_dict))

@@ -206,11 +206,11 @@ def mine_repository(
     repo_path: str | Path,
     since: int = 0,
     until: int = 2**62,
-    repo_id: str | None = None,
     context: int = CONTEXT_MAX,
 ) -> Iterator[CommitRecord]:
     """Yield one unlabeled CommitRecord per non-merge commit in [since, until],
-    each file keeping `context` lines around its hunks.
+    each file keeping `context` lines around its hunks, with the repository
+    directory's name as its repo_id.
 
     Records come out in ascending (timestamp, commit_hash) order. Merge
     commits, binary files, and files with zero changed lines are skipped;
@@ -229,8 +229,6 @@ def mine_repository(
     the generator finishes or is closed.
     """
     repo_path = Path(repo_path)
-    if repo_id is None:
-        repo_id = repo_path.name
     try:
         _git(repo_path, "rev-parse", "--git-dir")
     except (subprocess.CalledProcessError, FileNotFoundError) as exc:
@@ -272,7 +270,7 @@ def mine_repository(
             files = [fc for (*_, path), (old, new) in zip(entries, sides) if (fc := _file_change(path, old, new, context))]
             if files:
                 files.sort(key=lambda f: f.path)
-                yield CommitRecord(repo_id=repo_id, commit_hash=sha, timestamp=ts, label=NVF, files=tuple(files))
+                yield CommitRecord(repo_id=repo_path.name, commit_hash=sha, timestamp=ts, label=NVF, files=tuple(files))
     finally:
         cat_file.stdout.close()
         with contextlib.suppress(BrokenPipeError):  # unsent bytes of a request to a dead process

@@ -98,13 +98,9 @@ def train_vocab(corpus: Iterable[str], vocab_size: int) -> Vocabulary:
     touch a text separator, takes the most frequent one (ties broken by the
     smaller pair of token byte strings) and merges it everywhere. Stops
     early when no pair is left. Fully deterministic for a fixed corpus order.
+    `vocab_size` is at least MIN_VOCAB (a config rule).
     """
-    if vocab_size < MIN_VOCAB:
-        raise ValueError(f"vocab_size must be at least {MIN_VOCAB}")
-    texts = list(corpus)
-    if not texts:
-        raise ValueError("cannot train a vocabulary on an empty corpus")
-    ids = _flat_ids(texts)
+    ids = _flat_ids(list(corpus))
     pieces = {BYTE_BASE + b: bytes([b]) for b in range(256)}
     merges: list[tuple[int, int]] = []
     while MIN_VOCAB + len(merges) < vocab_size:

@@ -109,7 +109,6 @@ def train(
     train_batch: EncodedBatch,
     val_batch: EncodedBatch,
     config: TrainConfig,
-    max_steps: int | None = None,
 ) -> TrainResult:
     """Joint single-phase optimization; returns the best-validation-F1 model,
     the one with the lowest validation loss among epochs tied on F1.
@@ -128,11 +127,10 @@ def train(
 
     loss_log: list[tuple[int, int, float, str]] = []
     val_history: list[tuple[int, float]] = []
-    best = (-1.0, -math.inf)  # (val F1, -val loss): F1 ties go to the lower val loss
+    best = (-1.0, -math.inf)  # (val F1, -val loss): F1 ties go to the lower val loss; epoch 0 beats it
     best_epoch = -1
-    best_state: Params | None = None
+    best_state: Params = {}
     step = 0
-    stop = False
 
     for epoch in range(config.epochs):
         perm = rng.permutation(train_batch.size)
@@ -144,9 +142,6 @@ def train(
             step += 1
             opt.step(grads)
             loss_log.append((step, epoch, float(loss), "train"))
-            if max_steps is not None and step >= max_steps:
-                stop = True
-                break
 
         val_probs = dm.predict_in_chunks(model, val_batch, config.batch_size)
         val_loss = dm.batch_loss(val_probs, val_batch.labels)
@@ -157,10 +152,7 @@ def train(
             best = (val_f1, -val_loss)
             best_epoch = epoch
             best_state = copy.deepcopy(model.all_params())
-        if stop:
-            break
 
-    assert best_state is not None
     for name, arr in model.all_params().items():
         arr[...] = best_state[name]
     return TrainResult(model=model, loss_log=loss_log, val_history=val_history, best_epoch=best_epoch, best_val_f1=best[0])

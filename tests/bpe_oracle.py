@@ -34,11 +34,7 @@ def _merge_sequence(seq: list[int], pair: tuple[int, int], new_id: int) -> list[
 
 
 def train_vocab(corpus: Iterable[str], vocab_size: int) -> Vocabulary:
-    if vocab_size < MIN_VOCAB:
-        raise ValueError(f"vocab_size must be at least {MIN_VOCAB}")
     sequences = [_byte_ids(text) for text in corpus]
-    if not sequences:
-        raise ValueError("cannot train a vocabulary on an empty corpus")
     vocab = Vocabulary()
     while vocab.size < vocab_size:
         counts: Counter[tuple[int, int]] = Counter()

@@ -93,7 +93,7 @@ def _attention_core(q, k, v, scale, block: int):
 
 def bench_batch(batch: int, repeats: int, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
-    params = encoder.init_params(CONFIG, seed=seed, dtype=np.float32)
+    params = encoder.init_params(CONFIG, seed=seed)
     ids = rng.integers(0, CONFIG.vocab_size, size=(batch, CONFIG.max_len))
     lens = np.full(batch, CONFIG.max_len)
     d_pooled = rng.normal(size=(batch, CONFIG.dim)).astype(np.float32)
@@ -143,7 +143,7 @@ def bench_batch(batch: int, repeats: int, seed: int = 0) -> dict:
 def bench_pair(batch: int, width: int, repeats: int, seed: int = 0) -> dict:
     """Both encoders of a dual-stream model, forward then backward, serial and threaded."""
     rng = np.random.default_rng(seed)
-    params = [encoder.init_params(CONFIG, seed=seed + i, dtype=np.float32) for i in (0, 1)]
+    params = [encoder.init_params(CONFIG, seed=seed + i) for i in (0, 1)]
     ids = [rng.integers(0, CONFIG.vocab_size, size=(batch, width)) for _ in params]  # padded to the longest row, as delta_model does
     lens = np.full(batch, width)
     d_pooled = [rng.normal(size=(batch, CONFIG.dim)).astype(np.float32) for _ in params]

@@ -235,7 +235,7 @@ def test_criterion_5_planted_pattern_learnability(capfd):
         train_batch = encode_examples(train_examples, EMBED_SUBTRACT_DUO, vocab, 64)
         heldout_batch = encode_examples(heldout_examples, EMBED_SUBTRACT_DUO, vocab, 64)
         tc = TrainConfig(learning_rate=3e-3, epochs=100, batch_size=32, seed=seed)
-        result = train(EMBED_SUBTRACT_DUO, cfg, train_batch, heldout_batch, tc, max_steps=200)
+        result = train(EMBED_SUBTRACT_DUO, cfg, train_batch, heldout_batch, tc)  # 100 epochs x 2 steps = 200 steps
         train_f1 = f1_at_half(predict_batch(result.model, train_batch), train_batch.labels)
         heldout_f1 = f1_at_half(predict_batch(result.model, heldout_batch), heldout_batch.labels)
         results.append((seed, train_f1, heldout_f1))

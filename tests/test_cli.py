@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 import fixhound.change_builder as cb
 import fixhound.trainer as tr
 from conftest import commit_files, init_repo, make_planted_commits, make_planted_repo
-from fixhound.change_builder import VARIANTS, read_examples_jsonl
+from fixhound.change_builder import VARIANTS, BuiltExample
 from fixhound.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _split_and_downsample, main
-from fixhound.config import MIN_VOCAB_SIZE, EncoderConfig, RunConfig, TrainConfig, atomic_write, load_config, write_jsonl
-from fixhound.evaluation import CommitPrediction, write_predictions_jsonl
+from fixhound.config import MIN_VOCAB_SIZE, EncoderConfig, RunConfig, TrainConfig, atomic_write, load_config, read_jsonl, write_jsonl
+from fixhound.evaluation import CommitPrediction
 from fixhound.records import NVF, SplitSpec, read_commits_jsonl, write_commits_jsonl
 from fixhound.tokenizer import MIN_VOCAB
 from model_helpers import force_concurrent_streams
@@ -249,13 +249,13 @@ class TestBuild:
         for name in ("train.jsonl", "val.jsonl", "test_commits.jsonl"):
             assert (workdir / name).exists(), name
         assert not (workdir / "built_header.json").exists()
-        assert {ex.k for ex in read_examples_jsonl(workdir / "train.jsonl")} == {3}
+        assert {ex.k for ex in read_jsonl(workdir / "train.jsonl", BuiltExample.from_dict)} == {3}
 
     def test_build_at_k0(self, tmp_path):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "--k", "0", "build"]) == EXIT_OK
-        assert {ex.k for ex in read_examples_jsonl(workdir / "train.jsonl")} == {0}
+        assert {ex.k for ex in read_jsonl(workdir / "train.jsonl", BuiltExample.from_dict)} == {0}
 
     def test_test_split_never_downsampled(self, tmp_path):
         workdir, commits = seeded_workdir(tmp_path)
@@ -560,6 +560,24 @@ def trained_workdir(tmp_path_factory):
     return config, workdir
 
 
+@pytest.fixture(scope="module")
+def predicted_workdir(trained_workdir, tmp_path_factory):
+    """A copy of `trained_workdir` with its test split predicted."""
+    workdir = tmp_path_factory.mktemp("predicted") / "out"
+    shutil.copytree(trained_workdir[1], workdir)
+    assert main(["--config", str(write_config(workdir.parent, workdir)), "predict"]) == EXIT_OK
+    return workdir
+
+
+def _with_line(src: Path, dest: Path, lineno: int, damage) -> None:
+    """`src` copied to `dest`, the JSON object on line `lineno` (1-based) passed through `damage`."""
+    lines = src.read_text().splitlines(keepends=True)
+    record = json.loads(lines[lineno - 1])
+    damage(record)
+    lines[lineno - 1] = json.dumps(record) + "\n"
+    dest.write_text("".join(lines))
+
+
 @st.composite
 def _damaged(draw, raw: bytes) -> bytes:
     """`raw` cut at some offset, or overwritten there; half the offsets fall in the config block with the merges."""
@@ -665,6 +683,7 @@ class TestGuards:
             ({"downsample_ratio": 0}, "downsample_ratio must be a finite number > 0, got 0"),
             ({"vocab_size": 5}, f"vocab_size must be an integer in [{MIN_VOCAB_SIZE}, 2^31], got 5"),
             ({"vocab_size": 2**31 + 1}, f"vocab_size must be an integer in [{MIN_VOCAB_SIZE}, 2^31], got {2**31 + 1}"),
+            ({"k": -1}, "bad run config: k must be an integer >= 0, got -1"),
             ({"k": 2**63}, f"bad run config: k must be an integer >= 0, got {2**63}"),
             ({"max_len": 2}, "bad run config: max_len must be an integer >= 3, got 2"),
             ({"train": {"learning_rate": "x"}}, "learning_rate must be a finite number > 0, got 'x'"),
@@ -689,7 +708,7 @@ class TestGuards:
         ],
         ids=[
             "seed-negative", "downsample-negative", "downsample-nan", "downsample-zero", "vocab-size-5", "vocab-size-2^31+1",
-            "k-2^63", "max-len-2",
+            "k-negative", "k-2^63", "max-len-2",
             "lr-str", "lr-zero", "lr-inf", "epochs-float", "epochs-zero", "epochs-2^31-1", "batch-size-float", "batch-size-bool",
             "micro-batch-str", "micro-batch-bool", "beta2-one", "heads-zero", "dim-float", "layers-2^31-1", "layers-2^23-1-dim-1", "max-len-2^31-1", "dim-2^40",
         ],
@@ -814,7 +833,7 @@ class TestBadArtifacts:
         commits = [c for c in make_planted_commits(6, seed=0) if c.label == NVF]
         write_commits_jsonl(commits, workdir / "test_commits.jsonl")
         preds = [CommitPrediction(c.repo_id, c.commit_hash, (("src/mod.c", 0.3),), 0.3, NVF, 2) for c in commits]
-        write_predictions_jsonl(preds, workdir / "predictions.jsonl")
+        write_jsonl(preds, workdir / "predictions.jsonl")
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "evaluate"]) == EXIT_DATA
         one_line_error(capsys, "zero actual VF commits")
@@ -836,13 +855,19 @@ class TestBadArtifacts:
             (lambda rec: rec["files"][0].update(context="9"), "context must be an integer, not str"),
             (lambda rec: rec["files"][0]["hunks"][0].update(old_start="1"), "old_start must be an integer, not str"),
             (lambda rec: rec["files"][0].update(removed_loc=None), "removed_loc must be an integer, not NoneType"),
+            (lambda rec: rec["files"][0].update(removed_loc=-1), "removed_loc must be >= 0, not -1"),
+            (lambda rec: rec.update(label="MAYBE"), "label must be 'VF' or 'NVF', not 'MAYBE'"),
+            (lambda rec: rec.update(repo_id=5), "repo_id must be a string, not int"),
             (lambda rec: rec["files"][0].update(windows=[]), "hunks without a context window"),
             (  # one line late is already too late
                 lambda rec: [w.update(old_lo=w["old_lo"] + 1) for w in rec["files"][0]["windows"]],
                 "context windows do not cover the first hunk",
             ),
         ],
-        ids=["no-files", "context-str", "old-start-str", "removed-loc-null", "no-windows", "windows-after-hunks"],
+        ids=[
+            "no-files", "context-str", "old-start-str", "removed-loc-null", "removed-loc-negative", "label-maybe", "repo-id-int",
+            "no-windows", "windows-after-hunks",
+        ],
     )
     def test_damaged_test_commit_is_data_error(self, trained_workdir, tmp_path, capsys, damage, message):
         _, trained = trained_workdir
@@ -858,6 +883,59 @@ class TestBadArtifacts:
         assert main(["--config", str(write_config(tmp_path, workdir)), "predict"]) == EXIT_DATA
         one_line_error(capsys, f"{path}:2: unreadable record (ValueError: ", message)
         assert not (workdir / "predictions.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "artifact, damage, message",
+        [
+            ("train.jsonl", lambda ex: ex.update(code_before=5), "code_before must be a string, not int"),
+            ("train.jsonl", lambda ex: ex.update(k="3"), "k must be an integer, not str"),
+            ("val.jsonl", lambda ex: ex.update(removed_loc=-1), "removed_loc must be >= 0, not -1"),
+            ("train.jsonl", lambda ex: ex.update(label="MAYBE"), "label must be 'VF' or 'NVF', not 'MAYBE'"),
+        ],
+        ids=["text-int", "k-str", "loc-negative", "label-maybe"],
+    )
+    def test_damaged_example_is_data_error(self, trained_workdir, tmp_path, capsys, artifact, damage, message):
+        _, trained = trained_workdir
+        workdir = tmp_path / "out"
+        workdir.mkdir()
+        for name in ("train.jsonl", "val.jsonl"):
+            shutil.copy(trained / name, workdir)
+        _with_line(trained / artifact, workdir / artifact, 1, damage)
+        assert main(["--config", str(write_config(tmp_path, workdir)), "train"]) == EXIT_DATA
+        one_line_error(capsys, f"error: {workdir / artifact}:1: unreadable record (ValueError: {message})")
+        assert not (workdir / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda p: p.update(commit_prob="0.5"), "commit_prob must be a number in [0, 1], not '0.5'"),
+            (lambda p: p.update(commit_prob=1.5), "commit_prob must be a number in [0, 1], not 1.5"),
+            (lambda p: p.update(commit_loc="7"), "commit_loc must be an integer, not str"),
+            (lambda p: p.update(predicted=1), "predicted must be 'VF' or 'NVF', not 1"),
+            (lambda p: p["file_probs"][0].__setitem__(1, "high"), "file_probs must be a list of [path, finite number] pairs"),
+        ],
+        ids=["prob-str", "prob-above-1", "loc-str", "predicted-int", "file-prob-str"],
+    )
+    def test_damaged_prediction_is_data_error(self, predicted_workdir, tmp_path, capsys, damage, message):
+        workdir = tmp_path / "out"
+        workdir.mkdir()
+        shutil.copy(predicted_workdir / "test_commits.jsonl", workdir)
+        _with_line(predicted_workdir / "predictions.jsonl", workdir / "predictions.jsonl", 2, damage)
+        assert main(["--config", str(write_config(tmp_path, workdir)), "evaluate"]) == EXIT_DATA
+        one_line_error(capsys, f"error: {workdir / 'predictions.jsonl'}:2: unreadable record (ValueError: {message})")
+        assert not (workdir / "report.json").exists()
+
+    def test_repeated_prediction_is_data_error(self, predicted_workdir, tmp_path, capsys):
+        workdir = tmp_path / "out"
+        workdir.mkdir()
+        shutil.copy(predicted_workdir / "test_commits.jsonl", workdir)
+        lines = (predicted_workdir / "predictions.jsonl").read_text().splitlines(keepends=True)
+        (workdir / "predictions.jsonl").write_text("".join([*lines, lines[1]]))
+        pred = json.loads(lines[1])
+        assert main(["--config", str(write_config(tmp_path, workdir)), "evaluate"]) == EXIT_DATA
+        duplicate = f"commit {pred['commit_hash']} of {pred['repo_id']} appears twice"
+        one_line_error(capsys, f"{workdir / 'predictions.jsonl'}:{len(lines) + 1}: unreadable record (ValueError: {duplicate})")
+        assert not (workdir / "report.json").exists()
 
     def test_repeated_test_commit_is_data_error(self, trained_workdir, tmp_path, capsys):
         _, trained = trained_workdir
@@ -1153,3 +1231,85 @@ class TestCommitsFuzz:
             code, err = _run_quietly("--config", str(write_config(Path(tmp), workdir)), "build")
             _assert_contract(code, err)
             assert code in (EXIT_OK, EXIT_DATA), err
+
+
+# Values that a field of a built example or a prediction must never hold: a
+# wrong type, or a number out of range. _MISSING deletes the field instead.
+_MISSING = object()
+_NOT_STR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.lists(st.integers(0, 3), max_size=2), st.just({}), st.just(_MISSING))
+_NOT_COUNT = st.one_of(st.integers(max_value=-1), st.just(2**63), st.text(max_size=3), st.none(), st.booleans(), st.floats(), st.just([]), st.just(_MISSING))
+_NOT_VERDICT = st.one_of(_NOT_STR, st.text(max_size=4).filter(lambda v: v not in ("VF", "NVF")))
+_NOT_FINITE = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.none(), st.booleans(), st.text(max_size=3), st.just([0.5]))
+_NOT_PROB = st.one_of(_NOT_FINITE, st.floats(allow_nan=False).filter(lambda p: not 0 <= p <= 1), st.integers().filter(lambda p: not 0 <= p <= 1))
+_NOT_PAIRS = st.one_of(
+    _NOT_STR.filter(lambda v: not isinstance(v, list)),
+    st.builds(lambda path: [[path, 0.5]], _NOT_STR.filter(lambda v: v is not _MISSING)),
+    st.builds(lambda prob: [["src/mod.c", prob]], _NOT_FINITE),
+    st.sampled_from([[["src/mod.c"]], [["src/mod.c", 0.5, 0.5]], ["src/mod.c"], [("src/mod.c", 0.5), 7]]),
+)
+_EXAMPLE_FIELDS = {
+    **{name: _NOT_STR for name in ("repo_id", "commit_hash", "path", "code_before", "code_after", "removed_code", "added_code", "raw_diff")},
+    **{name: _NOT_COUNT for name in ("k", "removed_loc", "added_loc")},
+    "label": _NOT_VERDICT,
+}
+_PREDICTION_FIELDS = {
+    "repo_id": _NOT_STR,
+    "commit_hash": _NOT_STR,
+    "file_probs": _NOT_PAIRS,
+    "commit_prob": _NOT_PROB,
+    "predicted": _NOT_VERDICT,
+    "commit_loc": _NOT_COUNT,
+}
+
+
+def _refuses_line(data, fields: dict, src: Path, dest: Path, command: str, config: Path) -> None:
+    """One field of one line of `src`, written to `dest`, set to a value drawn
+    from `fields`: `command` exits 2 with one `error:` line naming dest:line."""
+    lines = src.read_text().splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    name = data.draw(st.sampled_from(sorted(fields)), label="field")
+    value = data.draw(fields[name], label="value")
+    record = json.loads(lines[i])
+    if value is _MISSING:
+        del record[name]
+    else:
+        record[name] = value
+    lines[i] = json.dumps(record) + "\n"
+    dest.write_text("".join(lines))
+    code, err = _run_quietly("--config", str(config), command)
+    assert code == EXIT_DATA and err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.startswith(f"error: {dest}:{i + 1}: unreadable record ("), err
+
+
+class TestExamplesFuzz:
+    """One field of one `train.jsonl` or `val.jsonl` line with a wrong-typed or
+    out-of-range value: `train` exits 2 with one line naming path:line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_train_refuses_the_line(self, trained_workdir, data):
+        _, trained = trained_workdir
+        artifact = data.draw(st.sampled_from(["train.jsonl", "val.jsonl"]), label="artifact")
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp) / "out"
+            workdir.mkdir()
+            for name in ("train.jsonl", "val.jsonl"):
+                shutil.copy(trained / name, workdir)
+            config = write_config(Path(tmp), workdir)
+            _refuses_line(data, _EXAMPLE_FIELDS, trained / artifact, workdir / artifact, "train", config)
+
+
+class TestPredictionsFuzz:
+    """One field of one `predictions.jsonl` line with a wrong-typed or
+    out-of-range value: `evaluate` exits 2 with one line naming path:line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_evaluate_refuses_the_line(self, predicted_workdir, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp) / "out"
+            workdir.mkdir()
+            shutil.copy(predicted_workdir / "test_commits.jsonl", workdir)
+            config = write_config(Path(tmp), workdir)
+            src = predicted_workdir / "predictions.jsonl"
+            _refuses_line(data, _PREDICTION_FIELDS, src, workdir / "predictions.jsonl", "evaluate", config)

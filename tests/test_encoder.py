@@ -70,7 +70,7 @@ def reference_forward(params, config, ids_row, attn_len):
 
 class TestForward:
     def test_matches_independent_reimplementation(self):
-        params = init_params(CFG, seed=0, dtype=np.float64)
+        params = cast_params(init_params(CFG, seed=0), np.float64)
         rng = np.random.default_rng(3)
         ids = rng.integers(0, CFG.vocab_size, size=(1, CFG.max_len))
         attn_len = 9
@@ -80,7 +80,7 @@ class TestForward:
 
     def test_zero_layer_constant_input_closed_form(self):
         cfg = EncoderConfig(vocab_size=4, dim=8, layers=0, heads=2, max_len=6)
-        params = init_params(cfg, seed=0, dtype=np.float64)
+        params = cast_params(init_params(cfg, seed=0), np.float64)
         v = np.arange(8, dtype=np.float64)
         params["tok_emb"][:] = v  # every token embeds to the same vector
         params["pos_emb"][:] = 0.0
@@ -92,7 +92,7 @@ class TestForward:
         assert np.abs(pooled[0] - expected).max() < 1e-12
 
     def test_pad_invariance(self):
-        params = init_params(CFG, seed=1, dtype=np.float64)
+        params = cast_params(init_params(CFG, seed=1), np.float64)
         rng = np.random.default_rng(5)
         ids = rng.integers(0, CFG.vocab_size, size=(1, CFG.max_len))
         attn_len = 7
@@ -105,7 +105,7 @@ class TestForward:
 
     def test_pad_invariance_zero_layers(self):
         cfg = EncoderConfig(vocab_size=7, dim=8, layers=0, heads=1, max_len=10)
-        params = init_params(cfg, seed=2, dtype=np.float64)
+        params = cast_params(init_params(cfg, seed=2), np.float64)
         ids = np.arange(10, dtype=np.int64)[None, :] % 7
         base = forward_batch(params, cfg, ids, np.array([4]))[0]
         alt = ids.copy()
@@ -144,7 +144,7 @@ class TestForward:
 
 class TestBackward:
     def _setup(self, seed=0):
-        params = init_params(CFG, seed=seed, dtype=np.float64)
+        params = cast_params(init_params(CFG, seed=seed), np.float64)
         rng = np.random.default_rng(seed + 100)
         ids = rng.integers(0, CFG.vocab_size, size=(2, CFG.max_len))
         lens = np.array([8, CFG.max_len])
@@ -186,7 +186,7 @@ class TestTrimEquivalence:
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_trimmed_matches_padded(self, dtype, tol):
-        params = init_params(CFG, seed=3, dtype=dtype)
+        params = cast_params(init_params(CFG, seed=3), dtype)
         rng = np.random.default_rng(11)
         lens = np.array([2, 7, 4, 9, 5])
         ids = rng.integers(1, CFG.vocab_size, size=(len(lens), CFG.max_len))
@@ -229,7 +229,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("lens", [[12, 12, 12], [2, 7, 12, 4], [5, 9, 3], [6]], ids=["full", "mixed", "cut", "single"])
     def test_matches_oracle(self, dtype, tol, layers, lens):
         cfg = EncoderConfig(vocab_size=11, dim=16, layers=layers, heads=2, max_len=12)
-        params = init_params(cfg, seed=5, dtype=dtype)
+        params = cast_params(init_params(cfg, seed=5), dtype)
         rng = np.random.default_rng(len(lens) + layers)
         lens = np.array(lens)
         # few distinct ids, so the embedding scatter sums many rows per id
@@ -265,7 +265,7 @@ class TestRowwiseAttentionBackward:
     @pytest.mark.parametrize("lens", [[9], [2, 12, 5], [12, 3, 7, 1, 10]], ids=["B1", "B3", "B5"])
     def test_bit_identical_to_whole_batch(self, monkeypatch, dtype, layers, lens):
         cfg = EncoderConfig(vocab_size=11, dim=16, layers=layers, heads=2, max_len=12)
-        params = init_params(cfg, seed=6, dtype=dtype)
+        params = cast_params(init_params(cfg, seed=6), dtype)
         rng = np.random.default_rng(len(lens) + layers)
         lens = np.array(lens)
         ids = rng.integers(1, cfg.vocab_size, size=(len(lens), cfg.max_len))

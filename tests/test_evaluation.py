@@ -212,10 +212,6 @@ class TestReports:
         assert data["CodeConcat"]["precision"] == 0.2
         assert data["CodeConcat"]["cost_effort"]["20"] == 0.5
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            emit_report({}, "xml")
-
 
 class TestEvaluate:
     def test_end_to_end_report(self):

@@ -17,8 +17,8 @@ from fixhound.change_builder import (
     build_examples,
 )
 from fixhound.delta_model import init_model, predict_batch
-from fixhound.config import EncoderConfig
-from fixhound.evaluation import CommitPrediction, read_predictions_jsonl, write_predictions_jsonl
+from fixhound.config import EncoderConfig, write_jsonl
+from fixhound.evaluation import CommitPrediction, read_predictions_jsonl
 from fixhound.inference import predict_corpus
 from fixhound.records import NVF, VF, CommitRecord
 from fixhound.tokenizer import train_vocab
@@ -250,10 +250,10 @@ class TestSerialization:
             for i in range(4)
         ]
         path = tmp_path / "preds.jsonl"
-        assert write_predictions_jsonl(preds, path) == 4
+        assert write_jsonl(preds, path) == 4
         assert read_predictions_jsonl(path) == preds
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "preds.jsonl"
-        write_predictions_jsonl([], path)
+        write_jsonl([], path)
         assert read_predictions_jsonl(path) == []

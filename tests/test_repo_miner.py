@@ -212,10 +212,6 @@ class TestDownsample:
         stamps = [r.timestamp for r in out]
         assert stamps == sorted(stamps)
 
-    def test_zero_vf_is_error(self):
-        with pytest.raises(ValueError):
-            downsample_nvf(self._dataset(0, 10), 5, seed=0)
-
 
 class TestJsonlRoundTrip:
     def test_round_trip(self, tmp_path):
