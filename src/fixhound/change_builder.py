@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .records import CommitRecord, FileChange, Hunk, Window, _count, _str, _verdict
+from .records import CommitRecord, FileChange, Region, Window, _count, _str, _verdict, context_regions
 
 EMBED_SUBTRACT_DUO = "EmbedSubtract_Duo"
 EMBED_SUBTRACT_SINGLE = "EmbedSubtract_Single"
@@ -46,67 +46,6 @@ VARIANTS = {
     RAW_GIT_DIFF: Variant(("raw_diff",), "Sequence", False),
     EMBED_SUBTRACT_DUO: Variant(_CUT, "Subtract", True),
 }
-
-
-@dataclass(frozen=True)
-class Region:
-    """A maximal run of hunks whose k-line context windows touch or overlap.
-
-    Bounds are 1-based inclusive line indices into the old and new file
-    versions, already clamped to the file; an empty side is lo > hi.
-    """
-
-    old_lo: int
-    old_hi: int
-    new_lo: int
-    new_hi: int
-    hunks: tuple[Hunk, ...]
-
-
-def _hunk_spans(h: Hunk, k: int) -> tuple[int, int, int, int]:
-    # Unclamped context-extended spans; a pure insertion/deletion yields an
-    # empty core span that still grows k lines to each side.
-    old_lo = h.old_start - k
-    old_hi = h.old_start + len(h.removed_lines) - 1 + k
-    new_lo = h.new_start - k
-    new_hi = h.new_start + len(h.added_lines) - 1 + k
-    return old_lo, old_hi, new_lo, new_hi
-
-
-def context_regions(fc: FileChange, k: int) -> tuple[Region, ...]:
-    """Group hunks into merged context regions at window size k >= 0."""
-    regions: list[Region] = []
-    cur: list[Hunk] = []
-    cur_span = (0, -1, 0, -1)
-    for h in fc.hunks:
-        span = _hunk_spans(h, k)
-        if not cur:
-            cur = [h]
-            cur_span = span
-            continue
-        touches_old = span[0] <= cur_span[1] + 1
-        touches_new = span[2] <= cur_span[3] + 1
-        if touches_old or touches_new:
-            cur.append(h)
-            cur_span = (cur_span[0], max(cur_span[1], span[1]), cur_span[2], max(cur_span[3], span[3]))
-        else:
-            regions.append(_clamp_region(cur, cur_span, fc))
-            cur = [h]
-            cur_span = span
-    if cur:
-        regions.append(_clamp_region(cur, cur_span, fc))
-    return tuple(regions)
-
-
-def _clamp_region(hunks: list[Hunk], span: tuple[int, int, int, int], fc: FileChange) -> Region:
-    old_lo, old_hi, new_lo, new_hi = span
-    return Region(
-        old_lo=max(1, old_lo),
-        old_hi=min(fc.old_len, old_hi),
-        new_lo=max(1, new_lo),
-        new_hi=min(fc.new_len, new_hi),
-        hunks=tuple(hunks),
-    )
 
 
 def _window(region: Region, fc: FileChange) -> Window:

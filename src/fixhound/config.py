@@ -204,8 +204,6 @@ class TrainConfig:
     weight_decay: float = field(default=0.01, metadata=rule("a finite number >= 0", lambda v: _is_finite(v) and v >= 0))
     epochs: int = field(default=10, metadata=rule(f"an integer in [1, {MAX_EPOCHS}]", lambda v: _is_int(v) and 1 <= v <= MAX_EPOCHS))
     batch_size: int = field(default=128, metadata=at_least(1))
-    # gradient-accumulation chunk size
-    micro_batch: int | None = field(default=None, metadata=rule("null or an integer >= 1", lambda v: v is None or _is_int(v) and v >= 1))
     seed: int = field(default=0, metadata=SEED)
 
 

@@ -1,12 +1,11 @@
 """Variant assembly: encoder(s) -> fusion -> feed-forward head -> probability.
 
-The variants of `change_builder.VARIANTS` share one classifier interface.
-Dual-stream variants embed their two texts separately and fuse by
-element-wise subtraction (delta) or concatenation; single-stream variants
-run one encoder over one sequence. A batch keeps only real tokens
-(`EncodedBatch`); `_padded` pads each stream to its longest row right
-before the encoder. The two streams of a large batch run on two threads
-(see `_streams_concurrent`), with bit-identical results.
+Every variant of `change_builder.VARIANTS` runs one forward and backward
+path: a batch (`EncodedBatch`) holds one `Stream` of real tokens per encoder,
+each padded right before its encoder (`Stream.padded`), and dual-stream
+variants fuse their two embeddings by element-wise subtraction (delta) or
+concatenation. The two streams of a large batch run on two threads (see
+`_streams_concurrent`), with bit-identical results.
 """
 
 from __future__ import annotations
@@ -51,6 +50,13 @@ class DeltaModel:
     @property
     def shared_encoders(self) -> bool:
         return self.encoder_before is self.encoder_after
+
+    @property
+    def encoders(self) -> tuple[Params, ...]:
+        """The encoder of each input stream, in stream order."""
+        if VARIANTS[self.variant].fusion == "Sequence":
+            return (self.encoder_before,)
+        return self.encoder_before, self.encoder_after
 
     def all_params(self) -> Params:
         """Flat name -> tensor view of every trainable parameter.
@@ -98,67 +104,65 @@ def fuse(e_before: np.ndarray, e_after: np.ndarray, fusion: str) -> np.ndarray:
     return e_before - e_after if fusion == "Subtract" else np.concatenate([e_before, e_after], axis=-1)
 
 
-def _stream(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """The sequences' ids end to end in one int64 array, and their lengths."""
-    lens = np.array([s.attention_length for s in seqs], dtype=np.int64)
-    return np.fromiter(chain.from_iterable(s.ids for s in seqs), dtype=np.int64, count=int(lens.sum())), lens
+@dataclass
+class Stream:
+    """One encoder's input rows, only their real tokens: row i is
+    ids[starts[i] : starts[i] + lens[i]]. `encode_examples` lays the rows end
+    to end, and `take` shares its parent's ids, so it costs O(rows taken)."""
 
+    ids: np.ndarray
+    lens: np.ndarray
+    starts: np.ndarray
 
-def _padded(ids: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Rows ids[starts[i] : starts[i] + lens[i]] as the encoder's (rows, max(lens))
-    input, PAD after each row's tokens: the one place PAD is written."""
-    widths = lens.tolist()
-    out = np.full((len(widths), max(widths, default=0)), PAD, dtype=np.int64)
-    for row, start, width in zip(out, starts.tolist(), widths):
-        row[:width] = ids[start : start + width]
-    return out
+    def take(self, idx: np.ndarray | slice) -> "Stream":
+        return Stream(self.ids, self.lens[idx], self.starts[idx])
+
+    def padded(self) -> np.ndarray:
+        """The rows as the encoder's (rows, max(lens)) input, PAD after each
+        row's tokens: the one place PAD is written."""
+        widths = self.lens.tolist()
+        out = np.full((len(widths), max(widths, default=0)), PAD, dtype=np.int64)
+        for row, start, width in zip(out, self.starts.tolist(), widths):
+            row[:width] = self.ids[start : start + width]
+        return out
 
 
 @dataclass
 class EncodedBatch:
-    """Tokenized inputs for one batch; ids_b is None for single-stream models.
+    """Tokenized inputs for one batch: one Stream per encoder the variant runs,
+    in the order of its encoders, and a float 0/1 label per example."""
 
-    A stream keeps only real tokens: row i is ids[starts[i] : starts[i] + lens[i]].
-    `encode_examples` lays the rows end to end (the default starts), and `take`
-    shares its parent's ids, so it costs O(rows taken)."""
-
-    ids_a: np.ndarray
-    lens_a: np.ndarray
-    ids_b: np.ndarray | None = None
-    lens_b: np.ndarray | None = None
-    labels: np.ndarray | None = None  # float 0/1 per example
-    starts_a: np.ndarray | None = None
-    starts_b: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.starts_a is None:
-            self.starts_a, self.starts_b = (None if n is None else np.cumsum(n) - n for n in (self.lens_a, self.lens_b))
+    streams: tuple[Stream, ...]
+    labels: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.lens_a.size
+        return self.streams[0].lens.size
 
     def take(self, idx: np.ndarray | slice) -> "EncodedBatch":
-        a, b, labels, starts_a, starts_b = (
-            None if x is None else x[idx] for x in (self.lens_a, self.lens_b, self.labels, self.starts_a, self.starts_b)
-        )
-        return EncodedBatch(self.ids_a, a, self.ids_b, b, labels, starts_a, starts_b)
+        return EncodedBatch(tuple(s.take(idx) for s in self.streams), self.labels[idx])
+
+
+def _stream(seqs: list[TokenSequence]) -> Stream:
+    """The sequences' ids end to end in one stream."""
+    lens = np.array([s.attention_length for s in seqs], dtype=np.int64)
+    ids = np.fromiter(chain.from_iterable(s.ids for s in seqs), dtype=np.int64, count=int(lens.sum()))
+    return Stream(ids, lens, np.cumsum(lens) - lens)
 
 
 def encode_examples(examples: list[BuiltExample], variant: str, vocab: Vocabulary, max_len: int) -> EncodedBatch:
     """The examples' `variant` texts and labels as one batch, tokenized in one call.
 
-    The variant's fusion and field count pick the encoding: two sequences to
-    fuse, one SEP-joined pair of fields, or one sequence of one field."""
+    A "Sequence" variant of two fields SEP-joins them into one stream; every
+    other variant gives each field its own stream."""
+    fields = VARIANTS[variant].fields
     tokens = tokenize_batch([t for ex in examples for t in ex.variant_texts(variant)], vocab)
-    if VARIANTS[variant].fusion != "Sequence":
-        seqs = [encode(t, max_len) for t in tokens]
-        streams = _stream(seqs[0::2]) + _stream(seqs[1::2])
-    elif len(VARIANTS[variant].fields) == 2:
-        streams = _stream([encode_pair(a, b, max_len) for a, b in zip(tokens[0::2], tokens[1::2])])
+    if VARIANTS[variant].fusion == "Sequence" and len(fields) == 2:
+        streams = (_stream([encode_pair(a, b, max_len) for a, b in zip(tokens[0::2], tokens[1::2])]),)
     else:
-        streams = _stream([encode(t, max_len) for t in tokens])
-    return EncodedBatch(*streams, labels=np.array([float(ex.label == VF) for ex in examples], dtype=np.float64))
+        seqs = [encode(t, max_len) for t in tokens]
+        streams = tuple(_stream(seqs[i :: len(fields)]) for i in range(len(fields)))
+    return EncodedBatch(streams, labels=np.array([float(ex.label == VF) for ex in examples], dtype=np.float64))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -174,57 +178,54 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _streams_concurrent(lens_a: np.ndarray, lens_b: np.ndarray) -> bool:
-    """Whether a batch's two encoder streams run on two threads.
+def _streams_concurrent(lens: list[np.ndarray]) -> bool:
+    """Whether a batch's encoder streams, one `lens` array each, run on two threads.
 
-    Only when the shorter stream holds at least CONCURRENT_MIN_WORK of
-    attention work (below it the thread costs more than it saves), at least
-    two CPUs are usable, and the environment caps BLAS at one thread (with
-    more, the BLAS threads and the stream threads compete for the cores)."""
-    work = min(lens.size * int(lens.max(initial=0)) ** 2 for lens in (lens_a, lens_b))
+    Only when there are two streams and the shorter holds at least
+    CONCURRENT_MIN_WORK of attention work (below it the thread costs more
+    than it saves), at least two CPUs are usable, and the environment caps
+    BLAS at one thread (with more, the BLAS threads and the stream threads
+    compete for the cores)."""
+    work = min(n.size * int(n.max(initial=0)) ** 2 for n in lens)
     blas = {os.environ.get(var) for var in BLAS_THREAD_VARS}
-    return work >= CONCURRENT_MIN_WORK and _usable_cpus() >= 2 and "1" in blas and blas <= {"1", None}
+    return len(lens) == 2 and work >= CONCURRENT_MIN_WORK and _usable_cpus() >= 2 and "1" in blas and blas <= {"1", None}
 
 
-def _both(concurrent: bool, first, second):
-    """(first(), second()), with `second` on a worker thread when `concurrent`.
+def _run_calls(concurrent: bool, calls: list):
+    """[call() for call in calls], every call after the first on a worker
+    thread when `concurrent`.
 
     Each stream runs the same numpy ops on its own arrays either way, so the
     results are bit-identical; numpy releases the GIL in BLAS calls and large
-    loops. The worker runs in a copy of this thread's context, which carries
-    numpy's errstate, and is joined before this returns or raises; an error
-    in `first` wins, as it would serially."""
+    loops. The workers run in a copy of this thread's context, which carries
+    numpy's errstate, and are joined before this returns or raises; an error
+    in the first call wins, as it would serially."""
     if not concurrent:
-        return first(), second()
+        return [call() for call in calls]
     from concurrent.futures import ThreadPoolExecutor  # imported only where long views need it
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        later = pool.submit(contextvars.copy_context().run, second)
-        return first(), later.result()
+    with ThreadPoolExecutor(max_workers=len(calls) - 1) as pool:
+        later = [pool.submit(contextvars.copy_context().run, call) for call in calls[1:]]
+        return [calls[0]()] + [f.result() for f in later]
 
 
 def forward_model(model: DeltaModel, batch: EncodedBatch):
     """Per-example probabilities plus the cache needed for backward."""
-    fusion = VARIANTS[model.variant].fusion
-    if fusion == "Sequence":
-        if batch.ids_b is not None:
-            raise ValueError(f"{model.variant} expects a single input stream")
-        fused, cache_a = enc.forward_batch(model.encoder_before, model.config, _padded(batch.ids_a, batch.starts_a, batch.lens_a), batch.lens_a)
-        cache_b = None
-    else:
-        if batch.ids_b is None:
-            raise ValueError(f"{model.variant} expects two input streams")
-        (e_b, cache_a), (e_a, cache_b) = _both(
-            _streams_concurrent(batch.lens_a, batch.lens_b),
-            lambda: enc.forward_batch(model.encoder_before, model.config, _padded(batch.ids_a, batch.starts_a, batch.lens_a), batch.lens_a),
-            lambda: enc.forward_batch(model.encoder_after, model.config, _padded(batch.ids_b, batch.starts_b, batch.lens_b), batch.lens_b),
-        )
-        fused = fuse(e_b, e_a, fusion)
+    if len(batch.streams) != len(model.encoders):
+        raise ValueError(f"{model.variant} expects {len(model.encoders)} input stream(s), not {len(batch.streams)}")
+    concurrent = _streams_concurrent([s.lens for s in batch.streams])
+    # Each stream is padded inside its own call, so a worker pads its stream itself.
+    outs = _run_calls(
+        concurrent,
+        [lambda p=p, s=s: enc.forward_batch(p, model.config, s.padded(), s.lens) for p, s in zip(model.encoders, batch.streams)],
+    )
+    embeddings = [e for e, _ in outs]
+    fused = fuse(*embeddings, VARIANTS[model.variant].fusion) if len(embeddings) == 2 else embeddings[0]
     z1 = fused @ model.head["w1"] + model.head["b1"]
     u = np.tanh(z1)
     logit = (u @ model.head["w2"] + model.head["b2"])[:, 0]
     probs = _sigmoid(logit)
-    cache = {"enc_a": cache_a, "enc_b": cache_b, "fused": fused, "u": u, "probs": probs, "logit": logit}
+    cache = {"enc": [c for _, c in outs], "concurrent": concurrent, "fused": fused, "u": u, "logit": logit}
     return probs, cache
 
 
@@ -242,30 +243,22 @@ def backward_model(model: DeltaModel, cache, d_logit: np.ndarray) -> Params:
     d_fused = dz1 @ model.head["w1"].T
 
     fusion = VARIANTS[model.variant].fusion
-    if fusion == "Sequence":
-        enc_grads = enc.backward_batch(model.encoder_before, model.config, cache["enc_a"], d_fused)
-        for name, g in enc_grads.items():
-            grads["enc_before." + name] = g
-        return grads
-
     if fusion == "Subtract":
-        d_e_before, d_e_after = d_fused, -d_fused
+        d_embeddings = [d_fused, -d_fused]
+    elif fusion == "Concat":
+        d_embeddings = [d_fused[:, : model.config.dim], d_fused[:, model.config.dim :]]
     else:
-        d = model.config.dim
-        d_e_before, d_e_after = d_fused[:, :d], d_fused[:, d:]
-    g_before, g_after = _both(
-        _streams_concurrent(cache["enc_a"]["attn_lens"], cache["enc_b"]["attn_lens"]),
-        lambda: enc.backward_batch(model.encoder_before, model.config, cache["enc_a"], d_e_before),
-        lambda: enc.backward_batch(model.encoder_after, model.config, cache["enc_b"], d_e_after),
+        d_embeddings = [d_fused]
+    stream_grads = _run_calls(
+        cache["concurrent"],
+        [lambda p=p, c=c, d=d: enc.backward_batch(p, model.config, c, d) for p, c, d in zip(model.encoders, cache["enc"], d_embeddings)],
     )
-    if model.shared_encoders:  # summed only once both streams are done
-        for name in g_before:
-            grads["enc_before." + name] = g_before[name] + g_after[name]
-    else:
-        for name in g_before:
-            grads["enc_before." + name] = g_before[name]
-        for name in g_after:
-            grads["enc_after." + name] = g_after[name]
+    # A shared encoder's gradient is the sum over its streams, first stream first.
+    prefixes = ("enc_before.", "enc_before." if model.shared_encoders else "enc_after.")
+    for prefix, g in zip(prefixes, stream_grads):
+        for name, arr in g.items():
+            key = prefix + name
+            grads[key] = grads[key] + arr if key in grads else arr
     return grads
 
 

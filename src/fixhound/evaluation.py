@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .change_builder import VARIANTS
 from .config import DataError, _is_finite, atomic_write, read_jsonl
-from .records import VF, _count, _str, _verdict, once_per_commit
+from .records import VF, _count, _str, _verdict, f1_score, once_per_commit
 
 # Change-size ranges (lo, hi]; loc <= 1 is assigned to the first bucket.
 SIZE_BUCKETS = ((1, 20), (20, 40), (40, 60), (60, 80), (80, 100), (100, None))
@@ -93,10 +93,7 @@ def classification_metrics(preds: list[CommitPrediction], labels: Labels):
             fn += 1
         else:
             tn += 1
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return f1, precision, recall, {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+    return *f1_score(tp, fp, fn), {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
 
 
 def cost_effort(preds: list[CommitPrediction], labels: Labels, level: float) -> float:
@@ -124,11 +121,7 @@ def _bucket_name(lo: int, hi: int | None) -> str:
 
 
 def bucket_of(loc: int) -> str:
-    for lo, hi in SIZE_BUCKETS:
-        if hi is None or loc <= hi:
-            if loc > lo or (lo, hi) == SIZE_BUCKETS[0]:
-                return _bucket_name(lo, hi)
-    return _bucket_name(*SIZE_BUCKETS[-1])
+    return next(_bucket_name(lo, hi) for lo, hi in SIZE_BUCKETS if hi is None or loc <= hi)
 
 
 def bucketed_f1(preds: list[CommitPrediction], labels: Labels) -> dict[str, dict]:
@@ -148,6 +141,11 @@ def bucketed_f1(preds: list[CommitPrediction], labels: Labels) -> dict[str, dict
 
 
 def evaluate(preds: list[CommitPrediction], labels: Labels, levels=(5, 20)) -> EvalReport:
+    """The metrics of `preds`, which must score every labelled commit and no other."""
+    predicted = {(p.repo_id, p.commit_hash) for p in preds}
+    missing = next((key for key in labels if key not in predicted), None)
+    if missing is not None:
+        raise EvaluationError(f"no prediction for test commit {missing}")
     f1, precision, recall, counts = classification_metrics(preds, labels)
     report = EvalReport(f1=f1, precision=precision, recall=recall, counts=counts)
     for level in levels:

@@ -120,19 +120,77 @@ class FileChange:
     def from_dict(cls, d: dict) -> "FileChange":
         _str(d, "path")
         hunks = tuple(Hunk.from_dict(h) for h in d["hunks"])
-        if hunks and not d["windows"]:
-            raise ValueError(f"{d['path']}: hunks without a context window")
         for name in ("removed_loc", "added_loc", "old_len", "new_len", "context"):
             _count(d, name)
-        windows = tuple(Window.from_dict(w) for w in d["windows"])
-        # A cut at k <= context finds its window as the last one starting at or
-        # before the region, so the windows must start in order and the first
-        # must start at or before the first hunk's widest region.
-        if any(a.old_lo >= b.old_lo for a, b in zip(windows, windows[1:])):
-            raise ValueError(f"{d['path']}: context windows out of order")
-        if hunks and windows[0].old_lo > max(1, hunks[0].old_start - d["context"]):
-            raise ValueError(f"{d['path']}: context windows do not cover the first hunk")
-        return cls(**{**d, "hunks": hunks, "windows": windows})
+        fc = cls(**{**d, "hunks": hunks, "windows": tuple(Window.from_dict(w) for w in d["windows"])})
+        # A cut at k <= context slices its lines from the window of its region
+        # at `context`, so each window must be exactly that region.
+        windows = [(w.old_lo, w.new_lo, len(w.old_lines), len(w.new_lines)) for w in fc.windows]
+        regions = context_regions(fc, fc.context)
+        if windows != [(r.old_lo, r.new_lo, len(range(r.old_lo, r.old_hi + 1)), len(range(r.new_lo, r.new_hi + 1))) for r in regions]:
+            raise ValueError(f"{fc.path}: context windows are not the regions its hunks give at context {fc.context}")
+        return fc
+
+
+@dataclass(frozen=True)
+class Region:
+    """A maximal run of hunks whose k-line context windows touch or overlap.
+
+    Bounds are 1-based inclusive line indices into the old and new file
+    versions, already clamped to the file; an empty side is lo > hi.
+    """
+
+    old_lo: int
+    old_hi: int
+    new_lo: int
+    new_hi: int
+    hunks: tuple[Hunk, ...]
+
+
+def _hunk_spans(h: Hunk, k: int) -> tuple[int, int, int, int]:
+    # Unclamped context-extended spans; a pure insertion/deletion yields an
+    # empty core span that still grows k lines to each side.
+    old_lo = h.old_start - k
+    old_hi = h.old_start + len(h.removed_lines) - 1 + k
+    new_lo = h.new_start - k
+    new_hi = h.new_start + len(h.added_lines) - 1 + k
+    return old_lo, old_hi, new_lo, new_hi
+
+
+def context_regions(fc: FileChange, k: int) -> tuple[Region, ...]:
+    """Group hunks into merged context regions at window size k >= 0."""
+    regions: list[Region] = []
+    cur: list[Hunk] = []
+    cur_span = (0, -1, 0, -1)
+    for h in fc.hunks:
+        span = _hunk_spans(h, k)
+        if not cur:
+            cur = [h]
+            cur_span = span
+            continue
+        touches_old = span[0] <= cur_span[1] + 1
+        touches_new = span[2] <= cur_span[3] + 1
+        if touches_old or touches_new:
+            cur.append(h)
+            cur_span = (cur_span[0], max(cur_span[1], span[1]), cur_span[2], max(cur_span[3], span[3]))
+        else:
+            regions.append(_clamp_region(cur, cur_span, fc))
+            cur = [h]
+            cur_span = span
+    if cur:
+        regions.append(_clamp_region(cur, cur_span, fc))
+    return tuple(regions)
+
+
+def _clamp_region(hunks: list[Hunk], span: tuple[int, int, int, int], fc: FileChange) -> Region:
+    old_lo, old_hi, new_lo, new_hi = span
+    return Region(
+        old_lo=max(1, old_lo),
+        old_hi=min(fc.old_len, old_hi),
+        new_lo=max(1, new_lo),
+        new_hi=min(fc.new_len, new_hi),
+        hunks=tuple(hunks),
+    )
 
 
 @dataclass(frozen=True)
@@ -230,6 +288,13 @@ def _split_temporal(records, spec: SplitSpec):
 def write_commits_jsonl(records: Iterable[CommitRecord], path: str | Path) -> int:
     """Write records as JSON-lines in ascending timestamp order; returns count."""
     return write_jsonl(sorted(records, key=lambda r: (r.timestamp, r.repo_id, r.commit_hash)), path)
+
+
+def f1_score(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """(F1, precision, recall) from true positive, false positive and false negative counts; 0/0 counts as 0."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    return (2 * precision * recall / (precision + recall) if precision + recall else 0.0), precision, recall
 
 
 def once_per_commit(from_dict: Callable[[dict], Record]) -> Callable[[dict], Record]:

@@ -31,9 +31,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .change_builder import context_regions
 from .config import DataError
-from .records import NVF, VF, CommitRecord, FileChange, Hunk, Window
+from .records import NVF, VF, CommitRecord, FileChange, Hunk, Window, context_regions
 
 log = logging.getLogger(__name__)
 

@@ -24,6 +24,7 @@ from .change_builder import VARIANTS
 from .config import DataError, EncoderConfig, TrainConfig, TrainingError, UsageError, atomic_write
 from .delta_model import DeltaModel, EncodedBatch
 from .encoder import Params, param_shapes
+from .records import f1_score
 from .tokenizer import Vocabulary
 
 CHECKPOINT_MAGIC = b"VFDC"
@@ -62,16 +63,9 @@ class AdamW:
 
 
 def f1_at_half(probs: np.ndarray, labels: np.ndarray) -> float:
-    pred = probs > 0.5
-    actual = labels > 0.5
-    tp = int(np.sum(pred & actual))
-    fp = int(np.sum(pred & ~actual))
-    fn = int(np.sum(~pred & actual))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
+    """F1 of the positive class, a probability over 0.5 predicting it."""
+    pred, actual = probs > 0.5, labels > 0.5
+    return f1_score(int(np.sum(pred & actual)), int(np.sum(pred & ~actual)), int(np.sum(~pred & actual)))[0]
 
 
 @dataclass
@@ -81,26 +75,6 @@ class TrainResult:
     val_history: list[tuple[int, float]]  # (epoch, val F1)
     best_epoch: int
     best_val_f1: float
-
-
-def _accumulate(model: DeltaModel, batch: EncodedBatch, micro: int | None):
-    """Loss and grads over a logical batch, optionally in micro-batch chunks."""
-    n = batch.size
-    if micro is None or micro >= n:
-        return dm.loss_and_grads(model, batch)[:2]
-    total_loss = 0.0
-    total_grads: Params | None = None
-    for lo in range(0, n, micro):
-        chunk = batch.take(slice(lo, lo + micro))
-        loss, grads, _ = dm.loss_and_grads(model, chunk)
-        w = chunk.size / n
-        total_loss += loss * w
-        if total_grads is None:
-            total_grads = {k: g * w for k, g in grads.items()}
-        else:
-            for k, g in grads.items():
-                total_grads[k] += g * w
-    return total_loss, total_grads
 
 
 def train(
@@ -136,7 +110,7 @@ def train(
         perm = rng.permutation(train_batch.size)
         for lo in range(0, train_batch.size, config.batch_size):
             batch = train_batch.take(perm[lo : lo + config.batch_size])
-            loss, grads = _accumulate(model, batch, config.micro_batch)
+            loss, grads, _ = dm.loss_and_grads(model, batch)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at step {step}")
             step += 1
@@ -145,6 +119,8 @@ def train(
 
         val_probs = dm.predict_in_chunks(model, val_batch, config.batch_size)
         val_loss = dm.batch_loss(val_probs, val_batch.labels)
+        if not (np.isfinite(val_loss) and all(np.isfinite(p).all() for p in model.all_params().values())):
+            raise TrainingError(f"epoch {epoch} ends with a non-finite parameter or validation loss (loss {val_loss})")
         val_f1 = f1_at_half(val_probs, val_batch.labels)
         loss_log.append((step, epoch, float(val_loss), "val"))
         val_history.append((epoch, val_f1))

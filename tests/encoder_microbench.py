@@ -149,9 +149,9 @@ def bench_pair(batch: int, width: int, repeats: int, seed: int = 0) -> dict:
     d_pooled = [rng.normal(size=(batch, CONFIG.dim)).astype(np.float32) for _ in params]
 
     def pair(concurrent: bool):
-        fwd = delta_model._both(concurrent, *(lambda i=i: encoder.forward_batch(params[i], CONFIG, ids[i], lens) for i in (0, 1)))
-        grads = delta_model._both(
-            concurrent, *(lambda i=i: encoder.backward_batch(params[i], CONFIG, fwd[i][1], d_pooled[i]) for i in (0, 1))
+        fwd = delta_model._run_calls(concurrent, [lambda i=i: encoder.forward_batch(params[i], CONFIG, ids[i], lens) for i in (0, 1)])
+        grads = delta_model._run_calls(
+            concurrent, [lambda i=i: encoder.backward_batch(params[i], CONFIG, fwd[i][1], d_pooled[i]) for i in (0, 1)]
         )
         return [pooled for pooled, _ in fwd], grads
 

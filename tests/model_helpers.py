@@ -31,7 +31,7 @@ import numpy as np
 from fixhound import delta_model as dm
 from fixhound import encoder as enc
 from fixhound.change_builder import EMBED_CONCAT_DUO, EMBED_SUBTRACT_DUO
-from fixhound.delta_model import DeltaModel, EncodedBatch
+from fixhound.delta_model import DeltaModel, EncodedBatch, Stream
 from fixhound.encoder import Params
 from fixhound.tokenizer import BOS, BYTE_BASE, EOS, MIN_VOCAB, PAD, SEP, UNK, TokenSequence, Vocabulary, tokenize_batch
 
@@ -118,14 +118,14 @@ def force_concurrent_streams(monkeypatch) -> list[str]:
 
 def padded_batch(ids_a, lens_a, ids_b=None, lens_b=None, labels=None) -> EncodedBatch:
     """The batch of padded (N, width) id arrays and their row lengths: each
-    row's first `lens` ids, end to end per stream."""
+    row's first `lens` ids, end to end per stream; labels default to 0."""
 
     def stream(ids, lens):
         lens = np.asarray(lens, dtype=np.int64)
-        return np.asarray(ids, dtype=np.int64)[np.arange(np.shape(ids)[1]) < lens[:, None]], lens
+        return Stream(np.asarray(ids, dtype=np.int64)[np.arange(np.shape(ids)[1]) < lens[:, None]], lens, np.cumsum(lens) - lens)
 
-    b = (None, None) if ids_b is None else stream(ids_b, lens_b)
-    return EncodedBatch(*stream(ids_a, lens_a), *b, labels=labels)
+    streams = [(ids_a, lens_a)] + ([] if ids_b is None else [(ids_b, lens_b)])
+    return EncodedBatch(tuple(stream(ids, lens) for ids, lens in streams), np.zeros(len(lens_a)) if labels is None else labels)
 
 
 @dataclass(frozen=True)

@@ -694,8 +694,9 @@ class TestGuards:
             ({"train": {"epochs": 2**31 - 1}}, f"bad train config: epochs must be an integer in [1, 10000], got {2**31 - 1}"),
             ({"train": {"batch_size": 32.0}}, "batch_size must be an integer >= 1, got 32.0"),
             ({"train": {"batch_size": True}}, "batch_size must be an integer >= 1, got True"),
-            ({"train": {"micro_batch": "4"}}, "micro_batch must be null or an integer >= 1, got '4'"),
-            ({"train": {"micro_batch": False}}, "micro_batch must be null or an integer >= 1, got False"),
+            # micro_batch is no longer a train field: any value of it is an unknown key
+            ({"train": {"micro_batch": "4"}}, "bad train config: key must be one of learning_rate, beta1, beta2, adam_eps, weight_decay, epochs, batch_size, got 'micro_batch'"),
+            ({"train": {"micro_batch": False}}, "bad train config: key must be one of learning_rate, beta1, beta2, adam_eps, weight_decay, epochs, batch_size, got 'micro_batch'"),
             ({"train": {"beta2": 1.0}}, "beta2 must be a number in [0, 1), got 1.0"),
             ({"encoder": {"dim": 16, "layers": 1, "heads": 0}}, "bad encoder config: heads must be an integer >= 1, got 0"),
             ({"encoder": {"dim": 16.0, "layers": 1, "heads": 2}}, "bad encoder config: dim must be an integer >= 1, got 16.0"),
@@ -858,15 +859,20 @@ class TestBadArtifacts:
             (lambda rec: rec["files"][0].update(removed_loc=-1), "removed_loc must be >= 0, not -1"),
             (lambda rec: rec.update(label="MAYBE"), "label must be 'VF' or 'NVF', not 'MAYBE'"),
             (lambda rec: rec.update(repo_id=5), "repo_id must be a string, not int"),
-            (lambda rec: rec["files"][0].update(windows=[]), "hunks without a context window"),
+            (lambda rec: rec["files"][0].update(windows=[]), "context windows are not the regions its hunks give at context 9"),
             (  # one line late is already too late
                 lambda rec: [w.update(old_lo=w["old_lo"] + 1) for w in rec["files"][0]["windows"]],
-                "context windows do not cover the first hunk",
+                "context windows are not the regions its hunks give at context 9",
             ),
+            (  # one line early shifts every cut by one line
+                lambda rec: [w.update(old_lo=w["old_lo"] - 1) for w in rec["files"][0]["windows"]],
+                "context windows are not the regions its hunks give at context 9",
+            ),
+            (lambda rec: rec["files"][0]["windows"][0]["new_lines"].pop(), "context windows are not the regions its hunks give at context 9"),
         ],
         ids=[
             "no-files", "context-str", "old-start-str", "removed-loc-null", "removed-loc-negative", "label-maybe", "repo-id-int",
-            "no-windows", "windows-after-hunks",
+            "no-windows", "windows-after-hunks", "windows-before-hunks", "window-line-short",
         ],
     )
     def test_damaged_test_commit_is_data_error(self, trained_workdir, tmp_path, capsys, damage, message):
@@ -937,6 +943,17 @@ class TestBadArtifacts:
         one_line_error(capsys, f"{workdir / 'predictions.jsonl'}:{len(lines) + 1}: unreadable record (ValueError: {duplicate})")
         assert not (workdir / "report.json").exists()
 
+    def test_missing_prediction_is_data_error(self, predicted_workdir, tmp_path, capsys):
+        workdir = tmp_path / "out"
+        workdir.mkdir()
+        shutil.copy(predicted_workdir / "test_commits.jsonl", workdir)
+        lines = (predicted_workdir / "predictions.jsonl").read_text().splitlines(keepends=True)
+        (workdir / "predictions.jsonl").write_text("".join(lines[1:]))
+        pred = json.loads(lines[0])
+        assert main(["--config", str(write_config(tmp_path, workdir)), "evaluate"]) == EXIT_DATA
+        one_line_error(capsys, f"error: no prediction for test commit {(pred['repo_id'], pred['commit_hash'])}")
+        assert not (workdir / "report.json").exists()
+
     def test_repeated_test_commit_is_data_error(self, trained_workdir, tmp_path, capsys):
         _, trained = trained_workdir
         workdir = tmp_path / "out"
@@ -999,9 +1016,15 @@ class TestTrainingFailure:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            ({"train": {**FAST_CONFIG["train"], "learning_rate": 1e300}}, "training failed: non-finite loss nan at step 1"),
+            # the second step of the epoch sees the first step's overflow
+            ({"train": {**FAST_CONFIG["train"], "learning_rate": 1e300, "batch_size": 8}}, "training failed: non-finite loss nan at step 1"),
+            # one step an epoch: its loss is finite, the update overflows
+            (
+                {"train": {"learning_rate": 1e300, "epochs": 1, "batch_size": 512}},
+                "training failed: epoch 0 ends with a non-finite parameter or validation loss (loss nan)",
+            ),
         ],
-        ids=["overflowing-learning-rate"],
+        ids=["overflowing-learning-rate", "overflowing-last-step"],
     )
     def test_one_line_and_exit_3(self, tmp_path, command, extra, message):
         workdir, _ = seeded_workdir(tmp_path)
@@ -1068,7 +1091,6 @@ _FIELDS = {
     "train.learning_rate": _floats(0, 0.1),
     "train.epochs": _ints(-1, 2),
     "train.batch_size": _ints(-1, 40),
-    "train.micro_batch": _ints(-1, 40),
     "train.beta1": _floats(0, 1),
     "train.beta2": _floats(0, 1),
     "train.adam_eps": _floats(0, 1e-3),

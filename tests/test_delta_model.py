@@ -232,8 +232,9 @@ class TestEncodeInput:
     def test_dual_stream_yields_two_sequences(self):
         ex = build_example(make_fc(["int a;"], ["int b;"]), 3, VF)
         batch = encode_examples([ex, ex], EMBED_SUBTRACT_DUO, VOCAB, 16)
-        assert batch.lens_a.shape == batch.lens_b.shape == (2,)
-        assert batch.ids_a.shape == (batch.lens_a.sum(),) and batch.ids_b.shape == (batch.lens_b.sum(),)
+        assert len(batch.streams) == 2
+        for stream in batch.streams:
+            assert stream.lens.shape == (2,) and stream.ids.shape == (stream.lens.sum(),)
         assert batch.labels.tolist() == [1.0, 1.0]
 
     def test_sep_token_only_at_segment_boundary(self):
@@ -245,8 +246,8 @@ class TestEncodeInput:
         assert SEP_MARKER in ex.raw_diff and SEP_MARKER in ex.removed_code
         for variant in VARIANTS:
             batch = encode_examples([ex], variant, VOCAB, 256)
-            assert (batch.ids_b is not None) == (VARIANTS[variant].fusion != "Sequence"), variant
-            rows = [batch.ids_a[: batch.lens_a[0]]] if batch.ids_b is None else [batch.ids_a[: batch.lens_a[0]], batch.ids_b[: batch.lens_b[0]]]
+            assert len(batch.streams) == (1 if VARIANTS[variant].fusion == "Sequence" else 2), variant
+            rows = [stream.ids[: stream.lens[0]] for stream in batch.streams]
             assert all(len(row) < 256 for row in rows), variant  # nothing truncated
             seps = [np.flatnonzero(row == SEP).tolist() for row in rows]
             if VARIANTS[variant].fusion == "Sequence" and len(VARIANTS[variant].fields) == 2:
@@ -258,8 +259,8 @@ class TestEncodeInput:
     def test_plain_single_stream_has_no_sep(self):
         ex = build_example(make_fc(["just a"], ["diff body"]), 3, NVF)
         batch = encode_examples([ex], RAW_GIT_DIFF, VOCAB, 32)
-        assert batch.ids_b is None
-        assert SEP not in batch.ids_a
+        (stream,) = batch.streams
+        assert SEP not in stream.ids
 
     def test_empty_example_list(self):
         batch = encode_examples([], CODE_CONCAT, VOCAB, 16)
@@ -338,15 +339,14 @@ class TestPaddedPathEquivalence:
         assert len({int(n) for ids, lens in oracle for n in lens}) > 3  # the rows' lengths differ
         if variant == CODE_CONCAT:  # overlong pairs split at more than one place
             assert len({s.ids.index(SEP) for (s,) in seqs if s.truncated}) > 1
-        assert (batch.ids_b is None) == (len(oracle) == 1)
+        assert len(batch.streams) == len(oracle)
         for idx in self.TAKES:
             taken = batch.take(idx)
             assert np.array_equal(taken.labels, batch.labels[idx])
-            streams = [(taken.ids_a, taken.starts_a, taken.lens_a), (taken.ids_b, taken.starts_b, taken.lens_b)]
-            for (ids, starts, lens), (oracle_ids, oracle_lens) in zip(streams, oracle):
-                padded = dm._padded(ids, starts, lens)
+            for stream, (oracle_ids, oracle_lens) in zip(taken.streams, oracle):
+                padded = stream.padded()
                 assert padded.dtype == np.int64
-                assert np.array_equal(lens, oracle_lens[idx]), idx
+                assert np.array_equal(stream.lens, oracle_lens[idx]), idx
                 assert np.array_equal(padded, cut(oracle_ids[idx], oracle_lens[idx])), idx
 
     @pytest.mark.parametrize("variant", [EMBED_SUBTRACT_DUO, CODE_CONCAT, RAW_GIT_DIFF], ids=["dual", "pair", "single"])
@@ -355,13 +355,13 @@ class TestPaddedPathEquivalence:
         examples = self._examples()
         batch = encode_examples(examples, variant, VOCAB, self.MAX_LEN)
         oracle, _ = padded_encode_examples(examples, variant, self.MAX_LEN)
-        streams = [(batch.ids_a, batch.starts_a, batch.lens_a), (batch.ids_b, batch.starts_b, batch.lens_b)][: len(oracle)]
-        for (ids, starts, lens), (_, oracle_lens) in zip(streams, oracle):
-            assert ids.dtype == np.int64 and ids.shape == (oracle_lens.sum(),)
-            assert PAD not in ids
-            assert np.array_equal(starts, np.cumsum(oracle_lens) - oracle_lens)
+        assert len(batch.streams) == len(oracle)
+        for stream, (_, oracle_lens) in zip(batch.streams, oracle):
+            assert stream.ids.dtype == np.int64 and stream.ids.shape == (oracle_lens.sum(),)
+            assert PAD not in stream.ids
+            assert np.array_equal(stream.starts, np.cumsum(oracle_lens) - oracle_lens)
         for taken in (batch.take(np.array([9, 0, 5, 2])), batch.take(slice(2, 7))):
-            assert taken.ids_a is batch.ids_a and taken.ids_b is batch.ids_b
+            assert all(t.ids is s.ids for t, s in zip(taken.streams, batch.streams))
 
 
 class TestConcurrentStreams:
@@ -393,7 +393,7 @@ class TestConcurrentStreams:
     def test_worker_stream_error_is_raised(self, monkeypatch):
         threads = force_concurrent_streams(monkeypatch)
         batch = random_batch(EMBED_SUBTRACT_DUO, np.random.default_rng(3))
-        batch.ids_b[0] = CFG.vocab_size  # only the after-stream, which runs on the worker
+        batch.streams[1].ids[0] = CFG.vocab_size  # only the after-stream, which runs on the worker
         with pytest.raises(ValueError, match="token id out of vocabulary range"):
             predict_batch(init_model(EMBED_SUBTRACT_DUO, CFG, seed=0), batch)
         assert set(threads) - {threading.main_thread().name}
@@ -428,11 +428,12 @@ class TestConcurrentStreams:
         force_concurrent_streams(monkeypatch)
         monkeypatch.setattr(dm, "CONCURRENT_MIN_WORK", 2**16)
         long, short = np.full(4, 512), np.array([100, 3, 3, 3])
-        assert dm._streams_concurrent(long, long)
-        assert dm._streams_concurrent(np.array([128, 1, 1, 1]), long)  # 4 rows x 128^2 = 2^16
-        assert not dm._streams_concurrent(short, long) and not dm._streams_concurrent(long, short)
+        assert dm._streams_concurrent([long, long])
+        assert dm._streams_concurrent([np.array([128, 1, 1, 1]), long])  # 4 rows x 128^2 = 2^16
+        assert not dm._streams_concurrent([short, long]) and not dm._streams_concurrent([long, short])
+        assert not dm._streams_concurrent([long])  # one stream has nothing to overlap
         monkeypatch.setenv("MKL_NUM_THREADS", "4")  # one capped library is not enough
-        assert not dm._streams_concurrent(long, long)
+        assert not dm._streams_concurrent([long, long])
 
     def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(dm.os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -226,7 +226,7 @@ class TestJsonlRoundTrip:
         d = json.loads(json.dumps(file_change("a.c", old, new, 3).to_dict()))
         assert [w["old_lo"] for w in d["windows"]] == [3, 48]
         d["windows"].reverse()
-        with pytest.raises(ValueError, match="a.c: context windows out of order"):
+        with pytest.raises(ValueError, match="a.c: context windows are not the regions its hunks give at context 3"):
             FileChange.from_dict(d)
 
     def test_loc_consistency(self, tmp_repo):

@@ -174,7 +174,7 @@ class TestTrainLoop:
 
     def test_all_nvf_training_set_rejected(self):
         train_b, val_b = _toy_batches()
-        train_b = EncodedBatch(ids_a=train_b.ids_a, lens_a=train_b.lens_a, labels=np.zeros(train_b.size))
+        train_b = EncodedBatch(train_b.streams, labels=np.zeros(train_b.size))
         with pytest.raises(TrainingError):
             train(RAW_GIT_DIFF, CFG, train_b, val_b, TrainConfig())
 
@@ -182,12 +182,13 @@ class TestTrainLoop:
         # joint training: a single step must move the before-encoder, the
         # after-encoder, and the head all at once
         train_b, val_b = _toy_batches()
-        ids = train_b.ids_a.reshape(train_b.size, CFG.max_len)  # every toy row is max_len long
+        (stream,) = train_b.streams
+        ids = stream.ids.reshape(train_b.size, CFG.max_len)  # every toy row is max_len long
         dual = padded_batch(
             ids_a=ids,
-            lens_a=train_b.lens_a,
+            lens_a=stream.lens,
             ids_b=np.flip(ids, axis=1).copy(),
-            lens_b=train_b.lens_a.copy(),
+            lens_b=stream.lens.copy(),
             labels=train_b.labels,
         )
         cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=16, seed=0)
@@ -238,15 +239,6 @@ class TestTrainLoop:
         assert lowest > 0
         assert result.best_epoch == lowest
         assert dm.batch_loss(predict_batch(result.model, val_b), val_b.labels) == val_loss[lowest]
-
-    def test_micro_batching_matches_full_batch(self):
-        train_b, val_b = _toy_batches()
-        base = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=16, seed=0)
-        micro = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=16, micro_batch=4, seed=0)
-        r_full = train(RAW_GIT_DIFF, CFG, train_b, val_b, base)
-        r_micro = train(RAW_GIT_DIFF, CFG, train_b, val_b, micro)
-        for name, arr in r_full.model.all_params().items():
-            assert np.allclose(arr, r_micro.model.all_params()[name], atol=1e-5), name
 
     def test_validation_scored_in_batch_size_chunks(self, monkeypatch):
         train_b, _ = _toy_batches()
