@@ -13,10 +13,10 @@ and training, validation and prediction all encode `build_examples` output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .records import CommitRecord, FileChange, Region, Window, _count, _str, _verdict, context_regions
+from .records import COUNT, STR, VERDICT, Artifact, CommitRecord, FileChange, Region, Window, context_regions
 
 EMBED_SUBTRACT_DUO = "EmbedSubtract_Duo"
 EMBED_SUBTRACT_SINGLE = "EmbedSubtract_Single"
@@ -103,37 +103,26 @@ def raw_diff_text(regions: tuple[Region, ...], fc: FileChange, k: int) -> str:
 
 
 @dataclass(frozen=True)
-class BuiltExample:
+class BuiltExample(Artifact):
     """One file-level training/evaluation example with every variant's text
     rendering precomputed, so built datasets are variant-agnostic."""
 
-    repo_id: str
-    commit_hash: str
-    path: str
-    k: int
-    label: str
-    removed_loc: int
-    added_loc: int
-    code_before: str
-    code_after: str
-    removed_code: str
-    added_code: str
-    raw_diff: str
+    repo_id: str = field(metadata=STR)
+    commit_hash: str = field(metadata=STR)
+    path: str = field(metadata=STR)
+    k: int = field(metadata=COUNT)
+    label: str = field(metadata=VERDICT)
+    removed_loc: int = field(metadata=COUNT)
+    added_loc: int = field(metadata=COUNT)
+    code_before: str = field(metadata=STR)
+    code_after: str = field(metadata=STR)
+    removed_code: str = field(metadata=STR)
+    added_code: str = field(metadata=STR)
+    raw_diff: str = field(metadata=STR)
 
     def variant_texts(self, variant: str) -> tuple[str, ...]:
         """The texts `variant` encodes: its table fields, in order."""
         return tuple(getattr(self, name) for name in VARIANTS[variant].fields)
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BuiltExample":
-        """A train.jsonl or val.jsonl line, its fields checked as a commit record's are."""
-        for name in ("repo_id", "commit_hash", "path", "code_before", "code_after", "removed_code", "added_code", "raw_diff"):
-            _str(d, name)
-        _count(d, "k"), _count(d, "removed_loc"), _count(d, "added_loc"), _verdict(d, "label")
-        return cls(**d)
 
 
 def build_example(
@@ -145,7 +134,7 @@ def build_example(
 ) -> BuiltExample:
     """Cut the paper-style (code_before, code_after) pair at window size k
     and render every variant's text from the same regions; k must not
-    exceed the context the record stores (`cli._check_context`)."""
+    exceed the context the record stores (`cli._read_commits`)."""
     regions = context_regions(fc, k)
     return BuiltExample(
         repo_id=repo_id,

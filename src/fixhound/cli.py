@@ -34,34 +34,46 @@ EXIT_TRAINING = 3
 
 
 def _lock_holder_alive(lock: Path) -> bool:
-    """False only when the lock names a pid that no longer exists."""
+    """True while the lock names a live pid; a lock is linked in whole, so any other lock is a dead run's."""
     try:
-        os.kill(int(lock.read_text()), 0)
-    except (ProcessLookupError, FileNotFoundError):
+        pid = int(lock.read_text())
+        if pid > 0:
+            os.kill(pid, 0)
+            return True
+    except (ProcessLookupError, FileNotFoundError, ValueError, OverflowError):
         return False
-    except (OSError, ValueError, OverflowError):  # another user's process, or a lock still being written
+    except OSError:  # another user's process
         return True
-    return True
+    return False
 
 
 @contextlib.contextmanager
 def workdir_lock(workdir: Path):
-    """Hold workdir/.lock (our pid) for the block; a dead run's lock is taken over once."""
+    """Hold workdir/.lock (our pid) for the block; a lock that names no live process is taken over once."""
+    import tempfile
+
     from .config import DataError
 
-    workdir.mkdir(parents=True, exist_ok=True)
     lock = workdir / ".lock"
-    for attempt in (1, 2):
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt == 2 or _lock_holder_alive(lock):
-                raise DataError(f"workdir {workdir} is locked by a running process (pid in {lock})")
-            lock.unlink(missing_ok=True)
     try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+        workdir.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".lock.", dir=workdir)
+        try:
+            os.write(fd, str(os.getpid()).encode())
+            os.close(fd)
+            for attempt in (1, 2):
+                try:
+                    os.link(tmp, lock)  # the lock appears whole, never empty
+                    break
+                except FileExistsError:
+                    if attempt == 2 or _lock_holder_alive(lock):
+                        raise DataError(f"workdir {workdir} is locked by a running process (pid in {lock})") from None
+                    lock.unlink(missing_ok=True)
+        finally:
+            os.unlink(tmp)
+    except OSError as exc:  # a file in place of the workdir or of a parent, or a directory we cannot write
+        raise DataError(f"workdir {workdir}: not a usable directory ({exc.strerror})") from None
+    try:
         yield
     finally:
         lock.unlink(missing_ok=True)
@@ -93,14 +105,12 @@ def cmd_mine(cfg: RunConfig, workdir: Path) -> int:
     from .records import NVF, VF, write_commits_jsonl
     from .repo_miner import CONTEXT_MAX, attach_labels, load_labels, mine_repository
 
-    if not cfg.labels_file or not Path(cfg.labels_file).exists():
-        raise DataError(f"labels file not found: {cfg.labels_file!r}")
+    if not cfg.labels_file:  # Path("") would read the current directory
+        raise DataError("no labels_file in the config: mine needs the label feed")
     labels = load_labels(cfg.labels_file)
     records: list[CommitRecord] = []
     seen: set[tuple[str, str]] = set()
     for repo in cfg.repos:
-        if not Path(repo).exists():
-            raise DataError(f"repository path not found: {repo}")
         for rec in attach_labels(mine_repository(repo, cfg.since, cfg.until, context=max(CONTEXT_MAX, cfg.k)), labels):
             if (rec.repo_id, rec.commit_hash) in seen:
                 raise DataError(f"repository {repo}: commit {rec.commit_hash} of {rec.repo_id} was already mined (repository listed twice?)")
@@ -124,13 +134,16 @@ def cmd_mine(cfg: RunConfig, workdir: Path) -> int:
 
 # ---------------------------------------------------------------- build
 
-def _check_context(commits: list[CommitRecord], k: int, path: Path) -> None:
-    """A cut at k reads only lines the records store: refuse it up front otherwise."""
+def _read_commits(path: Path, k: int) -> list[CommitRecord]:
+    """The commit records at `path`. A cut at k reads only lines the records store: refuse it up front otherwise."""
     from .config import DataError
+    from .records import read_commits_jsonl
 
+    commits = read_commits_jsonl(path)
     stored = min((fc.context for rec in commits for fc in rec.files), default=k)
     if k > stored:
         raise DataError(f"{path} stores {stored} lines of context, too few for k={k}; re-run mine with k={k}")
+    return commits
 
 
 def _split_and_downsample(cfg: RunConfig, commits: list[CommitRecord]):
@@ -145,15 +158,10 @@ def _split_and_downsample(cfg: RunConfig, commits: list[CommitRecord]):
 
 def cmd_build(cfg: RunConfig, workdir: Path) -> int:
     from .change_builder import build_examples
-    from .config import DataError, write_jsonl
-    from .records import read_commits_jsonl, write_commits_jsonl
+    from .config import write_jsonl
+    from .records import write_commits_jsonl
 
-    commits_path = workdir / "commits.jsonl"
-    if not commits_path.exists():
-        raise DataError(f"mined commits not found: {commits_path} (run mine first)")
-    commits = read_commits_jsonl(commits_path)
-    _check_context(commits, cfg.k, commits_path)
-    parts = _split_and_downsample(cfg, commits)
+    parts = _split_and_downsample(cfg, _read_commits(workdir / "commits.jsonl", cfg.k))
     for name in ("train", "val"):
         write_jsonl(build_examples(parts[name], cfg.k), workdir / f"{name}.jsonl")
     write_commits_jsonl(parts["test"], workdir / "test_commits.jsonl")
@@ -201,8 +209,6 @@ def cmd_train(cfg: RunConfig, workdir: Path) -> int:
 
     train_path = workdir / "train.jsonl"
     val_path = workdir / "val.jsonl"
-    if not train_path.exists() or not val_path.exists():
-        raise DataError(f"built dataset not found in {workdir} (run build first)")
     train_examples = read_jsonl(train_path, BuiltExample.from_dict)
     val_examples = read_jsonl(val_path, BuiltExample.from_dict)
     for path, examples in ((train_path, train_examples), (val_path, val_examples)):
@@ -226,22 +232,15 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
     from .change_builder import build_examples
     from .config import DataError, write_jsonl
     from .inference import predict_corpus
-    from .records import read_commits_jsonl
     from .trainer import load_checkpoint
 
     ckpt_path = Path(checkpoint) if checkpoint else workdir / "checkpoint.bin"
-    if not ckpt_path.exists():
-        raise DataError(f"checkpoint not found: {ckpt_path}")
     model, vocab, extra = load_checkpoint(ckpt_path)
     if model.config.max_len != cfg.max_len:
         raise DataError(f"checkpoint max_len {model.config.max_len} does not match configured max_len {cfg.max_len}")
     if extra.get("k") != cfg.k:
         raise DataError(f"checkpoint context window k={extra.get('k')} does not match configured k={cfg.k}")
-    test_path = workdir / "test_commits.jsonl"
-    if not test_path.exists():
-        raise DataError(f"test commits not found: {test_path} (run build first)")
-    commits = read_commits_jsonl(test_path)
-    _check_context(commits, cfg.k, test_path)
+    commits = _read_commits(workdir / "test_commits.jsonl", cfg.k)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite probability, refused below
         preds = predict_corpus(build_examples(commits, cfg.k), model, vocab, cfg.train_config().batch_size)
     for pred in preds:
@@ -254,18 +253,11 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, workdir: Path, predictions: str | None) -> int:
-    from .config import DataError
     from .evaluation import emit_report, evaluate, read_predictions_jsonl, write_report
     from .records import read_commits_jsonl
 
-    preds_path = Path(predictions) if predictions else workdir / "predictions.jsonl"
-    if not preds_path.exists():
-        raise DataError(f"predictions not found: {preds_path}")
-    test_path = workdir / "test_commits.jsonl"
-    if not test_path.exists():
-        raise DataError(f"test commits not found: {test_path}")
-    preds = read_predictions_jsonl(preds_path)
-    labels = {(c.repo_id, c.commit_hash): c.label for c in read_commits_jsonl(test_path)}
+    preds = read_predictions_jsonl(Path(predictions) if predictions else workdir / "predictions.jsonl")
+    labels = {(c.repo_id, c.commit_hash): c.label for c in read_commits_jsonl(workdir / "test_commits.jsonl")}
     report = evaluate(preds, labels, cfg.cost_effort_levels)
     reports = {cfg.variant: report}
     write_report(reports, workdir / "report.csv", "csv", cfg.cost_effort_levels)
@@ -282,18 +274,12 @@ def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
     from dataclasses import replace
 
     from .change_builder import VARIANTS, build_examples
-    from .config import DataError, write_jsonl
+    from .config import write_jsonl
     from .evaluation import emit_report, evaluate, write_report
     from .inference import predict_corpus
-    from .records import read_commits_jsonl
 
-    commits_path = workdir / "commits.jsonl"
-    if not commits_path.exists():
-        raise DataError(f"mined commits not found: {commits_path} (run mine first)")
-    commits = read_commits_jsonl(commits_path)
     ks, variants, name = (sweep_k, (cfg.variant,), "sweep_report") if sweep_k else ([cfg.k], VARIANTS, "ablation_report")
-    _check_context(commits, max(ks), commits_path)
-    parts = _split_and_downsample(cfg, commits)
+    parts = _split_and_downsample(cfg, _read_commits(workdir / "commits.jsonl", max(ks)))
     labels = {(c.repo_id, c.commit_hash): c.label for c in parts["test"]}
     reports = {}
     for k in ks:

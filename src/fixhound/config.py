@@ -1,8 +1,9 @@
-"""Run configuration, the error classes behind the CLI's exit codes, the
-atomic file writer every artifact goes through, and the JSON-lines artifact
-reader and writer every stage shares. Each field of the four config classes
-(these three and `records.SplitSpec`) carries its one rule as field
-metadata, and `checked` applies the rules to one section of a config.
+"""Run configuration, the error classes behind the CLI's exit codes, and the
+file I/O every stage shares: one reader for every input file, an atomic
+writer for every artifact, and the JSON-lines artifact reader and writer.
+Each field of the four config classes (these three and `records.SplitSpec`)
+and of the six artifact record classes carries its one rule as field
+metadata, and `checked` applies the rules to one config section or record.
 
 This module imports only the standard library at load time. `records`
 and the other data-layer modules import their error bases from here, so
@@ -13,10 +14,13 @@ are imported where they are used.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
 import os
+import reprlib
+import stat
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -32,10 +36,6 @@ class DataError(Exception):
 
 class TrainingError(Exception):
     """Training could not produce a model: exit code 3."""
-
-
-class ArtifactError(DataError):
-    """A JSON-lines artifact line that does not parse into its record."""
 
 
 Record = TypeVar("Record")
@@ -62,32 +62,40 @@ def atomic_write(path: str | Path, mode: str = "w"):
         tmp.unlink(missing_ok=True)
 
 
-def write_jsonl(records: Iterable, path: str | Path) -> int:
-    """Write one `to_dict()` JSON object per line; returns the count."""
-    n = 0
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of the regular file at `path`; a missing path, a directory, a FIFO
+    a read would block on, or a failed read is a one-line DataError naming it."""
+    path = Path(path)
+    try:
+        if stat.S_ISREG(path.stat().st_mode):
+            return path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+    raise DataError(f"{path}: not a regular file")
+
+
+def write_jsonl(records: Iterable, path: str | Path) -> None:
+    """Write one `to_dict()` JSON object per line."""
     with atomic_write(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), ensure_ascii=False) + "\n")
-            n += 1
-    return n
 
 
 def read_jsonl(path: str | Path, from_dict: Callable[[dict], Record]) -> list[Record]:
     """Read the records `write_jsonl` wrote; a line that does not parse
     (a truncated file, a foreign record, bytes that are not UTF-8, a lone
-    surrogate escape that no writer can write back) raises ArtifactError
+    surrogate escape that no writer can write back) raises DataError
     naming path:line."""
     records = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    obj = json.loads(line.decode("utf-8"))
-                    if b"\\ud" in line or b"\\uD" in line:  # raises UnicodeEncodeError on a lone surrogate
-                        json.dumps(obj, ensure_ascii=False).encode("utf-8")
-                    records.append(from_dict(obj))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ArtifactError(f"{path}:{lineno}: unreadable record ({type(exc).__name__}: {exc})") from exc
+    for lineno, line in enumerate(read_bytes(path).split(b"\n"), start=1):
+        if line.strip():
+            try:
+                obj = json.loads(line.decode("utf-8"))
+                if b"\\ud" in line or b"\\uD" in line:  # raises UnicodeEncodeError on a lone surrogate
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                records.append(from_dict(obj))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"{path}:{lineno}: unreadable record ({type(exc).__name__}: {exc})") from exc
     return records
 
 
@@ -112,18 +120,19 @@ def _is_path(value) -> bool:
     return isinstance(value, str) and "\0" not in value
 
 
-def rule(what: str, ok: Callable[[object], bool]) -> dict:
-    """A config field's metadata: the one test its value must pass, and the words
-    that name it in `bad <section> config: <field> must be <what>, got <value!r>`."""
-    return {"what": what, "ok": ok}
+def rule(what: str, ok: Callable[[object], bool], load: Callable[[object], object] = lambda v: v) -> dict:
+    """A field's metadata: the one test its value must pass, the words that name
+    it in `bad <section>: <field> must be <what>, got <value>`, and how an
+    accepted value becomes the field's value."""
+    return {"what": what, "ok": ok, "load": load}
 
 
 def at_least(lo: int) -> dict:
     return rule(f"an integer >= {lo}", lambda v: _is_int(v) and v >= lo)
 
 
-def list_of(what: str, ok: Callable[[object], bool]) -> dict:
-    return rule(f"a list of {what}", lambda v: isinstance(v, list) and all(map(ok, v)))
+def list_of(what: str, ok: Callable[[object], bool], load: Callable[[list], object] = lambda v: v) -> dict:
+    return rule(f"a list of {what}", lambda v: isinstance(v, list) and all(map(ok, v)), load)
 
 
 # Caps on the work a config asks for, the same on every machine. 2^27 encoder
@@ -144,21 +153,30 @@ OBJECT = rule("an object", lambda v: isinstance(v, dict))
 PATH = rule("a string without NUL that os.fsencode accepts", _is_path)
 
 
+@functools.cache
+def _rules(cls: type) -> dict[str, tuple[dict, bool]]:
+    """Each field of `cls` by name: its rule, and whether the field has no default."""
+    return {f.name: (dict(f.metadata), f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)}
+
+
 def checked(section: str, cls: type, values: dict, **given):
-    """`cls(**values, **given)`, or UsageError naming the first key of `values`
-    that is not a field of `cls` left to it, then the first field (in field
-    order) that its rule refuses or that has no value and no default."""
-    rules = {f.name: f for f in fields(cls) if f.name not in given}
-    for key in values:
-        if key not in rules:
-            raise UsageError(f"bad {section} config: key must be one of {', '.join(rules)}, got {key!r}")
-    for name, f in rules.items():
+    """`cls(**given)` with each value of `values` loaded by its field's rule, or ValueError
+    naming the first key that is not a field of `cls` left to it, then the first field
+    (in field order) that its rule refuses, shown short, or that has no value and no default."""
+    if not isinstance(values, dict):
+        raise ValueError(f"bad {section}: must be an object, got {reprlib.repr(values)}")
+    rules = {name: r for name, r in _rules(cls).items() if name not in given} if given else _rules(cls)
+    if not values.keys() <= rules.keys():
+        key = next(key for key in values if key not in rules)
+        raise ValueError(f"bad {section}: key must be one of {', '.join(rules)}, got {reprlib.repr(key)}")
+    for name, (r, required) in rules.items():
         if name in values:
-            if not f.metadata["ok"](values[name]):
-                raise UsageError(f"bad {section} config: {name} must be {f.metadata['what']}, got {values[name]!r}")
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise UsageError(f"bad {section} config: {name} must be {f.metadata['what']}, got nothing")
-    return cls(**values, **given)
+            if not r["ok"](values[name]):
+                raise ValueError(f"bad {section}: {name} must be {r['what']}, got {reprlib.repr(values[name])}")
+            given[name] = r["load"](values[name])
+        elif required:
+            raise ValueError(f"bad {section}: {name} must be {r['what']}, got nothing")
+    return cls(**given)
 
 
 @dataclass(frozen=True)
@@ -187,11 +205,11 @@ class EncoderConfig:
     def from_dict(cls, d: dict, **given) -> "EncoderConfig":
         """A run config's encoder block (vocab_size and max_len `given`) or a
         checkpoint's, through `checked` and the two rules across its fields."""
-        enc = checked("encoder", cls, d, **given)
+        enc = checked("encoder config", cls, d, **given)
         if enc.dim % enc.heads:
-            raise UsageError(f"bad encoder config: dim must be divisible by heads ({enc.heads}), got {enc.dim}")
+            raise ValueError(f"bad encoder config: dim must be divisible by heads ({enc.heads}), got {enc.dim}")
         if enc.params_besides_tok_emb > MAX_ENCODER_PARAMS:
-            raise UsageError(f"bad encoder config: parameters besides tok_emb must be at most 2^27, got {enc.params_besides_tok_emb}")
+            raise ValueError(f"bad encoder config: parameters besides tok_emb must be at most 2^27, got {enc.params_besides_tok_emb}")
         return enc
 
 
@@ -234,7 +252,7 @@ class RunConfig:
         return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
 
     def train_config(self) -> TrainConfig:
-        return checked("train", TrainConfig, self.train, seed=self.seed)
+        return checked("train config", TrainConfig, self.train, seed=self.seed)
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
         return EncoderConfig.from_dict(self.encoder, vocab_size=vocab_size, max_len=self.max_len)
@@ -242,7 +260,7 @@ class RunConfig:
     def split_spec(self):
         from .records import SplitSpec
 
-        return checked("split", SplitSpec, self.split)
+        return checked("split config", SplitSpec, self.split)
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -252,17 +270,17 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
     values = {}
     if path is not None:
-        p = Path(path)
-        if not p.is_file():
-            raise DataError(f"config file not found: {p}")
         try:
-            values = json.loads(p.read_text(encoding="utf-8"))
+            values = json.loads(read_bytes(path).decode("utf-8"))  # bytes to json.loads would also take UTF-16
         except ValueError as exc:  # also UnicodeDecodeError
-            raise UsageError(f"config file {p} is not valid JSON: {exc}") from exc
+            raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(values, dict):
-            raise UsageError(f"config file {p} does not hold a JSON object")
-    cfg = checked("run", RunConfig, {**values, **{key: value for key, value in overrides.items() if value is not None}})
-    if cfg.variant not in VARIANTS:
-        raise UsageError(f"bad run config: variant must be one of {', '.join(VARIANTS)}, got {cfg.variant!r}")
-    cfg.encoder_config(cfg.vocab_size), cfg.train_config(), cfg.split_spec()  # each checks its section
+            raise UsageError(f"config file {path} does not hold a JSON object")
+    try:
+        cfg = checked("run config", RunConfig, {**values, **{key: value for key, value in overrides.items() if value is not None}})
+        if cfg.variant not in VARIANTS:
+            raise ValueError(f"bad run config: variant must be one of {', '.join(VARIANTS)}, got {cfg.variant!r}")
+        cfg.encoder_config(cfg.vocab_size), cfg.train_config(), cfg.split_spec()  # each checks its section
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return cfg

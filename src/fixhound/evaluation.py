@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .change_builder import VARIANTS
-from .config import DataError, _is_finite, atomic_write, read_jsonl
-from .records import VF, _count, _str, _verdict, f1_score, once_per_commit
+from .config import DataError, _is_finite, atomic_write, list_of, read_jsonl, rule
+from .records import COUNT, STR, VERDICT, VF, Artifact, f1_score, once_per_commit
 
 # Change-size ranges (lo, hi]; loc <= 1 is assigned to the first bucket.
 SIZE_BUCKETS = ((1, 20), (20, 40), (40, 60), (60, 80), (80, 100), (100, None))
@@ -29,29 +29,21 @@ class EvaluationError(DataError):
     pass
 
 
+_FILE_PROBS = list_of(
+    "[path, finite number] pairs",
+    lambda p: isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and _is_finite(p[1]),
+    lambda v: tuple(map(tuple, v)),
+)
+
+
 @dataclass(frozen=True)
-class CommitPrediction:
-    repo_id: str
-    commit_hash: str
-    file_probs: tuple[tuple[str, float], ...]
-    commit_prob: float
-    predicted: str  # VF or NVF
-    commit_loc: int  # removed + added lines over all files
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CommitPrediction":
-        """A predictions.jsonl line, its fields checked as a commit record's are."""
-        _str(d, "repo_id"), _str(d, "commit_hash"), _count(d, "commit_loc"), _verdict(d, "predicted")
-        if not (_is_finite(d["commit_prob"]) and 0 <= d["commit_prob"] <= 1):
-            raise ValueError(f"commit_prob must be a number in [0, 1], not {d['commit_prob']!r}")
-        if not isinstance(d["file_probs"], list) or not all(
-            isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and _is_finite(p[1]) for p in d["file_probs"]
-        ):
-            raise ValueError("file_probs must be a list of [path, finite number] pairs")
-        return cls(**{**d, "file_probs": tuple(map(tuple, d["file_probs"]))})
+class CommitPrediction(Artifact):
+    repo_id: str = field(metadata=STR)
+    commit_hash: str = field(metadata=STR)
+    file_probs: tuple[tuple[str, float], ...] = field(metadata=_FILE_PROBS)
+    commit_prob: float = field(metadata=rule("a number in [0, 1]", lambda v: _is_finite(v) and 0 <= v <= 1))
+    predicted: str = field(metadata=VERDICT)  # VF or NVF
+    commit_loc: int = field(metadata=COUNT)  # removed + added lines over all files
 
 
 def read_predictions_jsonl(path: str | Path) -> list[CommitPrediction]:

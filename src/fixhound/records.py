@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .config import DataError, Record, _is_finite, _is_int, list_of, read_jsonl, rule, write_jsonl
+from .config import DataError, Record, _is_finite, _is_int, at_least, checked, list_of, read_jsonl, rule, write_jsonl
 
 VF = "VF"
 NVF = "NVF"
@@ -34,95 +34,70 @@ _REPOS = list_of("strings", lambda r: isinstance(r, str))
 _FRACTION = rule("a number in [0, 1]", lambda v: _is_finite(v) and 0 <= v <= 1)
 
 
-# Field checks for the from_dicts: a damaged artifact line fails as it is read, naming path:line.
-def _int(d: dict, name: str) -> int:
-    if not _is_int(d[name]):
-        raise ValueError(f"{name} must be an integer, not {type(d[name]).__name__}")
-    return d[name]
+# Rules for artifact fields: a damaged artifact line fails as it is read, naming path:line.
+INT = rule("an integer", _is_int)
+COUNT = at_least(0)
+STR = rule("a string", lambda v: isinstance(v, str))
+VERDICT = rule(f"{VF!r} or {NVF!r}", lambda v: v in (VF, NVF))
+LINES = rule("a list of strings", lambda v: isinstance(v, list) and all(isinstance(line, str) for line in v), tuple)
 
 
-def _count(d: dict, name: str) -> None:
-    if _int(d, name) < 0:
-        raise ValueError(f"{name} must be >= 0, not {d[name]}")
+def records_of(cls: type) -> dict:
+    """The rule of a field that holds a list of `cls` records, each read by `cls.from_dict`."""
+    return list_of(f"{cls.__name__} objects", lambda d: isinstance(d, dict), lambda v: tuple(map(cls.from_dict, v)))
 
 
-def _str(d: dict, name: str) -> None:
-    if not isinstance(d[name], str):
-        raise ValueError(f"{name} must be a string, not {type(d[name]).__name__}")
+class Artifact:
+    """A JSON-lines artifact record: a dataclass whose fields carry their rules as a config's do."""
 
+    @classmethod
+    def from_dict(cls, d: dict):
+        return checked(cls.__name__, cls, d)
 
-def _verdict(d: dict, name: str) -> None:
-    if d[name] not in (VF, NVF):
-        raise ValueError(f"{name} must be {VF!r} or {NVF!r}, not {d[name]!r}")
-
-
-def _lines(d: dict, name: str) -> tuple[str, ...]:
-    if not isinstance(d[name], list) or not all(isinstance(line, str) for line in d[name]):
-        raise ValueError(f"{name} must be a list of strings")
-    return tuple(d[name])
+    def to_dict(self) -> dict:  # tuples serialise as JSON arrays, a tuple of records as a list of objects
+        return {k: [r.to_dict() for r in v] if type(v) is tuple and v and isinstance(v[0], Artifact) else v for k, v in vars(self).items()}
 
 
 @dataclass(frozen=True)
-class Hunk:
-    old_start: int  # 1-based; for pure insertions, the line the insert precedes
-    removed_lines: tuple[str, ...]
-    new_start: int
-    added_lines: tuple[str, ...]
+class Hunk(Artifact):
+    old_start: int = field(metadata=INT)  # 1-based; for pure insertions, the line the insert precedes
+    removed_lines: tuple[str, ...] = field(metadata=LINES)
+    new_start: int = field(metadata=INT)
+    added_lines: tuple[str, ...] = field(metadata=LINES)
 
     def __post_init__(self):
         if not self.removed_lines and not self.added_lines:
             raise ValueError("hunk with neither removed nor added lines")
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)  # tuples serialise as JSON arrays
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Hunk":
-        return cls(_int(d, "old_start"), _lines(d, "removed_lines"), _int(d, "new_start"), _lines(d, "added_lines"))
-
 
 @dataclass(frozen=True)
-class Window:
+class Window(Artifact):
     """Lines `old_lo`.. of the old file and `new_lo`.. of the new file (1-based)
     that one merged context region covers."""
 
-    old_lo: int
-    new_lo: int
-    old_lines: tuple[str, ...]
-    new_lines: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Window":
-        return cls(_int(d, "old_lo"), _int(d, "new_lo"), _lines(d, "old_lines"), _lines(d, "new_lines"))
+    old_lo: int = field(metadata=INT)
+    new_lo: int = field(metadata=INT)
+    old_lines: tuple[str, ...] = field(metadata=LINES)
+    new_lines: tuple[str, ...] = field(metadata=LINES)
 
 
 @dataclass(frozen=True)
-class FileChange:
+class FileChange(Artifact):
     """One file's hunks plus the only lines any cut at k <= `context` reads:
     the merged regions of `context_regions(fc, context)`, one Window each."""
 
-    path: str
-    hunks: tuple[Hunk, ...]
-    removed_loc: int
-    added_loc: int
-    old_len: int
-    new_len: int
-    context: int
-    windows: tuple[Window, ...]
-
-    def to_dict(self) -> dict:
-        return {**self.__dict__, "hunks": [h.to_dict() for h in self.hunks], "windows": [w.to_dict() for w in self.windows]}
+    path: str = field(metadata=STR)
+    hunks: tuple[Hunk, ...] = field(metadata=records_of(Hunk))
+    removed_loc: int = field(metadata=COUNT)
+    added_loc: int = field(metadata=COUNT)
+    old_len: int = field(metadata=COUNT)
+    new_len: int = field(metadata=COUNT)
+    context: int = field(metadata=COUNT)
+    windows: tuple[Window, ...] = field(metadata=records_of(Window))
 
     @classmethod
     def from_dict(cls, d: dict) -> "FileChange":
-        _str(d, "path")
-        hunks = tuple(Hunk.from_dict(h) for h in d["hunks"])
-        for name in ("removed_loc", "added_loc", "old_len", "new_len", "context"):
-            _count(d, name)
-        fc = cls(**{**d, "hunks": hunks, "windows": tuple(Window.from_dict(w) for w in d["windows"])})
+        fc = super().from_dict(d)
         # A cut at k <= context slices its lines from the window of its region
         # at `context`, so each window must be exactly that region.
         windows = [(w.old_lo, w.new_lo, len(w.old_lines), len(w.new_lines)) for w in fc.windows]
@@ -194,24 +169,16 @@ def _clamp_region(hunks: list[Hunk], span: tuple[int, int, int, int], fc: FileCh
 
 
 @dataclass(frozen=True)
-class CommitRecord:
-    repo_id: str
-    commit_hash: str
-    timestamp: int  # UTC seconds
-    label: str  # VF or NVF
-    files: tuple[FileChange, ...]
+class CommitRecord(Artifact):
+    repo_id: str = field(metadata=STR)
+    commit_hash: str = field(metadata=STR)
+    timestamp: int = field(metadata=INT)  # UTC seconds
+    label: str = field(metadata=VERDICT)  # VF or NVF
+    files: tuple[FileChange, ...] = field(metadata=records_of(FileChange))
 
     def __post_init__(self):
         if not self.files:
             raise ValueError(f"commit {self.commit_hash} has no file changes")
-
-    def to_dict(self) -> dict:
-        return {**self.__dict__, "files": [f.to_dict() for f in self.files]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CommitRecord":
-        _str(d, "repo_id"), _str(d, "commit_hash"), _int(d, "timestamp"), _verdict(d, "label")
-        return cls(**{**d, "files": tuple(FileChange.from_dict(f) for f in d["files"])})
 
 
 def downsample_nvf(records: list[CommitRecord], ratio: float, seed: int) -> list[CommitRecord]:
@@ -285,9 +252,9 @@ def _split_temporal(records, spec: SplitSpec):
     return out
 
 
-def write_commits_jsonl(records: Iterable[CommitRecord], path: str | Path) -> int:
-    """Write records as JSON-lines in ascending timestamp order; returns count."""
-    return write_jsonl(sorted(records, key=lambda r: (r.timestamp, r.repo_id, r.commit_hash)), path)
+def write_commits_jsonl(records: Iterable[CommitRecord], path: str | Path) -> None:
+    """Write records as JSON-lines in ascending timestamp order."""
+    write_jsonl(sorted(records, key=lambda r: (r.timestamp, r.repo_id, r.commit_hash)), path)
 
 
 def f1_score(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

@@ -31,7 +31,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .config import DataError
+from .config import DataError, read_bytes
 from .records import NVF, VF, CommitRecord, FileChange, Hunk, Window, context_regions
 
 log = logging.getLogger(__name__)
@@ -279,15 +279,10 @@ def mine_repository(
 
 def load_labels(labels_file: str | Path) -> dict[tuple[str, str], str]:
     """Parse the label feed CSV (header repo_id,commit_hash,vuln_id)."""
-    labels_file = Path(labels_file)
-    if not labels_file.is_file():  # a directory, or a pipe that a read would block on
-        raise LabelError(f"{labels_file}: not a regular file")
     try:
-        text = labels_file.read_bytes().decode("utf-8")
+        text = read_bytes(labels_file).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LabelError(f"{labels_file}: not UTF-8 text (byte {exc.start})") from None
-    except OSError as exc:
-        raise LabelError(f"{labels_file}: cannot read ({exc.strerror})") from None
     try:
         rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:  # a field longer than csv.field_size_limit()

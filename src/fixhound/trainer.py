@@ -21,7 +21,7 @@ import numpy as np
 
 from . import delta_model as dm
 from .change_builder import VARIANTS
-from .config import DataError, EncoderConfig, TrainConfig, TrainingError, UsageError, atomic_write
+from .config import DataError, EncoderConfig, TrainConfig, TrainingError, atomic_write, read_bytes
 from .delta_model import DeltaModel, EncodedBatch
 from .encoder import Params, param_shapes
 from .records import f1_score
@@ -176,7 +176,7 @@ def load_checkpoint(path: str | Path) -> tuple[DeltaModel, Vocabulary, dict]:
     not the variant's, or its tensor names, shapes and values are not exactly
     those of the model its config describes.
     """
-    data = Path(path).read_bytes()
+    data = read_bytes(path)
     off = 0
 
     def take(n: int, what: str) -> bytes:
@@ -219,7 +219,7 @@ def load_checkpoint(path: str | Path) -> tuple[DeltaModel, Vocabulary, dict]:
         if config["shared_encoders"] is not shared:
             sharing = "shares one encoder" if shared else "has two encoders"
             raise ValueError(f"shared_encoders is {config['shared_encoders']!r}, but {config['variant']} {sharing}")
-    except (KeyError, TypeError, ValueError, UsageError) as exc:  # UsageError: the encoder block breaks a config rule
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model config ({type(exc).__name__}: {exc})") from exc
     if vocab.size != enc_config.vocab_size:
         raise CheckpointError(f"{path}: vocabulary has {vocab.size} tokens but the encoder embeds {enc_config.vocab_size}")

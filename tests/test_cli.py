@@ -25,7 +25,7 @@ from fixhound.change_builder import VARIANTS, BuiltExample
 from fixhound.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _split_and_downsample, main
 from fixhound.config import MIN_VOCAB_SIZE, EncoderConfig, RunConfig, TrainConfig, atomic_write, load_config, read_jsonl, write_jsonl
 from fixhound.evaluation import CommitPrediction
-from fixhound.records import NVF, SplitSpec, read_commits_jsonl, write_commits_jsonl
+from fixhound.records import NVF, CommitRecord, FileChange, Hunk, SplitSpec, Window, read_commits_jsonl, write_commits_jsonl
 from fixhound.tokenizer import MIN_VOCAB
 from model_helpers import force_concurrent_streams
 
@@ -217,8 +217,12 @@ class TestMine:
         labels = self._labels(tmp_path, [])
         config = write_config(tmp_path, tmp_path / "out", repos=[], labels_file=str(labels))
 
+        read_bytes = Path.read_bytes
+
         def denied(path):
-            raise PermissionError(13, "Permission denied", str(path))
+            if path == labels:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
 
         monkeypatch.setattr(Path, "read_bytes", denied)
         assert main(["--config", str(config), "mine"]) == EXIT_DATA
@@ -233,6 +237,11 @@ class TestMine:
         assert main(["--config", str(config), "mine"]) == EXIT_DATA
         one_line_error(capsys, f"repository {repo}: commit ", "already mined")
         assert not (workdir / "commits.jsonl").exists()
+
+    def test_no_labels_file_is_data_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, tmp_path / "out", repos=[])  # labels_file "" would read as "."
+        assert main(["--config", str(config), "mine"]) == EXIT_DATA
+        one_line_error(capsys, "no labels_file in the config")
 
     def test_missing_repo_path_is_data_error(self, tmp_path, capsys):
         labels = self._labels(tmp_path, [])
@@ -269,7 +278,7 @@ class TestBuild:
     def test_build_without_mine_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path, tmp_path / "empty")
         assert main(["--config", str(config), "build"]) == EXIT_DATA
-        one_line_error(capsys, "run mine first")
+        one_line_error(capsys, f"{tmp_path / 'empty' / 'commits.jsonl'}: cannot read (No such file or directory)")
 
 
 class TestStoredContext:
@@ -546,7 +555,7 @@ class TestPipeline:
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "predict"]) == EXIT_DATA
-        one_line_error(capsys, "checkpoint not found")
+        one_line_error(capsys, f"{workdir / 'checkpoint.bin'}: cannot read (No such file or directory)")
 
 
 @pytest.fixture(scope="module")
@@ -625,6 +634,23 @@ class TestGuards:
         assert (workdir / "train.jsonl").exists()
         assert not (workdir / ".lock").exists()
 
+    @pytest.mark.parametrize("content", ["", "0", "-1", "12x"], ids=["empty", "zero", "negative", "not-a-number"])
+    def test_lock_that_names_no_pid_is_taken_over(self, tmp_path, content):
+        # an empty lock is what a run killed before it wrote its pid left
+        workdir, _ = seeded_workdir(tmp_path)
+        (workdir / ".lock").write_text(content)
+        config = write_config(tmp_path, workdir)
+        assert main(["--config", str(config), "build"]) == EXIT_OK
+        assert (workdir / "train.jsonl").exists()
+        assert not list(workdir.glob(".lock*"))
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["a-file", "under-a-file"])
+    def test_workdir_that_cannot_be_a_directory_is_data_error(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        config = write_config(tmp_path, tmp_path / "out")
+        assert main(["--config", str(config), "--out", str(tmp_path / out), "build"]) == EXIT_DATA
+        one_line_error(capsys, f"workdir {tmp_path / out}: not a usable directory (")
+
     def test_lock_released_after_run(self, tmp_path):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
@@ -635,7 +661,7 @@ class TestGuards:
         assert main(["--config", str(tmp_path / "ghost.json"), "build"]) == EXIT_DATA
         one_line_error(capsys, "ghost.json")
         assert main(["--config", str(tmp_path), "build"]) == EXIT_DATA  # a directory
-        one_line_error(capsys, f"config file not found: {tmp_path}")
+        one_line_error(capsys, f"{tmp_path}: not a regular file")
 
     def test_invalid_json_config_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "c.json"
@@ -781,9 +807,14 @@ class TestGuards:
         assert main(["--config", str(p), "build"]) == EXIT_USAGE
         one_line_error(capsys, "is not valid JSON: 'utf-8' codec can't decode byte 0xff")
 
-    @pytest.mark.parametrize("cls", [RunConfig, EncoderConfig, TrainConfig, SplitSpec], ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize(
+        "cls",
+        [RunConfig, EncoderConfig, TrainConfig, SplitSpec, Hunk, Window, FileChange, CommitRecord, BuiltExample, CommitPrediction],
+        ids=lambda cls: cls.__name__,
+    )
     def test_every_config_field_has_one_rule(self, cls):
-        rules = {f.name for f in dataclasses.fields(cls) if set(f.metadata) == {"what", "ok"}}
+        # the artifact records read their fields through the config's rules
+        rules = {f.name for f in dataclasses.fields(cls) if set(f.metadata) == {"what", "ok", "load"}}
         assert {f.name for f in dataclasses.fields(cls)} == rules
 
     @pytest.mark.parametrize("field", ["workdir", "labels_file", "repos"])
@@ -807,7 +838,8 @@ class TestGuards:
         if field == "workdir":
             assert code == EXIT_OK and os.path.exists(os.path.join(os.fsencode(tmp_path), b"w\xff", b"commits.jsonl")), err
         else:  # the config loads; the path names no file
-            assert code == EXIT_DATA and err.count("\n") == 1 and "not found" in err, err
+            needle = "not a git repository" if field == "repos" else "cannot read (No such file or directory)"
+            assert code == EXIT_DATA and err.count("\n") == 1 and needle in err, err
 
     def test_the_papers_encoder_and_the_largest_vocabulary_load(self):
         # CodeBERT's size: 85M parameters besides tok_emb, under the 2^27 bound
@@ -853,12 +885,12 @@ class TestBadArtifacts:
         "damage, message",
         [
             (lambda rec: rec.update(files=[]), "has no file changes"),
-            (lambda rec: rec["files"][0].update(context="9"), "context must be an integer, not str"),
-            (lambda rec: rec["files"][0]["hunks"][0].update(old_start="1"), "old_start must be an integer, not str"),
-            (lambda rec: rec["files"][0].update(removed_loc=None), "removed_loc must be an integer, not NoneType"),
-            (lambda rec: rec["files"][0].update(removed_loc=-1), "removed_loc must be >= 0, not -1"),
-            (lambda rec: rec.update(label="MAYBE"), "label must be 'VF' or 'NVF', not 'MAYBE'"),
-            (lambda rec: rec.update(repo_id=5), "repo_id must be a string, not int"),
+            (lambda rec: rec["files"][0].update(context="9"), "bad FileChange: context must be an integer >= 0, got '9'"),
+            (lambda rec: rec["files"][0]["hunks"][0].update(old_start="1"), "bad Hunk: old_start must be an integer, got '1'"),
+            (lambda rec: rec["files"][0].update(removed_loc=None), "bad FileChange: removed_loc must be an integer >= 0, got None"),
+            (lambda rec: rec["files"][0].update(removed_loc=-1), "bad FileChange: removed_loc must be an integer >= 0, got -1"),
+            (lambda rec: rec.update(label="MAYBE"), "bad CommitRecord: label must be 'VF' or 'NVF', got 'MAYBE'"),
+            (lambda rec: rec.update(repo_id=5), "bad CommitRecord: repo_id must be a string, got 5"),
             (lambda rec: rec["files"][0].update(windows=[]), "context windows are not the regions its hunks give at context 9"),
             (  # one line late is already too late
                 lambda rec: [w.update(old_lo=w["old_lo"] + 1) for w in rec["files"][0]["windows"]],
@@ -893,10 +925,10 @@ class TestBadArtifacts:
     @pytest.mark.parametrize(
         "artifact, damage, message",
         [
-            ("train.jsonl", lambda ex: ex.update(code_before=5), "code_before must be a string, not int"),
-            ("train.jsonl", lambda ex: ex.update(k="3"), "k must be an integer, not str"),
-            ("val.jsonl", lambda ex: ex.update(removed_loc=-1), "removed_loc must be >= 0, not -1"),
-            ("train.jsonl", lambda ex: ex.update(label="MAYBE"), "label must be 'VF' or 'NVF', not 'MAYBE'"),
+            ("train.jsonl", lambda ex: ex.update(code_before=5), "bad BuiltExample: code_before must be a string, got 5"),
+            ("train.jsonl", lambda ex: ex.update(k="3"), "bad BuiltExample: k must be an integer >= 0, got '3'"),
+            ("val.jsonl", lambda ex: ex.update(removed_loc=-1), "bad BuiltExample: removed_loc must be an integer >= 0, got -1"),
+            ("train.jsonl", lambda ex: ex.update(label="MAYBE"), "bad BuiltExample: label must be 'VF' or 'NVF', got 'MAYBE'"),
         ],
         ids=["text-int", "k-str", "loc-negative", "label-maybe"],
     )
@@ -914,11 +946,11 @@ class TestBadArtifacts:
     @pytest.mark.parametrize(
         "damage, message",
         [
-            (lambda p: p.update(commit_prob="0.5"), "commit_prob must be a number in [0, 1], not '0.5'"),
-            (lambda p: p.update(commit_prob=1.5), "commit_prob must be a number in [0, 1], not 1.5"),
-            (lambda p: p.update(commit_loc="7"), "commit_loc must be an integer, not str"),
-            (lambda p: p.update(predicted=1), "predicted must be 'VF' or 'NVF', not 1"),
-            (lambda p: p["file_probs"][0].__setitem__(1, "high"), "file_probs must be a list of [path, finite number] pairs"),
+            (lambda p: p.update(commit_prob="0.5"), "bad CommitPrediction: commit_prob must be a number in [0, 1], got '0.5'"),
+            (lambda p: p.update(commit_prob=1.5), "bad CommitPrediction: commit_prob must be a number in [0, 1], got 1.5"),
+            (lambda p: p.update(commit_loc="7"), "bad CommitPrediction: commit_loc must be an integer >= 0, got '7'"),
+            (lambda p: p.update(predicted=1), "bad CommitPrediction: predicted must be 'VF' or 'NVF', got 1"),
+            (lambda p: p["file_probs"][0].__setitem__(1, "high"), "bad CommitPrediction: file_probs must be a list of [path, finite number] pairs, got [['src/mod.c', 'high']]"),
         ],
         ids=["prob-str", "prob-above-1", "loc-str", "predicted-int", "file-prob-str"],
     )
@@ -953,6 +985,40 @@ class TestBadArtifacts:
         assert main(["--config", str(write_config(tmp_path, workdir)), "evaluate"]) == EXIT_DATA
         one_line_error(capsys, f"error: no prediction for test commit {(pred['repo_id'], pred['commit_hash'])}")
         assert not (workdir / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, copied, args",
+        [
+            ("commits.jsonl", (), ["build"]),
+            ("commits.jsonl", (), ["ablate"]),
+            ("train.jsonl", (), ["train"]),
+            ("test_commits.jsonl", ("checkpoint.bin",), ["predict"]),
+            ("test_commits.jsonl", ("predictions.jsonl",), ["evaluate"]),
+            ("input", ("test_commits.jsonl",), ["predict", "--checkpoint", "{dir}"]),
+            ("input", ("test_commits.jsonl",), ["evaluate", "--predictions", "{dir}"]),
+            ("input", (), ["--config", "{dir}", "build"]),
+        ],
+        ids=["commits-build", "commits-ablate", "train", "test-commits-predict", "test-commits-evaluate", "checkpoint", "predictions", "config"],
+    )
+    def test_directory_in_place_of_an_input_is_data_error(self, predicted_workdir, tmp_path, capsys, name, copied, args):
+        workdir = tmp_path / "out"
+        workdir.mkdir()
+        for artifact in copied:
+            shutil.copy(predicted_workdir / artifact, workdir)
+        directory = workdir / name
+        directory.mkdir()
+        argv = ["--config", str(write_config(tmp_path, workdir)), *(a.format(dir=directory) for a in args)]  # the last --config wins
+        assert main(argv) == EXIT_DATA
+        one_line_error(capsys, f"error: {directory}: not a regular file")
+
+    def test_refused_value_shows_short(self, tmp_path, capsys):
+        # a refused window of 1,500 lines shows as its first few
+        workdir, _ = seeded_workdir(tmp_path)
+        path = workdir / "commits.jsonl"
+        _with_line(path, path, 1, lambda rec: rec["files"][0]["windows"][0].update(old_lines=list(range(1500))))
+        assert main(["--config", str(write_config(tmp_path, workdir)), "build"]) == EXIT_DATA
+        err = one_line_error(capsys, f"{path}:1: unreadable record (ValueError: bad Window: old_lines must be a list of strings, got [0, 1, 2, 3, 4, 5, ...])")
+        assert len(err) < 300 + len(str(path)), err
 
     def test_repeated_test_commit_is_data_error(self, trained_workdir, tmp_path, capsys):
         _, trained = trained_workdir

@@ -6,7 +6,7 @@ import pytest
 
 import encoder_oracle
 from fixhound import encoder
-from fixhound.config import EncoderConfig, UsageError
+from fixhound.config import EncoderConfig
 from fixhound.encoder import (
     LN_EPS,
     backward_batch,
@@ -333,9 +333,9 @@ class TestInit:
 
     def test_bad_config_rejected(self):
         # the one check every encoder block goes through, a run config's or a checkpoint's
-        with pytest.raises(UsageError, match=r"dim must be divisible by heads \(3\), got 10"):
+        with pytest.raises(ValueError, match=r"dim must be divisible by heads \(3\), got 10"):
             EncoderConfig.from_dict({"vocab_size": 300, "dim": 10, "layers": 1, "heads": 3, "max_len": 8})
-        with pytest.raises(UsageError, match=r"layers must be an integer in \[0, 1024\], got -1"):
+        with pytest.raises(ValueError, match=r"layers must be an integer in \[0, 1024\], got -1"):
             EncoderConfig.from_dict({"vocab_size": 300, "dim": 8, "layers": -1, "heads": 2, "max_len": 8})
 
     @pytest.mark.parametrize("layers, ffn_mult", [(0, 1), (1, 4), (3, 2)])

@@ -250,7 +250,7 @@ class TestSerialization:
             for i in range(4)
         ]
         path = tmp_path / "preds.jsonl"
-        assert write_jsonl(preds, path) == 4
+        write_jsonl(preds, path)
         assert read_predictions_jsonl(path) == preds
 
     def test_empty_file(self, tmp_path):
