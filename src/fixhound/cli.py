@@ -2,8 +2,9 @@
 
 All commands read one JSON config file; individual flags override config
 values, which override defaults. Every command writes a manifest (config
-digest, seed, package version) next to its outputs, and a lock file keeps
-two commands from sharing a workdir concurrently.
+digest, seed, package version) next to its outputs. An exclusive flock(2) on
+the workdir keeps two commands from sharing it: the kernel releases it when
+the process exits for any reason, and it leaves no file behind (POSIX only).
 
 Each command loads only the modules it runs: this module imports no other
 fixhound module at load time, so `--help` and a usage error load none, and
@@ -33,50 +34,29 @@ EXIT_DATA = 2
 EXIT_TRAINING = 3
 
 
-def _lock_holder_alive(lock: Path) -> bool:
-    """True while the lock names a live pid; a lock is linked in whole, so any other lock is a dead run's."""
-    try:
-        pid = int(lock.read_text())
-        if pid > 0:
-            os.kill(pid, 0)
-            return True
-    except (ProcessLookupError, FileNotFoundError, ValueError, OverflowError):
-        return False
-    except OSError:  # another user's process
-        return True
-    return False
-
-
 @contextlib.contextmanager
 def workdir_lock(workdir: Path):
-    """Hold workdir/.lock (our pid) for the block; a lock that names no live process is taken over once."""
-    import tempfile
+    """Hold an exclusive flock(2) on the workdir itself for the block; the kernel drops it when the process exits."""
+    import fcntl
 
     from .config import DataError
 
-    lock = workdir / ".lock"
+    fd = None
     try:
-        workdir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=".lock.", dir=workdir)
         try:
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
-            for attempt in (1, 2):
-                try:
-                    os.link(tmp, lock)  # the lock appears whole, never empty
-                    break
-                except FileExistsError:
-                    if attempt == 2 or _lock_holder_alive(lock):
-                        raise DataError(f"workdir {workdir} is locked by a running process (pid in {lock})") from None
-                    lock.unlink(missing_ok=True)
-        finally:
-            os.unlink(tmp)
-    except OSError as exc:  # a file in place of the workdir or of a parent, or a directory we cannot write
-        raise DataError(f"workdir {workdir}: not a usable directory ({exc.strerror})") from None
-    try:
+            workdir.mkdir(parents=True, exist_ok=True)
+            fd = os.open(workdir, os.O_RDONLY | os.O_DIRECTORY)  # not inheritable: mine's git children never hold the lock
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise DataError(f"workdir {workdir} is locked by a running process") from None
+        except OSError as exc:  # a file in place of the workdir or of a parent
+            raise DataError(f"workdir {workdir}: not a usable directory ({exc.strerror})") from None
+        if not os.access(workdir, os.W_OK | os.X_OK):  # else the first artifact write is a traceback
+            raise DataError(f"workdir {workdir}: not a usable directory (not writable)")
         yield
     finally:
-        lock.unlink(missing_ok=True)
+        if fd is not None:
+            os.close(fd)
 
 
 def write_manifest(workdir: Path, command: str, cfg: RunConfig, outputs: list[str]) -> None:
@@ -226,6 +206,7 @@ def cmd_train(cfg: RunConfig, workdir: Path) -> int:
 
 def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
     import math
+    import reprlib
 
     import numpy as np
 
@@ -245,7 +226,7 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
         preds = predict_corpus(build_examples(commits, cfg.k), model, vocab, cfg.train_config().batch_size)
     for pred in preds:
         if not math.isfinite(pred.commit_prob):  # the mean of the file probabilities, so any NaN shows here
-            raise DataError(f"{ckpt_path} gives commit {pred.commit_hash} a probability of {pred.commit_prob}: its weights overflow")
+            raise DataError(f"{ckpt_path} gives commit {reprlib.repr(pred.commit_hash)} a probability of {pred.commit_prob}: its weights overflow")
     write_jsonl(preds, workdir / "predictions.jsonl")
     write_manifest(workdir, "predict", cfg, ["predictions.jsonl"])
     print(f"predicted {len(preds)} commits")
@@ -253,16 +234,13 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, workdir: Path, predictions: str | None) -> int:
-    from .evaluation import emit_report, evaluate, read_predictions_jsonl, write_report
+    from .evaluation import evaluate, read_predictions_jsonl, write_reports
     from .records import read_commits_jsonl
 
     preds = read_predictions_jsonl(Path(predictions) if predictions else workdir / "predictions.jsonl")
     labels = {(c.repo_id, c.commit_hash): c.label for c in read_commits_jsonl(workdir / "test_commits.jsonl")}
     report = evaluate(preds, labels, cfg.cost_effort_levels)
-    reports = {cfg.variant: report}
-    write_report(reports, workdir / "report.csv", "csv", cfg.cost_effort_levels)
-    write_report(reports, workdir / "report.json", "json", cfg.cost_effort_levels)
-    print(emit_report(reports, "text", cfg.cost_effort_levels), end="")
+    print(write_reports({cfg.variant: report}, workdir / "report", cfg.cost_effort_levels), end="")
     write_manifest(workdir, "evaluate", cfg, ["report.csv", "report.json"])
     return EXIT_OK
 
@@ -275,7 +253,7 @@ def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
 
     from .change_builder import VARIANTS, build_examples
     from .config import write_jsonl
-    from .evaluation import emit_report, evaluate, write_report
+    from .evaluation import evaluate, write_reports
     from .inference import predict_corpus
 
     ks, variants, name = (sweep_k, (cfg.variant,), "sweep_report") if sweep_k else ([cfg.k], VARIANTS, "ablation_report")
@@ -293,10 +271,8 @@ def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
             preds = predict_corpus(test, result.model, vocab, cfg.train_config().batch_size)
             write_jsonl(preds, workdir / f"predictions_{tag}.jsonl")
             reports[key] = evaluate(preds, labels, cfg.cost_effort_levels)
-            # partial results stay on disk if a later run fails
-            write_report(reports, workdir / f"{name}.csv", "csv", cfg.cost_effort_levels)
-    write_report(reports, workdir / f"{name}.json", "json", cfg.cost_effort_levels)
-    print(emit_report(reports, "text", cfg.cost_effort_levels), end="")
+            table = write_reports(reports, workdir / name, cfg.cost_effort_levels)  # partial results stay on disk if a later run fails
+    print(table, end="")
     write_manifest(workdir, "ablate", cfg, [f"{name}.csv", f"{name}.json"])
     return EXIT_OK
 

@@ -172,6 +172,9 @@ def emit_report(reports: dict[str, EvalReport], fmt: str = "csv", levels=(5, 20)
     return json.dumps({m: r.to_dict() for m, r in reports.items()}, indent=2, sort_keys=True) + "\n"
 
 
-def write_report(reports: dict[str, EvalReport], path: str | Path, fmt: str = "csv", levels=(5, 20)) -> None:
-    with atomic_write(path) as fh:
-        fh.write(emit_report(reports, fmt, levels))
+def write_reports(reports: dict[str, EvalReport], stem: Path, levels) -> str:
+    """Write `<stem>.csv` and `<stem>.json`; the aligned text table."""
+    for fmt in ("csv", "json"):
+        with atomic_write(stem.with_suffix(f".{fmt}")) as fh:
+            fh.write(emit_report(reports, fmt, levels))
+    return emit_report(reports, "text", levels)

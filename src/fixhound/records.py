@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -103,7 +104,7 @@ class FileChange(Artifact):
         windows = [(w.old_lo, w.new_lo, len(w.old_lines), len(w.new_lines)) for w in fc.windows]
         regions = context_regions(fc, fc.context)
         if windows != [(r.old_lo, r.new_lo, len(range(r.old_lo, r.old_hi + 1)), len(range(r.new_lo, r.new_hi + 1))) for r in regions]:
-            raise ValueError(f"{fc.path}: context windows are not the regions its hunks give at context {fc.context}")
+            raise ValueError(f"{reprlib.repr(fc.path)}: context windows are not the regions its hunks give at context {fc.context}")
         return fc
 
 
@@ -178,7 +179,7 @@ class CommitRecord(Artifact):
 
     def __post_init__(self):
         if not self.files:
-            raise ValueError(f"commit {self.commit_hash} has no file changes")
+            raise ValueError(f"commit {reprlib.repr(self.commit_hash)} has no file changes")
 
 
 def downsample_nvf(records: list[CommitRecord], ratio: float, seed: int) -> list[CommitRecord]:
@@ -271,7 +272,7 @@ def once_per_commit(from_dict: Callable[[dict], Record]) -> Callable[[dict], Rec
     def once(d: dict) -> Record:
         rec = from_dict(d)
         if (rec.repo_id, rec.commit_hash) in seen:
-            raise ValueError(f"commit {rec.commit_hash} of {rec.repo_id} appears twice")
+            raise ValueError(f"commit {reprlib.repr(rec.commit_hash)} of {reprlib.repr(rec.repo_id)} appears twice")
         seen.add((rec.repo_id, rec.commit_hash))
         return rec
 

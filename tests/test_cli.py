@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import shutil
 import struct
 import subprocess
@@ -22,7 +23,7 @@ import fixhound.change_builder as cb
 import fixhound.trainer as tr
 from conftest import commit_files, init_repo, make_planted_commits, make_planted_repo
 from fixhound.change_builder import VARIANTS, BuiltExample
-from fixhound.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _split_and_downsample, main
+from fixhound.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _split_and_downsample, main, workdir_lock
 from fixhound.config import MIN_VOCAB_SIZE, EncoderConfig, RunConfig, TrainConfig, atomic_write, load_config, read_jsonl, write_jsonl
 from fixhound.evaluation import CommitPrediction
 from fixhound.records import NVF, CommitRecord, FileChange, Hunk, SplitSpec, Window, read_commits_jsonl, write_commits_jsonl
@@ -481,8 +482,12 @@ class TestPipeline:
         tr.save_checkpoint(model, vocab, workdir / "checkpoint.bin", extra)
         capsys.readouterr()
         assert main(["--config", config, "predict"]) == EXIT_DATA
-        one_line_error(capsys, "checkpoint.bin gives commit", "a probability of nan: its weights overflow")
+        one_line_error(capsys, "checkpoint.bin gives commit '", "a probability of nan: its weights overflow")
         assert not (workdir / "predictions.jsonl").exists()
+        path = workdir / "test_commits.jsonl"
+        path.write_text("".join(json.dumps({**json.loads(line), "commit_hash": f"a\nb{i}"}) + "\n" for i, line in enumerate(path.read_text().splitlines())))
+        assert main(["--config", config, "predict"]) == EXIT_DATA
+        one_line_error(capsys, "checkpoint.bin gives commit 'a\\nb", "a probability of nan: its weights overflow")  # the newline stays on the one line
 
     def test_non_finite_probability_on_two_threads_is_data_error(self, tmp_path, capsys, monkeypatch):
         threads = force_concurrent_streams(monkeypatch)
@@ -614,35 +619,100 @@ class TestDamagedCheckpoint:
             assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue(), err.getvalue()
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _lock_holder(workdir: Path) -> subprocess.Popen:
+    """A child process that holds the flock on `workdir` until it is killed."""
+    holder = subprocess.Popen(
+        [sys.executable, "-c", "import fcntl, os, sys; fcntl.flock(os.open(sys.argv[1], os.O_RDONLY), fcntl.LOCK_EX); print(flush=True); sys.stdin.read()", str(workdir)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+    )
+    holder.stdout.readline()  # the lock is held
+    return holder
+
+
 class TestGuards:
     def test_locked_workdir_is_data_error(self, tmp_path, capsys):
         workdir, _ = seeded_workdir(tmp_path)
-        (workdir / ".lock").write_text(str(os.getpid()))  # a live process holds it
         config = write_config(tmp_path, workdir)
-        assert main(["--config", str(config), "build"]) == EXIT_DATA
-        one_line_error(capsys, "is locked by a running process")
-        assert (workdir / ".lock").read_text() == str(os.getpid())
+        holder = _lock_holder(workdir)
+        try:
+            assert main(["--config", str(config), "build"]) == EXIT_DATA
+            one_line_error(capsys, f"error: workdir {workdir} is locked by a running process")
+            assert not (workdir / "train.jsonl").exists()
+        finally:
+            holder.kill()  # SIGKILL: the holder runs no exit code, the kernel drops its lock
+            holder.communicate()
+        assert main(["--config", str(config), "build"]) == EXIT_OK
+        assert (workdir / "train.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        ["", "0", "-1", "12x", "live-pid", "dead-pid", None],
+        ids=["empty", "zero", "negative", "not-a-number", "live-pid", "dead-pid", "directory"],
+    )
+    def test_lock_file_of_an_older_version_blocks_nothing(self, tmp_path, content):
+        # older versions kept their pid in <workdir>/.lock; the kernel's lock reads no file
+        workdir, _ = seeded_workdir(tmp_path)
+        if content is None:
+            (workdir / ".lock").mkdir()
+        elif content == "live-pid":
+            (workdir / ".lock").write_text(str(os.getpid()))
+        elif content == "dead-pid":
+            child = subprocess.Popen([sys.executable, "-c", "pass"])
+            child.wait()  # reaped: its pid names no process
+            (workdir / ".lock").write_text(str(child.pid))
+        else:
+            (workdir / ".lock").write_text(content)
+        assert main(["--config", str(write_config(tmp_path, workdir)), "build"]) == EXIT_OK
+        assert (workdir / "train.jsonl").exists()
+
+    def test_child_process_never_holds_the_lock(self, tmp_path):
+        workdir, _ = seeded_workdir(tmp_path)
+        with workdir_lock(workdir):  # as mine starts git: a child that may outlive the command
+            child = subprocess.Popen([sys.executable, "-c", "import sys; print(flush=True); sys.stdin.read()"], stdin=subprocess.PIPE, stdout=subprocess.PIPE, close_fds=False)
+        child.stdout.readline()  # the child runs: exec has closed every fd that it does not inherit
+        try:
+            assert main(["--config", str(write_config(tmp_path, workdir)), "build"]) == EXIT_OK
+        finally:
+            child.kill()
+            child.communicate()
+
+    def test_builds_started_together_admit_exactly_one(self, tmp_path):
+        workdir, _ = seeded_workdir(tmp_path)
+        (workdir / ".lock").write_text("999999999")  # a dead run's lock, which a pid-file lock would race to take over
+        config = write_config(tmp_path, workdir)
+        # Each child waits for a byte on stdin, then builds; a build holds the lock for at least a second.
+        child = (
+            "import sys, time\n"
+            "import fixhound.cli as cli\n"
+            "build = cli.cmd_build\n"
+            "cli.cmd_build = lambda cfg, workdir: time.sleep(1) or build(cfg, workdir)\n"
+            "sys.stdin.read(1)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-c", child, "--config", str(config), "build"]
+        procs = [subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env) for _ in range(2)]
+        for proc in procs:
+            proc.stdin.write(b"x")
+            proc.stdin.flush()
+        results = sorted((proc.wait(timeout=120), proc.communicate()[1].decode()) for proc in procs)
+        assert [code for code, _ in results] == [EXIT_OK, EXIT_DATA], results
+        assert results[1][1] == f"error: workdir {workdir} is locked by a running process\n"
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes whatever the mode says")
+    def test_unwritable_workdir_is_data_error(self, tmp_path, capsys):
+        workdir, _ = seeded_workdir(tmp_path)
+        workdir.chmod(0o500)
+        try:
+            assert main(["--config", str(write_config(tmp_path, workdir)), "build"]) == EXIT_DATA
+        finally:
+            workdir.chmod(0o700)
+        one_line_error(capsys, f"error: workdir {workdir}: not a usable directory (not writable)")
         assert not (workdir / "train.jsonl").exists()
-
-    def test_dead_runs_lock_is_taken_over(self, tmp_path, capsys):
-        workdir, _ = seeded_workdir(tmp_path)
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()  # reaped: its pid names no process
-        (workdir / ".lock").write_text(str(child.pid))
-        config = write_config(tmp_path, workdir)
-        assert main(["--config", str(config), "build"]) == EXIT_OK
-        assert (workdir / "train.jsonl").exists()
-        assert not (workdir / ".lock").exists()
-
-    @pytest.mark.parametrize("content", ["", "0", "-1", "12x"], ids=["empty", "zero", "negative", "not-a-number"])
-    def test_lock_that_names_no_pid_is_taken_over(self, tmp_path, content):
-        # an empty lock is what a run killed before it wrote its pid left
-        workdir, _ = seeded_workdir(tmp_path)
-        (workdir / ".lock").write_text(content)
-        config = write_config(tmp_path, workdir)
-        assert main(["--config", str(config), "build"]) == EXIT_OK
-        assert (workdir / "train.jsonl").exists()
-        assert not list(workdir.glob(".lock*"))
 
     @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["a-file", "under-a-file"])
     def test_workdir_that_cannot_be_a_directory_is_data_error(self, tmp_path, capsys, out):
@@ -655,7 +725,8 @@ class TestGuards:
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "build"]) == EXIT_OK
-        assert not (workdir / ".lock").exists()
+        assert sorted(p.name for p in workdir.iterdir()) == ["commits.jsonl", "manifest_build.json", "test_commits.jsonl", "train.jsonl", "val.jsonl"]
+        assert main(["--config", str(config), "build"]) == EXIT_OK  # this process no longer holds the lock
 
     def test_missing_config_file_is_data_error(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "ghost.json"), "build"]) == EXIT_DATA
@@ -884,27 +955,28 @@ class TestBadArtifacts:
     @pytest.mark.parametrize(
         "damage, message",
         [
-            (lambda rec: rec.update(files=[]), "has no file changes"),
+            (lambda rec: rec.update(files=[]), "' has no file changes"),  # the commit hash shows quoted
             (lambda rec: rec["files"][0].update(context="9"), "bad FileChange: context must be an integer >= 0, got '9'"),
             (lambda rec: rec["files"][0]["hunks"][0].update(old_start="1"), "bad Hunk: old_start must be an integer, got '1'"),
             (lambda rec: rec["files"][0].update(removed_loc=None), "bad FileChange: removed_loc must be an integer >= 0, got None"),
             (lambda rec: rec["files"][0].update(removed_loc=-1), "bad FileChange: removed_loc must be an integer >= 0, got -1"),
             (lambda rec: rec.update(label="MAYBE"), "bad CommitRecord: label must be 'VF' or 'NVF', got 'MAYBE'"),
             (lambda rec: rec.update(repo_id=5), "bad CommitRecord: repo_id must be a string, got 5"),
-            (lambda rec: rec["files"][0].update(windows=[]), "context windows are not the regions its hunks give at context 9"),
+            (lambda rec: rec["files"][0].update(windows=[]), "'src/mod.c': context windows are not the regions its hunks give at context 9"),
             (  # one line late is already too late
                 lambda rec: [w.update(old_lo=w["old_lo"] + 1) for w in rec["files"][0]["windows"]],
-                "context windows are not the regions its hunks give at context 9",
+                "'src/mod.c': context windows are not the regions its hunks give at context 9",
             ),
             (  # one line early shifts every cut by one line
                 lambda rec: [w.update(old_lo=w["old_lo"] - 1) for w in rec["files"][0]["windows"]],
-                "context windows are not the regions its hunks give at context 9",
+                "'src/mod.c': context windows are not the regions its hunks give at context 9",
             ),
-            (lambda rec: rec["files"][0]["windows"][0]["new_lines"].pop(), "context windows are not the regions its hunks give at context 9"),
+            (lambda rec: rec["files"][0]["windows"][0]["new_lines"].pop(), "'src/mod.c': context windows are not the regions its hunks give at context 9"),
+            (lambda rec: rec["files"][0].update(path="a\nb", windows=[]), "'a\\nb': context windows are not the regions its hunks give at context 9"),  # a newline stays on the one line
         ],
         ids=[
             "no-files", "context-str", "old-start-str", "removed-loc-null", "removed-loc-negative", "label-maybe", "repo-id-int",
-            "no-windows", "windows-after-hunks", "windows-before-hunks", "window-line-short",
+            "no-windows", "windows-after-hunks", "windows-before-hunks", "window-line-short", "path-newline",
         ],
     )
     def test_damaged_test_commit_is_data_error(self, trained_workdir, tmp_path, capsys, damage, message):
@@ -971,7 +1043,7 @@ class TestBadArtifacts:
         (workdir / "predictions.jsonl").write_text("".join([*lines, lines[1]]))
         pred = json.loads(lines[1])
         assert main(["--config", str(write_config(tmp_path, workdir)), "evaluate"]) == EXIT_DATA
-        duplicate = f"commit {pred['commit_hash']} of {pred['repo_id']} appears twice"
+        duplicate = f"commit {reprlib.repr(pred['commit_hash'])} of {reprlib.repr(pred['repo_id'])} appears twice"
         one_line_error(capsys, f"{workdir / 'predictions.jsonl'}:{len(lines) + 1}: unreadable record (ValueError: {duplicate})")
         assert not (workdir / "report.json").exists()
 
@@ -1030,7 +1102,7 @@ class TestBadArtifacts:
         path.write_text("".join([*lines, lines[1]]))
         record = json.loads(lines[1])
         assert main(["--config", str(write_config(tmp_path, workdir)), "predict"]) == EXIT_DATA
-        duplicate = f"commit {record['commit_hash']} of {record['repo_id']} appears twice"
+        duplicate = f"commit {reprlib.repr(record['commit_hash'])} of {reprlib.repr(record['repo_id'])} appears twice"
         one_line_error(capsys, f"{path}:{len(lines) + 1}: unreadable record (ValueError: {duplicate})")
         assert not (workdir / "predictions.jsonl").exists()
 
@@ -1173,9 +1245,9 @@ def _run_quietly(*argv: str) -> tuple[int, str]:
 
 
 def _assert_contract(code: int, err: str) -> None:
-    """Exit 0 silently, or 1-3 with one stderr line and no traceback."""
+    """Exit 0 silently, or 1-3 with one stderr line (no other line break, such as \\r or U+2028) and no traceback."""
     assert code in (0, 1, 2, 3), code
-    assert err.count("\n") == (code != 0) and "Traceback" not in err, err
+    assert err.count("\n") == len(err.splitlines()) == (code != 0) and "Traceback" not in err, err
 
 
 @pytest.fixture(scope="module")
@@ -1285,14 +1357,37 @@ def _mutated(draw, value):
     return draw(_JSON_VALUES)
 
 
+_CONTROL_TEXT = st.builds("{}{}{}".format, st.text(max_size=3), st.sampled_from(["\n", "\r", "\x1b", "\x00", "\u2028"]), st.text(max_size=3))
+
+
+def _with_control_text(draw, record: dict) -> bytes:
+    """`record`, once or twice, with a control character in its path, repo_id
+    or commit_hash, and maybe the damage whose message quotes that value."""
+    name = draw(st.sampled_from(["path", "repo_id", "commit_hash"]))
+    damage = draw(st.booleans())
+    if name == "path":
+        record["files"][0]["path"] = draw(_CONTROL_TEXT)
+        if damage:
+            record["files"][0]["windows"] = []
+    else:
+        record[name] = draw(_CONTROL_TEXT)
+        if damage:
+            record["files"] = []
+    line = json.dumps(record, ensure_ascii=False).encode("utf-8") + b"\n"
+    return line * draw(st.integers(1, 2))
+
+
 @st.composite
 def _damaged_line(draw, line: bytes) -> bytes:
     """One commits.jsonl line, damaged as JSON (a node replaced or deleted), as
-    bytes, or with a surrogate escape (which hypothesis text never draws)
-    after a quote, often inside a string."""
-    kind = draw(st.sampled_from(["json", "json", "json", "cut", "insert", "surrogate"]))
+    bytes, with a surrogate escape (which hypothesis text never draws) after a
+    quote, often inside a string, or with a control character in a value
+    that a message quotes."""
+    kind = draw(st.sampled_from(["json", "json", "json", "cut", "insert", "surrogate", "control"]))
     if kind == "json":
         return json.dumps(_mutated(draw, json.loads(line)), ensure_ascii=False).encode("utf-8") + b"\n"
+    if kind == "control":
+        return _with_control_text(draw, json.loads(line))
     if kind == "surrogate":
         at = draw(st.sampled_from([i + 1 for i, c in enumerate(line) if c == ord('"')]))
         return line[:at] + draw(st.sampled_from([b"\\ud800", b"\\uDFFF", b"\\ud83d\\ude00"])) + line[at:]
