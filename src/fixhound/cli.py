@@ -299,6 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(exc: Exception) -> str:
+    """The error's message with each character that `str.isprintable` refuses
+    escaped (a newline as `\\n`), so a path from the config or the command line
+    cannot break the one stderr line."""
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii") for c in str(exc))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -331,13 +338,13 @@ def main(argv: list[str] | None = None) -> int:
                 return cmd_evaluate(cfg, workdir, args.predictions)
             return cmd_ablate(cfg, workdir, sweep_k)  # the parser admits no other command
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_DATA
     except TrainingError as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
+        print(f"training failed: {_one_line(exc)}", file=sys.stderr)
         return EXIT_TRAINING
 
 

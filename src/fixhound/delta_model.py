@@ -11,6 +11,7 @@ concatenation. The two streams of a large batch run on two threads (see
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -191,22 +192,38 @@ def _streams_concurrent(lens: list[np.ndarray]) -> bool:
     return len(lens) == 2 and work >= CONCURRENT_MIN_WORK and _usable_cpus() >= 2 and "1" in blas and blas <= {"1", None}
 
 
+@functools.cache
+def _worker():
+    """The process's one worker thread for second streams, started by the first
+    concurrent call and reused by every later one. With a new thread per call,
+    long-changes `train` peaked at 71-86 MB RSS (a stream's ~11 MB forward
+    cache landing in another malloc arena, by the look of it); with one worker,
+    at 71 MB in every run."""
+    from concurrent.futures import ThreadPoolExecutor  # imported only where long views need it
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fixhound-stream")
+
+
 def _run_calls(concurrent: bool, calls: list):
-    """[call() for call in calls], every call after the first on a worker
-    thread when `concurrent`.
+    """[first(), second()] for the two calls, `second` on the worker thread
+    when `concurrent`.
 
     Each stream runs the same numpy ops on its own arrays either way, so the
     results are bit-identical; numpy releases the GIL in BLAS calls and large
-    loops. The workers run in a copy of this thread's context, which carries
-    numpy's errstate, and are joined before this returns or raises; an error
-    in the first call wins, as it would serially."""
+    loops. The worker runs in a copy of this thread's context, which carries
+    numpy's errstate. Its call has finished before this returns or raises,
+    and an error in the first call wins, as it would serially."""
     if not concurrent:
         return [call() for call in calls]
-    from concurrent.futures import ThreadPoolExecutor  # imported only where long views need it
+    from concurrent.futures import wait  # as in _worker, only where long views need it
 
-    with ThreadPoolExecutor(max_workers=len(calls) - 1) as pool:
-        later = [pool.submit(contextvars.copy_context().run, call) for call in calls[1:]]
-        return [calls[0]()] + [f.result() for f in later]
+    first, second = calls
+    later = _worker().submit(contextvars.copy_context().run, second)
+    try:
+        out = first()
+    finally:
+        wait([later])
+    return [out, later.result()]
 
 
 def forward_model(model: DeltaModel, batch: EncodedBatch):

@@ -22,11 +22,14 @@ relative to the largest gradient entry, the backward's peak allocation
 (`tracemalloc`) next to the size of one (B, heads, T, T) scores tensor,
 reported without a gate; per pair shape, the serial and threaded timings
 and whether the threaded pooled outputs and gradients are bit-identical
-to the serial ones; plus the machine facts (nproc, usable CPUs, BLAS,
-numpy and Python versions, BLAS thread cap, commit). It exits 1 when a
-batch's pooled outputs differ from the oracle's or its gradients differ
-by more than GRAD_TOLERANCE, or when the threaded pair differs from the
-serial pair in any bit, so CI can run it with `--repeats 1` as a check.
+to the serial ones; the number of threads alive besides the main thread
+after the pairs (`threads_besides_main`); plus the machine facts (nproc,
+usable CPUs, BLAS, numpy and Python versions, BLAS thread cap, commit).
+It exits 1 when a batch's pooled outputs differ from the oracle's or its
+gradients differ by more than GRAD_TOLERANCE, when the threaded pair
+differs from the serial pair in any bit, or when the threads besides the
+main thread are not exactly one (the worker that `delta_model` starts
+once and keeps), so CI can run it with `--repeats 1` as a check.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import threading  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -194,6 +198,8 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": args.repeats,
         "batches": {str(b): bench_batch(b, args.repeats) for b in BATCH_SIZES},
         "encoder_pair": {f"B{b}_T{t}": bench_pair(b, t, args.repeats) for b, t in PAIR_SHAPES},
+        # every threaded pair above ran its second stream on delta_model's one worker
+        "threads_besides_main": sum(t is not threading.main_thread() for t in threading.enumerate()),
         "machine": machine_facts(),
     }
     print(json.dumps(result, indent=2))
@@ -206,6 +212,9 @@ def main(argv: list[str] | None = None) -> int:
     differ = [shape for shape, r in result["encoder_pair"].items() if not r["bit_identical"]]
     if differ:
         print(f"error: {','.join(differ)}: the threaded encoder pair differs from the serial one", file=sys.stderr)
+        return 1
+    if result["threads_besides_main"] != 1:
+        print(f"error: {result['threads_besides_main']} threads besides the main thread, not delta_model's one worker", file=sys.stderr)
         return 1
     return 0
 

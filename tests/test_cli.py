@@ -28,7 +28,7 @@ from fixhound.config import MIN_VOCAB_SIZE, EncoderConfig, RunConfig, TrainConfi
 from fixhound.evaluation import CommitPrediction
 from fixhound.records import NVF, CommitRecord, FileChange, Hunk, SplitSpec, Window, read_commits_jsonl, write_commits_jsonl
 from fixhound.tokenizer import MIN_VOCAB
-from model_helpers import force_concurrent_streams
+from model_helpers import force_concurrent_streams, fresh_stream_worker
 
 FAST_CONFIG = {
     "k": 3,
@@ -491,24 +491,26 @@ class TestPipeline:
 
     def test_non_finite_probability_on_two_threads_is_data_error(self, tmp_path, capsys, monkeypatch):
         threads = force_concurrent_streams(monkeypatch)
-        before = threading.enumerate()
         workdir, _ = seeded_workdir(tmp_path)
         config = str(write_config(tmp_path, workdir, variant="EmbedSubtract_Duo"))
-        for command in ("build", "train"):
-            assert main(["--config", config, command]) == EXIT_OK, command
-        model, vocab, extra = tr.load_checkpoint(workdir / "checkpoint.bin")
-        model.encoder_after["pos_emb"][...] = 3e38  # overflows the stream that runs on the worker
-        tr.save_checkpoint(model, vocab, workdir / "checkpoint.bin", extra)
-        capsys.readouterr()
-        threads.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["--config", config, "predict"]) == EXIT_DATA
-        assert set(threads) - {threading.main_thread().name}, "no stream ran on a worker thread"
+        with fresh_stream_worker(monkeypatch):
+            before = set(threading.enumerate())
+            for command in ("build", "train"):
+                assert main(["--config", config, command]) == EXIT_OK, command
+            model, vocab, extra = tr.load_checkpoint(workdir / "checkpoint.bin")
+            model.encoder_after["pos_emb"][...] = 3e38  # overflows the stream that runs on the worker
+            tr.save_checkpoint(model, vocab, workdir / "checkpoint.bin", extra)
+            capsys.readouterr()
+            (worker,) = set(threads) - {threading.main_thread()}  # train's worker streams all ran on one thread
+            threads.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["--config", config, "predict"]) == EXIT_DATA
+            assert set(threads) - {threading.main_thread()} == {worker}, "predict's worker stream ran on another thread"
+            assert set(threading.enumerate()) - before == {worker}
         assert [str(w.message) for w in caught] == []
         one_line_error(capsys, "a probability of nan: its weights overflow")
         assert not (workdir / "predictions.jsonl").exists()
-        assert threading.enumerate() == before
 
     def test_train_on_examples_built_at_another_k_is_data_error(self, tmp_path, capsys):
         workdir, _ = seeded_workdir(tmp_path)
@@ -919,6 +921,52 @@ class TestGuards:
         assert cfg.encoder_config(cfg.vocab_size).params_besides_tok_emb == 85_449_216
 
 
+def _path_case(tmp_path, case: str) -> list[str]:
+    """The argv of one command whose error names a path holding a newline."""
+    labels = tmp_path / "labels.csv"
+    labels.write_text("repo_id,commit_hash,vuln_id\n")
+    out = str(tmp_path / "out")
+    if case == "repos":
+        return ["--config", str(write_config(tmp_path, out, repos=[str(tmp_path / "no\nrepo")], labels_file=str(labels))), "mine"]
+    if case == "labels_file":
+        return ["--config", str(write_config(tmp_path, out, repos=[], labels_file=str(tmp_path / "missing\nlabels.csv"))), "mine"]
+    if case == "--out":
+        return ["--config", str(write_config(tmp_path, out)), "--out", str(tmp_path / "o\nut"), "build"]
+    if case == "--config":
+        return ["--config", str(tmp_path / "c\nfg.json"), "build"]
+    checkpoint = tmp_path / "ck\npt.bin"
+    checkpoint.write_bytes(b"not a checkpoint")
+    return ["--config", str(write_config(tmp_path, out)), "predict", "--checkpoint", str(checkpoint)]
+
+
+class TestControlCharactersInPaths:
+    """A path from the config or the command line may hold any character but
+    NUL. `main` escapes every character of an error message that
+    `str.isprintable` refuses, so such a path keeps the message on one line,
+    with the exit code it had before."""
+
+    # The message each case of `_path_case` gives, {tmp} standing for tmp_path.
+    MESSAGES = {
+        "repos": "not a git repository: {tmp}/no\\nrepo",
+        "labels_file": "{tmp}/missing\\nlabels.csv: cannot read (No such file or directory)",
+        "--out": "{tmp}/o\\nut/commits.jsonl: cannot read (No such file or directory)",
+        "--config": "{tmp}/c\\nfg.json: cannot read (No such file or directory)",
+        "--checkpoint": "{tmp}/ck\\npt.bin: bad magic at offset 0",
+    }
+
+    @pytest.mark.parametrize("case", MESSAGES)
+    def test_path_with_a_newline_gives_one_line(self, tmp_path, case):
+        code, err = _run_quietly(*_path_case(tmp_path, case))
+        assert code == EXIT_DATA
+        assert err == f"error: {self.MESSAGES[case].format(tmp=tmp_path)}\n"
+
+    def test_every_unprintable_character_is_escaped(self, tmp_path):
+        name = "a\r\t\x1b\x7f\u2028\udcffb"  # the last is how Python reads the non-UTF-8 byte 0xff
+        code, err = _run_quietly("--config", str(tmp_path / name), "build")
+        assert code == EXIT_DATA
+        assert err == f"error: {tmp_path}/a\\r\\t\\x1b\\x7f\\u2028\\udcffb: cannot read (No such file or directory)\n"
+
+
 class TestBadArtifacts:
     """Artifacts that do not hold what the next stage needs end with exit 2 and one line."""
 
@@ -1236,6 +1284,12 @@ _FIELDS = {
 }
 
 
+# File names holding control characters, for the fields and the option that
+# name a path. Each becomes a path under the fuzz case's temporary directory.
+_NAMES = st.lists(st.sampled_from(["a", " ", "\n", "\r", "\t", "\x1b"]), min_size=1, max_size=6).map("".join)
+_PATH_FIELDS = {"repos": st.lists(_NAMES, min_size=1, max_size=2), "labels_file": _NAMES, "workdir": _NAMES, "--out": _NAMES}
+
+
 def _run_quietly(*argv: str) -> tuple[int, str]:
     """main(argv) with stdout dropped; its exit code and stderr."""
     err = io.StringIO()
@@ -1257,28 +1311,40 @@ def mined_commits(tmp_path_factory):
 
 
 class TestConfigFuzz:
-    """Any config, with one or two fields changed: `build` then `train` exit
-    0-3 with at most one line on stderr, and a config error exits 1 before the
-    first command writes anything."""
+    """Any config, with one or two fields changed (a path field or `--out` to a
+    name holding control characters): `build` then `train`, after `mine` when
+    a mine field changed, exit 0-3 with at most one line on stderr, and a
+    config error exits 1 before the first command writes anything."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_build_and_train_keep_the_failure_contract(self, mined_commits, data):
         cfg = json.loads(json.dumps({**FAST_CONFIG, "train": {**FAST_CONFIG["train"], "epochs": 1}}))
-        for path in data.draw(st.lists(st.sampled_from(sorted(_FIELDS)), min_size=1, max_size=2, unique=True)):
-            section, _, key = path.rpartition(".")
-            (cfg[section] if section else cfg)[key] = data.draw(_FIELDS[path], label=path)
+        drawn = data.draw(st.lists(st.sampled_from(sorted(_FIELDS) + sorted(_PATH_FIELDS)), min_size=1, max_size=2, unique=True))
+        for path in drawn:
+            if path in _FIELDS:
+                section, _, key = path.rpartition(".")
+                (cfg[section] if section else cfg)[key] = data.draw(_FIELDS[path], label=path)
+        names = {path: data.draw(_PATH_FIELDS[path], label=path) for path in drawn if path in _PATH_FIELDS}
         with tempfile.TemporaryDirectory() as tmp:
             workdir = Path(tmp) / "out"
             workdir.mkdir()
             shutil.copy(mined_commits, workdir)
+            labels = Path(tmp) / "labels.csv"
+            labels.write_text("repo_id,commit_hash,vuln_id\n")
+            cfg.update(workdir=str(workdir), repos=[], labels_file=str(labels))
+            for key, name in names.items():
+                cfg[key] = [str(Path(tmp) / n) for n in name] if key == "repos" else str(Path(tmp) / name)
+            out = ["--out", cfg.pop("--out")] if "--out" in cfg else []
             config = Path(tmp) / "config.json"
-            config.write_text(json.dumps({**cfg, "workdir": str(workdir)}))
-            for command in ("build", "train"):
-                code, err = _run_quietly("--config", str(config), command)
+            config.write_text(json.dumps(cfg))
+            # mine reads only the two mine fields; an empty mine would replace the commits
+            commands = ("mine", "build", "train") if names.keys() & {"repos", "labels_file"} else ("build", "train")
+            for command in commands:
+                code, err = _run_quietly("--config", str(config), *out, command)
                 _assert_contract(code, err)
                 if code == EXIT_USAGE:
-                    assert command == "build", "a config error passed the build's load"
+                    assert command == commands[0], "a config error passed the first command's load"
                     assert sorted(p.name for p in workdir.iterdir()) == ["commits.jsonl"]
                 if code != EXIT_OK:
                     break
