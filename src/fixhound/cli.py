@@ -171,7 +171,7 @@ def _train_and_save(cfg: RunConfig, variant: str, train_examples, val_examples, 
     from .config import TrainingError
 
     try:
-        # An overflow shows as a non-finite loss, which train refuses; the worker thread inherits the errstate.
+        # An overflow shows as a non-finite loss, which train refuses.
         with np.errstate(over="ignore", invalid="ignore"):
             train_batch = dm.encode_examples(train_examples, variant, vocab, cfg.max_len)
             val_batch = dm.encode_examples(val_examples, variant, vocab, cfg.max_len)

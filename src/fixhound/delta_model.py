@@ -4,15 +4,11 @@ Every variant of `change_builder.VARIANTS` runs one forward and backward
 path: a batch (`EncodedBatch`) holds one `Stream` of real tokens per encoder,
 each padded right before its encoder (`Stream.padded`), and dual-stream
 variants fuse their two embeddings by element-wise subtraction (delta) or
-concatenation. The two streams of a large batch run on two threads (see
-`_streams_concurrent`), with bit-identical results.
+concatenation. The streams run one after the other on the caller's thread.
 """
 
 from __future__ import annotations
 
-import contextvars
-import functools
-import os
 from dataclasses import dataclass
 from itertools import chain
 
@@ -26,14 +22,6 @@ from .records import VF
 from .tokenizer import PAD, TokenSequence, Vocabulary, encode, encode_pair, tokenize_batch
 
 PROB_CLAMP = 1e-7
-
-# Rows × T² of the shorter stream from which a batch's two encoder streams run
-# on two threads. Both streams' forward and backward at dim 32 with one BLAS
-# thread (2 vCPU x86_64, OpenBLAS 0.3.31), serial against threaded, at B=4:
-# T=60 5.0 against 8.7 ms, T=128 (2^16) 10.7 against 11.1 ms, T=160 12.2
-# against 10.4 ms, T=512 77 against 43 ms.
-CONCURRENT_MIN_WORK = 2**16
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def fusion_width(variant: str, dim: int) -> int:
@@ -175,74 +163,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _streams_concurrent(lens: list[np.ndarray]) -> bool:
-    """Whether a batch's encoder streams, one `lens` array each, run on two threads.
-
-    Only when there are two streams and the shorter holds at least
-    CONCURRENT_MIN_WORK of attention work (below it the thread costs more
-    than it saves), at least two CPUs are usable, and the environment caps
-    BLAS at one thread (with more, the BLAS threads and the stream threads
-    compete for the cores)."""
-    work = min(n.size * int(n.max(initial=0)) ** 2 for n in lens)
-    blas = {os.environ.get(var) for var in BLAS_THREAD_VARS}
-    return len(lens) == 2 and work >= CONCURRENT_MIN_WORK and _usable_cpus() >= 2 and "1" in blas and blas <= {"1", None}
-
-
-@functools.cache
-def _worker():
-    """The process's one worker thread for second streams, started by the first
-    concurrent call and reused by every later one. With a new thread per call,
-    long-changes `train` peaked at 71-86 MB RSS (a stream's ~11 MB forward
-    cache landing in another malloc arena, by the look of it); with one worker,
-    at 71 MB in every run."""
-    from concurrent.futures import ThreadPoolExecutor  # imported only where long views need it
-
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fixhound-stream")
-
-
-def _run_calls(concurrent: bool, calls: list):
-    """[first(), second()] for the two calls, `second` on the worker thread
-    when `concurrent`.
-
-    Each stream runs the same numpy ops on its own arrays either way, so the
-    results are bit-identical; numpy releases the GIL in BLAS calls and large
-    loops. The worker runs in a copy of this thread's context, which carries
-    numpy's errstate. Its call has finished before this returns or raises,
-    and an error in the first call wins, as it would serially."""
-    if not concurrent:
-        return [call() for call in calls]
-    from concurrent.futures import wait  # as in _worker, only where long views need it
-
-    first, second = calls
-    later = _worker().submit(contextvars.copy_context().run, second)
-    try:
-        out = first()
-    finally:
-        wait([later])
-    return [out, later.result()]
-
-
 def forward_model(model: DeltaModel, batch: EncodedBatch):
     """Per-example probabilities plus the cache needed for backward."""
     if len(batch.streams) != len(model.encoders):
         raise ValueError(f"{model.variant} expects {len(model.encoders)} input stream(s), not {len(batch.streams)}")
-    concurrent = _streams_concurrent([s.lens for s in batch.streams])
-    # Each stream is padded inside its own call, so a worker pads its stream itself.
-    outs = _run_calls(
-        concurrent,
-        [lambda p=p, s=s: enc.forward_batch(p, model.config, s.padded(), s.lens) for p, s in zip(model.encoders, batch.streams)],
-    )
+    outs = [enc.forward_batch(p, model.config, s.padded(), s.lens) for p, s in zip(model.encoders, batch.streams)]
     embeddings = [e for e, _ in outs]
     fused = fuse(*embeddings, VARIANTS[model.variant].fusion) if len(embeddings) == 2 else embeddings[0]
     z1 = fused @ model.head["w1"] + model.head["b1"]
     u = np.tanh(z1)
     logit = (u @ model.head["w2"] + model.head["b2"])[:, 0]
     probs = _sigmoid(logit)
-    cache = {"enc": [c for _, c in outs], "concurrent": concurrent, "fused": fused, "u": u, "logit": logit}
+    cache = {"enc": [c for _, c in outs], "fused": fused, "u": u, "logit": logit}
     return probs, cache
 
 
@@ -266,10 +198,7 @@ def backward_model(model: DeltaModel, cache, d_logit: np.ndarray) -> Params:
         d_embeddings = [d_fused[:, : model.config.dim], d_fused[:, model.config.dim :]]
     else:
         d_embeddings = [d_fused]
-    stream_grads = _run_calls(
-        cache["concurrent"],
-        [lambda p=p, c=c, d=d: enc.backward_batch(p, model.config, c, d) for p, c, d in zip(model.encoders, cache["enc"], d_embeddings)],
-    )
+    stream_grads = [enc.backward_batch(p, model.config, c, d) for p, c, d in zip(model.encoders, cache["enc"], d_embeddings)]
     # A shared encoder's gradient is the sum over its streams, first stream first.
     prefixes = ("enc_before.", "enc_before." if model.shared_encoders else "enc_after.")
     for prefix, g in zip(prefixes, stream_grads):

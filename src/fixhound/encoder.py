@@ -206,7 +206,7 @@ def backward_batch(params: Params, config: EncoderConfig, cache, d_pooled: np.nd
         grads[p + "ffn.w1"] += _weight_grad(c["h2"], dpre)
         grads[p + "ffn.b1"] += dpre.sum(axis=(0, 1))
         dh2 = dpre @ params[p + "ffn.w1"].T
-        del du, dpre  # dead before the attention backward, the peak when two streams run at once
+        del du, dpre  # dead before the attention backward, where the backward peaks
         dx_mid, dg2, db2 = _layer_norm_backward(dh2, params[p + "ln2.g"], c["ln2"])
         del dh2
         grads[p + "ln2.g"] += dg2

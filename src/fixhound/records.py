@@ -204,9 +204,8 @@ class SplitSpec:
     train_repos: Sequence[str] = field(default=(), metadata=_REPOS)
     val_repos: Sequence[str] = field(default=(), metadata=_REPOS)
     test_repos: Sequence[str] = field(default=(), metadata=_REPOS)
-    # Temporal: VF fraction boundaries plus the held-out test range start
+    # Temporal: the share of pre-test VFs that train (val gets the rest), plus the test range start
     train_frac: float = field(default=0.9, metadata=_FRACTION)
-    val_frac: float = field(default=0.1, metadata=_FRACTION)
     test_start: int | None = field(default=None, metadata=rule("null or an integer", lambda v: v is None or _is_int(v)))
 
 

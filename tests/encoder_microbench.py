@@ -10,26 +10,18 @@ dim 32, 1 layer, 2 heads, ffn_mult 2, max_len 512) on full-width batches
 of B=4 and B=32 rows of T=512 tokens, in float32 with one BLAS thread.
 Each repeat runs both sides, alternating which goes first. It also times
 the forward attention core (scores, softmax, context) untiled and tiled
-over query blocks, the one kernel change left out unless it pays. Last,
-it times a dual-stream model's encoder pair (two parameter sets, forward
-then backward) run serially and on two threads, as `delta_model` runs it
-for large batches, at B=4 and B=32 with T=512 and at B=4 with T=60.
+over query blocks, the one kernel change left out unless it pays.
 
 It prints one JSON object: per batch size, the median and quartiles in
 milliseconds of every timing, the oracle/new ratio of the medians, whether
 the pooled outputs are bit-identical and the largest gradient difference
 relative to the largest gradient entry, the backward's peak allocation
 (`tracemalloc`) next to the size of one (B, heads, T, T) scores tensor,
-reported without a gate; per pair shape, the serial and threaded timings
-and whether the threaded pooled outputs and gradients are bit-identical
-to the serial ones; the number of threads alive besides the main thread
-after the pairs (`threads_besides_main`); plus the machine facts (nproc,
-usable CPUs, BLAS, numpy and Python versions, BLAS thread cap, commit).
-It exits 1 when a batch's pooled outputs differ from the oracle's or its
-gradients differ by more than GRAD_TOLERANCE, when the threaded pair
-differs from the serial pair in any bit, or when the threads besides the
-main thread are not exactly one (the worker that `delta_model` starts
-once and keeps), so CI can run it with `--repeats 1` as a check.
+reported without a gate; plus the machine facts (nproc, usable CPUs,
+BLAS, numpy and Python versions, BLAS thread cap, commit). It exits 1
+when a batch's pooled outputs differ from the oracle's or its gradients
+differ by more than GRAD_TOLERANCE, so CI can run it with `--repeats 1`
+as a check.
 """
 
 from __future__ import annotations
@@ -46,7 +38,6 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
-import threading  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -57,13 +48,12 @@ TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 import encoder_oracle  # noqa: E402
-from fixhound import delta_model, encoder  # noqa: E402
+from fixhound import encoder  # noqa: E402
 from fixhound.config import EncoderConfig  # noqa: E402
 
 CONFIG = EncoderConfig(vocab_size=512, dim=32, layers=1, heads=2, max_len=512, ffn_mult=2)
 BATCH_SIZES = (4, 32)
 QUERY_BLOCKS = (64, 128)
-PAIR_SHAPES = ((4, 512), (32, 512), (4, 60))  # (B, T) of the encoder pair
 GRAD_TOLERANCE = 1e-6  # largest gradient difference, relative to the largest gradient entry
 
 
@@ -144,35 +134,6 @@ def bench_batch(batch: int, repeats: int, seed: int = 0) -> dict:
     return out
 
 
-def bench_pair(batch: int, width: int, repeats: int, seed: int = 0) -> dict:
-    """Both encoders of a dual-stream model, forward then backward, serial and threaded."""
-    rng = np.random.default_rng(seed)
-    params = [encoder.init_params(CONFIG, seed=seed + i) for i in (0, 1)]
-    ids = [rng.integers(0, CONFIG.vocab_size, size=(batch, width)) for _ in params]  # padded to the longest row, as delta_model does
-    lens = np.full(batch, width)
-    d_pooled = [rng.normal(size=(batch, CONFIG.dim)).astype(np.float32) for _ in params]
-
-    def pair(concurrent: bool):
-        fwd = delta_model._run_calls(concurrent, [lambda i=i: encoder.forward_batch(params[i], CONFIG, ids[i], lens) for i in (0, 1)])
-        grads = delta_model._run_calls(
-            concurrent, [lambda i=i: encoder.backward_batch(params[i], CONFIG, fwd[i][1], d_pooled[i]) for i in (0, 1)]
-        )
-        return [pooled for pooled, _ in fwd], grads
-
-    (serial_pooled, serial_grads), (threaded_pooled, threaded_grads) = pair(False), pair(True)
-    identical = all(np.array_equal(a, b) for a, b in zip(serial_pooled, threaded_pooled)) and all(
-        np.array_equal(g[name], h[name]) for g, h in zip(serial_grads, threaded_grads) for name in g
-    )
-    samples = {"serial": [], "threaded": []}
-    for r in range(repeats):
-        for side in (("serial", "threaded") if r % 2 == 0 else ("threaded", "serial")):
-            samples[side].append(_time(lambda: pair(side == "threaded")))
-    out = {side: _stats(s) for side, s in samples.items()}
-    out["speedup"] = round(out["serial"]["median_ms"] / out["threaded"]["median_ms"], 3)
-    out["bit_identical"] = identical
-    return out
-
-
 def machine_facts() -> dict:
     deps = np.show_config(mode="dicts").get("Build Dependencies", {})
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=TESTS.parent, capture_output=True, text=True)
@@ -197,9 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         "dtype": "float32",
         "repeats": args.repeats,
         "batches": {str(b): bench_batch(b, args.repeats) for b in BATCH_SIZES},
-        "encoder_pair": {f"B{b}_T{t}": bench_pair(b, t, args.repeats) for b, t in PAIR_SHAPES},
-        # every threaded pair above ran its second stream on delta_model's one worker
-        "threads_besides_main": sum(t is not threading.main_thread() for t in threading.enumerate()),
         "machine": machine_facts(),
     }
     print(json.dumps(result, indent=2))
@@ -208,13 +166,6 @@ def main(argv: list[str] | None = None) -> int:
     ]
     if failed:
         print(f"error: B={','.join(failed)}: outputs differ from the oracle beyond GRAD_TOLERANCE", file=sys.stderr)
-        return 1
-    differ = [shape for shape, r in result["encoder_pair"].items() if not r["bit_identical"]]
-    if differ:
-        print(f"error: {','.join(differ)}: the threaded encoder pair differs from the serial one", file=sys.stderr)
-        return 1
-    if result["threads_besides_main"] != 1:
-        print(f"error: {result['threads_besides_main']} threads besides the main thread, not delta_model's one worker", file=sys.stderr)
         return 1
     return 0
 

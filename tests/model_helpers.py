@@ -8,9 +8,6 @@
   sequence back into text; `SEP_MARKER` is how `decode` renders SEP.
 - `token_bytes` maps every byte and merge token id of a vocabulary to
   the bytes it stands for.
-- `force_concurrent_streams` runs a dual-stream model's two encoders on two
-  threads on any machine and batch; `fresh_stream_worker` gives a block a
-  worker thread of its own.
 - `padded_batch` turns PAD-filled id arrays plus row lengths into an
   `EncodedBatch`, which holds only the real tokens.
 - `padded_encode`, `padded_encode_pair`, `padded_stack` and `cut` are the
@@ -21,18 +18,13 @@
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from fixhound import delta_model as dm
-from fixhound import encoder as enc
 from fixhound.change_builder import EMBED_CONCAT_DUO, EMBED_SUBTRACT_DUO
 from fixhound.delta_model import DeltaModel, EncodedBatch, Stream
 from fixhound.encoder import Params
@@ -97,40 +89,6 @@ def decode(seq: TokenSequence | Iterable[int], vocab: Vocabulary) -> str:
         else:
             out.extend(table[i])
     return out.decode("utf-8", errors="replace")
-
-
-def force_concurrent_streams(monkeypatch) -> list[threading.Thread]:
-    """Open `delta_model`'s two-thread gate for every dual-stream batch, whatever
-    the machine; set `delta_model.CONCURRENT_MIN_WORK` to close it again. Returns
-    a list that collects the thread behind each encoder forward and backward
-    call."""
-    monkeypatch.setattr(dm, "CONCURRENT_MIN_WORK", 0)
-    monkeypatch.setattr(dm, "_usable_cpus", lambda: 2)
-    for var in dm.BLAS_THREAD_VARS:
-        monkeypatch.setenv(var, "1")
-    threads: list[threading.Thread] = []
-    for name in ("forward_batch", "backward_batch"):
-
-        def traced(*args, _fn=getattr(enc, name)):
-            threads.append(threading.current_thread())
-            return _fn(*args)
-
-        monkeypatch.setattr(enc, name, traced)
-    return threads
-
-
-@contextlib.contextmanager
-def fresh_stream_worker(monkeypatch):
-    """Give `delta_model` a new worker for its second streams, started by the
-    block's first concurrent call whatever ran before, and shut it down after
-    the block."""
-    worker = functools.cache(dm._worker.__wrapped__)
-    monkeypatch.setattr(dm, "_worker", worker)
-    try:
-        yield
-    finally:
-        if worker.cache_info().currsize:
-            worker().shutdown()
 
 
 def padded_batch(ids_a, lens_a, ids_b=None, lens_b=None, labels=None) -> EncodedBatch:

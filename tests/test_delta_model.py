@@ -1,11 +1,5 @@
 import math
-import os
-import subprocess
-import sys
-import threading
-import time
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +14,6 @@ from fixhound.change_builder import (
     VARIANTS,
     build_example,
 )
-import fixhound.delta_model as dm
 from fixhound.delta_model import (
     batch_loss,
     encode_examples,
@@ -41,8 +34,6 @@ from model_helpers import (
     cast_model,
     cut,
     equivalent_concat_model,
-    force_concurrent_streams,
-    fresh_stream_worker,
     padded_batch,
     padded_encode,
     padded_encode_pair,
@@ -369,117 +360,3 @@ class TestPaddedPathEquivalence:
         for taken in (batch.take(np.array([9, 0, 5, 2])), batch.take(slice(2, 7))):
             assert all(t.ids is s.ids for t, s in zip(taken.streams, batch.streams))
 
-
-class TestConcurrentStreams:
-    """A dual-stream batch may run its two encoders on two threads; each stream
-    does the same numpy ops on its own arrays, so every output is bit-identical
-    to the serial path's."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_threaded_equals_serial(self, monkeypatch, variant, dtype):
-        threads = force_concurrent_streams(monkeypatch)
-        model = cast_model(init_model(variant, CFG, seed=4), dtype)
-        batch = random_batch(variant, np.random.default_rng(8), n=5, with_labels=True)
-        results = []
-        for min_work in (math.inf, 0):
-            monkeypatch.setattr(dm, "CONCURRENT_MIN_WORK", min_work)
-            threads.clear()
-            results.append(loss_and_grads(model, batch))
-            on_worker = [t for t in threads if t is not threading.main_thread()]
-            # the forward and the backward each put one stream on the worker
-            assert len(on_worker) == (2 if min_work == 0 and VARIANTS[variant].fusion != "Sequence" else 0)
-        (loss_s, grads_s, probs_s), (loss_t, grads_t, probs_t) = results
-        assert loss_s == loss_t
-        assert probs_s.dtype == probs_t.dtype and np.array_equal(probs_s, probs_t)
-        assert grads_s.keys() == grads_t.keys()
-        for name, g in grads_s.items():
-            assert g.dtype == grads_t[name].dtype and np.array_equal(g, grads_t[name]), name
-
-    def test_worker_stream_error_is_raised(self, monkeypatch):
-        threads = force_concurrent_streams(monkeypatch)
-        batch = random_batch(EMBED_SUBTRACT_DUO, np.random.default_rng(3))
-        batch.streams[1].ids[0] = CFG.vocab_size  # only the after-stream, which runs on the worker
-        with pytest.raises(ValueError, match="token id out of vocabulary range"):
-            predict_batch(init_model(EMBED_SUBTRACT_DUO, CFG, seed=0), batch)
-        assert set(threads) - {threading.main_thread()}
-
-    def test_worker_runs_under_the_callers_errstate(self, monkeypatch):
-        # numpy keeps errstate in a context variable, which a new thread does not inherit
-        force_concurrent_streams(monkeypatch)
-        model = init_model(EMBED_SUBTRACT_DUO, CFG, seed=0)
-        model.encoder_after["pos_emb"][...] = 3e38  # finite weights whose layer-norm sums overflow float32
-        batch = random_batch(EMBED_SUBTRACT_DUO, np.random.default_rng(3))
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            predict_batch(model, batch)
-
-    def test_one_worker_thread_serves_every_call(self, monkeypatch):
-        threads = force_concurrent_streams(monkeypatch)
-        model = init_model(EMBED_CONCAT_DUO, CFG, seed=0)
-        with fresh_stream_worker(monkeypatch):
-            before = set(threading.enumerate())
-            for seed in (1, 2):
-                loss_and_grads(model, random_batch(EMBED_CONCAT_DUO, np.random.default_rng(seed), with_labels=True))
-            after = set(threading.enumerate())
-        (worker,) = after - before
-        assert after == before | {worker}
-        # each call's forward and backward put one stream on the worker
-        assert threads.count(worker) == 4 and set(threads) == {threading.main_thread(), worker}
-
-    def test_callers_error_is_raised_after_the_worker_finishes(self):
-        finished = []
-
-        def worker_stream():
-            time.sleep(0.2)
-            finished.append(threading.current_thread())
-            raise ValueError("the worker's stream failed too")
-
-        def callers_stream():
-            raise RuntimeError("the caller's stream failed")
-
-        with pytest.raises(RuntimeError, match="the caller's stream failed"):
-            dm._run_calls(True, [callers_stream, worker_stream])
-        assert len(finished) == 1 and finished[0] is not threading.main_thread()
-
-    def test_interpreter_with_a_started_worker_exits_promptly(self):
-        child = (
-            "import threading\n"
-            "import numpy as np\n"
-            "import fixhound.delta_model as dm\n"
-            "from fixhound.config import EncoderConfig\n"
-            "dm.CONCURRENT_MIN_WORK, dm._usable_cpus = 0, lambda: 2\n"
-            "cfg = EncoderConfig(vocab_size=280, dim=8, layers=1, heads=2, max_len=16)\n"
-            "model = dm.init_model('EmbedSubtract_Duo', cfg, seed=0)\n"
-            "streams = tuple(dm.Stream(np.arange(5, 13), np.array([4, 4]), np.array([0, 4])) for _ in range(2))\n"
-            "dm.loss_and_grads(model, dm.EncodedBatch(streams, np.array([0.0, 1.0])))\n"
-            "assert threading.active_count() == 2, threading.enumerate()\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(dm.__file__).resolve().parents[1]), **{var: "1" for var in dm.BLAS_THREAD_VARS})
-        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=30)  # a worker that blocks exit fails here
-        assert proc.returncode == 0, proc.stderr
-
-    @pytest.mark.parametrize("cpus, blas", [(1, "1"), (2, "2"), (2, None)], ids=["one-cpu", "blas-2-threads", "blas-uncapped"])
-    def test_serial_without_two_cpus_or_one_blas_thread(self, monkeypatch, cpus, blas):
-        threads = force_concurrent_streams(monkeypatch)
-        monkeypatch.setattr(dm, "_usable_cpus", lambda: cpus)
-        for var in dm.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var)
-        if blas is not None:
-            monkeypatch.setenv("OMP_NUM_THREADS", blas)
-        loss_and_grads(init_model(EMBED_SUBTRACT_DUO, CFG, seed=0), random_batch(EMBED_SUBTRACT_DUO, np.random.default_rng(1), with_labels=True))
-        assert threads and set(threads) == {threading.main_thread()}
-
-    def test_gate_measures_the_shorter_stream(self, monkeypatch):
-        force_concurrent_streams(monkeypatch)
-        monkeypatch.setattr(dm, "CONCURRENT_MIN_WORK", 2**16)
-        long, short = np.full(4, 512), np.array([100, 3, 3, 3])
-        assert dm._streams_concurrent([long, long])
-        assert dm._streams_concurrent([np.array([128, 1, 1, 1]), long])  # 4 rows x 128^2 = 2^16
-        assert not dm._streams_concurrent([short, long]) and not dm._streams_concurrent([long, short])
-        assert not dm._streams_concurrent([long])  # one stream has nothing to overlap
-        monkeypatch.setenv("MKL_NUM_THREADS", "4")  # one capped library is not enough
-        assert not dm._streams_concurrent([long, long])
-
-    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(dm.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert dm._usable_cpus() == 1
