@@ -140,7 +140,7 @@ def list_of(what: str, ok: Callable[[object], bool], load: Callable[[list], obje
 # paper's CodeBERT-sized encoder: dim 768, 12 layers, ffn_mult 4, max_len 512.
 MAX_EPOCHS = 10_000
 MAX_ENCODER_PARAMS = 2**27
-MAX_LAYERS = 1_024  # a layer costs 16 arrays at any width, so the parameter cap alone lets 2^23 tiny ones in
+MAX_LAYERS = 1_024  # a layer is 16 arrays at any width (the cap alone lets 2^23 tiny ones in); checked first, it keeps param_shapes small
 
 # Rules that several fields share. The run config hands its seed, max_len and
 # vocab_size on to the train and encoder configs, whose fields share its rules.
@@ -192,12 +192,6 @@ class EncoderConfig:
     def ffn_hidden(self) -> int:
         return self.ffn_mult * self.dim
 
-    @property
-    def params_besides_tok_emb(self) -> int:
-        """The sizes `encoder.param_shapes` gives besides `tok_emb`, summed in closed form."""
-        d, h = self.dim, self.ffn_hidden
-        return (self.max_len + 2) * d + self.layers * (4 * d * d + 2 * d * h + 9 * d + h)
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -208,9 +202,36 @@ class EncoderConfig:
         enc = checked("encoder config", cls, d, **given)
         if enc.dim % enc.heads:
             raise ValueError(f"bad encoder config: dim must be divisible by heads ({enc.heads}), got {enc.dim}")
-        if enc.params_besides_tok_emb > MAX_ENCODER_PARAMS:
-            raise ValueError(f"bad encoder config: parameters besides tok_emb must be at most 2^27, got {enc.params_besides_tok_emb}")
+        besides_tok_emb = sum(math.prod(shape) for name, shape in param_shapes(enc).items() if name != "tok_emb")
+        if besides_tok_emb > MAX_ENCODER_PARAMS:
+            raise ValueError(f"bad encoder config: parameters besides tok_emb must be at most 2^27, got {besides_tok_emb}")
         return enc
+
+
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of each encoder parameter, by name."""
+    d, h = config.dim, config.ffn_hidden
+    shapes: dict[str, tuple[int, ...]] = {
+        "tok_emb": (config.vocab_size, d),
+        "pos_emb": (config.max_len, d),
+        "ln_f.g": (d,),
+        "ln_f.b": (d,),
+    }
+    for i in range(config.layers):
+        p = f"layer{i}."
+        shapes[p + "ln1.g"] = (d,)
+        shapes[p + "ln1.b"] = (d,)
+        for w in ("wq", "wk", "wv", "wo"):
+            shapes[p + "attn." + w] = (d, d)
+        for b in ("bq", "bk", "bv", "bo"):
+            shapes[p + "attn." + b] = (d,)
+        shapes[p + "ln2.g"] = (d,)
+        shapes[p + "ln2.b"] = (d,)
+        shapes[p + "ffn.w1"] = (d, h)
+        shapes[p + "ffn.b1"] = (h,)
+        shapes[p + "ffn.w2"] = (h, d)
+        shapes[p + "ffn.b2"] = (d,)
+    return shapes
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Variant assembly: encoder(s) -> fusion -> feed-forward head -> probability.
 
 Every variant of `change_builder.VARIANTS` runs one forward and backward
-path: a batch (`EncodedBatch`) holds one `Stream` of real tokens per encoder,
-each padded right before its encoder (`Stream.padded`), and dual-stream
-variants fuse their two embeddings by element-wise subtraction (delta) or
-concatenation. The streams run one after the other on the caller's thread.
+path: a batch (`EncodedBatch`) holds one `Stream` of real tokens per input
+stream, each padded right before its encoder (`Stream.padded`), and
+dual-stream variants fuse their two embeddings by element-wise subtraction
+(delta) or concatenation. The streams run one after the other on the
+caller's thread. A model is one parameter map keyed by checkpoint tensor
+name, and each stream reads its encoder from it by prefix (`ENCODER_PREFIXES`).
 """
 
 from __future__ import annotations
@@ -28,40 +30,25 @@ def fusion_width(variant: str, dim: int) -> int:
     return 2 * dim if VARIANTS[variant].fusion == "Concat" else dim
 
 
+# The parameter-name prefix of each input stream's encoder, in stream order:
+# a "Sequence" variant runs one stream, and two streams share enc_before
+# unless the variant has its own encoders.
+ENCODER_PREFIXES = {
+    name: ("enc_before.",) if v.fusion == "Sequence" else ("enc_before.", "enc_after." if v.own_encoders else "enc_before.")
+    for name, v in VARIANTS.items()
+}
+
+
 @dataclass
 class DeltaModel:
     variant: str
     config: EncoderConfig
-    encoder_before: Params
-    encoder_after: Params  # same dict object as encoder_before when shared
-    head: Params  # w1 (fusion_width, h), b1 (h,), w2 (h, 1), b2 (1,)
+    params: Params  # by checkpoint tensor name: enc_before.*, enc_after.* (own encoders only), head.*
 
-    @property
-    def shared_encoders(self) -> bool:
-        return self.encoder_before is self.encoder_after
 
-    @property
-    def encoders(self) -> tuple[Params, ...]:
-        """The encoder of each input stream, in stream order."""
-        if VARIANTS[self.variant].fusion == "Sequence":
-            return (self.encoder_before,)
-        return self.encoder_before, self.encoder_after
-
-    def all_params(self) -> Params:
-        """Flat name -> tensor view of every trainable parameter.
-
-        Shared encoders appear once (under enc_before) so a single
-        optimizer step updates them exactly once.
-        """
-        out: Params = {}
-        for name, arr in self.encoder_before.items():
-            out["enc_before." + name] = arr
-        if not self.shared_encoders:
-            for name, arr in self.encoder_after.items():
-                out["enc_after." + name] = arr
-        for name, arr in self.head.items():
-            out["head." + name] = arr
-        return out
+def params_under(params: Params, prefix: str) -> Params:
+    """The entries of `params` under `prefix`, by the names after it: the same arrays, not copies."""
+    return {name.removeprefix(prefix): arr for name, arr in params.items() if name.startswith(prefix)}
 
 
 def head_shapes(variant: str, config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -69,23 +56,15 @@ def head_shapes(variant: str, config: EncoderConfig) -> dict[str, tuple[int, ...
     return {"w1": (width, hidden), "b1": (hidden,), "w2": (hidden, 1), "b2": (1,)}
 
 
-def init_head(variant: str, config: EncoderConfig, seed: int) -> Params:
-    rng = np.random.default_rng(seed)
-    shapes = head_shapes(variant, config)
-    return {
-        "w1": rng.normal(0.0, enc.INIT_STD, size=shapes["w1"]).astype(np.float32),
-        "b1": np.zeros(shapes["b1"], dtype=np.float32),
-        "w2": rng.normal(0.0, enc.INIT_STD, size=shapes["w2"]).astype(np.float32),
-        "b2": np.zeros(shapes["b2"], dtype=np.float32),
-    }
-
-
 def init_model(variant: str, config: EncoderConfig, seed: int) -> DeltaModel:
     """Seeded float32 parameters: the encoder(s) at seed and seed + 1, the head at seed + 2."""
-    before = enc.init_params(config, seed)
-    after = enc.init_params(config, seed + 1) if VARIANTS[variant].own_encoders else before
-    head = init_head(variant, config, seed + 2)
-    return DeltaModel(variant=variant, config=config, encoder_before=before, encoder_after=after, head=head)
+    params: Params = {}
+    for offset, prefix in enumerate(dict.fromkeys(ENCODER_PREFIXES[variant])):
+        params.update({prefix + name: arr for name, arr in enc.init_params(config, seed + offset).items()})
+    rng = np.random.default_rng(seed + 2)
+    for name, shape in head_shapes(variant, config).items():  # w1 then w2 drawn; b1, b2 zero
+        params["head." + name] = rng.normal(0.0, enc.INIT_STD, size=shape).astype(np.float32) if name[0] == "w" else np.zeros(shape, np.float32)
+    return DeltaModel(variant, config, params)
 
 
 def fuse(e_before: np.ndarray, e_after: np.ndarray, fusion: str) -> np.ndarray:
@@ -118,8 +97,8 @@ class Stream:
 
 @dataclass
 class EncodedBatch:
-    """Tokenized inputs for one batch: one Stream per encoder the variant runs,
-    in the order of its encoders, and a float 0/1 label per example."""
+    """Tokenized inputs for one batch: one Stream per input stream of the
+    variant, in stream order, and a float 0/1 label per example."""
 
     streams: tuple[Stream, ...]
     labels: np.ndarray
@@ -163,18 +142,29 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stream_encoders(model: DeltaModel, batch: EncodedBatch) -> list[Params]:
+    """The encoder parameters each of the batch's streams runs through, in stream order."""
+    prefixes = ENCODER_PREFIXES[model.variant]
+    if len(batch.streams) != len(prefixes):
+        raise ValueError(f"{model.variant} expects {len(prefixes)} input stream(s), not {len(batch.streams)}")
+    return [params_under(model.params, prefix) for prefix in prefixes]
+
+
+def _fuse_and_head(model: DeltaModel, embeddings: list[np.ndarray]):
+    """Per-example probabilities from the streams' pooled embeddings, plus the head's cache."""
+    head = params_under(model.params, "head.")
+    fused = fuse(*embeddings, VARIANTS[model.variant].fusion) if len(embeddings) == 2 else embeddings[0]
+    u = np.tanh(fused @ head["w1"] + head["b1"])
+    logit = (u @ head["w2"] + head["b2"])[:, 0]
+    return _sigmoid(logit), {"fused": fused, "u": u, "logit": logit}
+
+
 def forward_model(model: DeltaModel, batch: EncodedBatch):
     """Per-example probabilities plus the cache needed for backward."""
-    if len(batch.streams) != len(model.encoders):
-        raise ValueError(f"{model.variant} expects {len(model.encoders)} input stream(s), not {len(batch.streams)}")
-    outs = [enc.forward_batch(p, model.config, s.padded(), s.lens) for p, s in zip(model.encoders, batch.streams)]
-    embeddings = [e for e, _ in outs]
-    fused = fuse(*embeddings, VARIANTS[model.variant].fusion) if len(embeddings) == 2 else embeddings[0]
-    z1 = fused @ model.head["w1"] + model.head["b1"]
-    u = np.tanh(z1)
-    logit = (u @ model.head["w2"] + model.head["b2"])[:, 0]
-    probs = _sigmoid(logit)
-    cache = {"enc": [c for _, c in outs], "fused": fused, "u": u, "logit": logit}
+    encoders = _stream_encoders(model, batch)
+    outs = [enc.forward_batch(p, model.config, s.padded(), s.lens) for p, s in zip(encoders, batch.streams)]
+    probs, cache = _fuse_and_head(model, [e for e, _ in outs])
+    cache["enc"] = [c for _, c in outs]
     return probs, cache
 
 
@@ -183,13 +173,13 @@ def backward_model(model: DeltaModel, cache, d_logit: np.ndarray) -> Params:
     u = cache["u"]
     fused = cache["fused"]
     grads: Params = {}
-    du = d_logit[:, None] * model.head["w2"][:, 0][None, :]
+    du = d_logit[:, None] * model.params["head.w2"][:, 0][None, :]
     grads["head.w2"] = (u * d_logit[:, None]).sum(axis=0)[:, None]
     grads["head.b2"] = np.array([d_logit.sum()], dtype=u.dtype)
     dz1 = du * (1.0 - u**2)
     grads["head.w1"] = fused.T @ dz1
     grads["head.b1"] = dz1.sum(axis=0)
-    d_fused = dz1 @ model.head["w1"].T
+    d_fused = dz1 @ model.params["head.w1"].T
 
     fusion = VARIANTS[model.variant].fusion
     if fusion == "Subtract":
@@ -198,11 +188,9 @@ def backward_model(model: DeltaModel, cache, d_logit: np.ndarray) -> Params:
         d_embeddings = [d_fused[:, : model.config.dim], d_fused[:, model.config.dim :]]
     else:
         d_embeddings = [d_fused]
-    stream_grads = [enc.backward_batch(p, model.config, c, d) for p, c, d in zip(model.encoders, cache["enc"], d_embeddings)]
     # A shared encoder's gradient is the sum over its streams, first stream first.
-    prefixes = ("enc_before.", "enc_before." if model.shared_encoders else "enc_after.")
-    for prefix, g in zip(prefixes, stream_grads):
-        for name, arr in g.items():
+    for prefix, c, d in zip(ENCODER_PREFIXES[model.variant], cache["enc"], d_embeddings):
+        for name, arr in enc.backward_batch(params_under(model.params, prefix), model.config, c, d).items():
             key = prefix + name
             grads[key] = grads[key] + arr if key in grads else arr
     return grads
@@ -226,8 +214,11 @@ def batch_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def predict_batch(model: DeltaModel, batch: EncodedBatch) -> np.ndarray:
-    probs, _ = forward_model(model, batch)
-    return probs
+    """Per-example probabilities; each stream keeps only its pooled embedding, so
+    one stream's activations are freed before the next stream runs."""
+    encoders = _stream_encoders(model, batch)
+    embeddings = [enc.forward_batch(p, model.config, s.padded(), s.lens)[0] for p, s in zip(encoders, batch.streams)]
+    return _fuse_and_head(model, embeddings)[0]
 
 
 def predict_in_chunks(model: DeltaModel, batch: EncodedBatch, chunk: int) -> np.ndarray:

@@ -17,37 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import EncoderConfig
+from .config import EncoderConfig, param_shapes
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
 
 Params = dict[str, np.ndarray]
-
-
-def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    d, h = config.dim, config.ffn_hidden
-    shapes: dict[str, tuple[int, ...]] = {
-        "tok_emb": (config.vocab_size, d),
-        "pos_emb": (config.max_len, d),
-        "ln_f.g": (d,),
-        "ln_f.b": (d,),
-    }
-    for i in range(config.layers):
-        p = f"layer{i}."
-        shapes[p + "ln1.g"] = (d,)
-        shapes[p + "ln1.b"] = (d,)
-        for w in ("wq", "wk", "wv", "wo"):
-            shapes[p + "attn." + w] = (d, d)
-        for b in ("bq", "bk", "bv", "bo"):
-            shapes[p + "attn." + b] = (d,)
-        shapes[p + "ln2.g"] = (d,)
-        shapes[p + "ln2.b"] = (d,)
-        shapes[p + "ffn.w1"] = (d, h)
-        shapes[p + "ffn.b1"] = (h,)
-        shapes[p + "ffn.w2"] = (h, d)
-        shapes[p + "ffn.b2"] = (d,)
-    return shapes
 
 
 def init_params(config: EncoderConfig, seed: int) -> Params:

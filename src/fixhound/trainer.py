@@ -21,9 +21,9 @@ import numpy as np
 
 from . import delta_model as dm
 from .change_builder import VARIANTS
-from .config import DataError, EncoderConfig, TrainConfig, TrainingError, atomic_write, read_bytes
+from .config import DataError, EncoderConfig, TrainConfig, TrainingError, atomic_write, param_shapes, read_bytes
 from .delta_model import DeltaModel, EncodedBatch
-from .encoder import Params, param_shapes
+from .encoder import Params
 from .records import f1_score
 from .tokenizer import Vocabulary
 
@@ -96,7 +96,7 @@ def train(
         raise TrainingError("training set contains no VF example")
 
     model = dm.init_model(variant, enc_config, config.seed)
-    opt = AdamW(model.all_params(), config)
+    opt = AdamW(model.params, config)
     rng = np.random.default_rng(config.seed)
 
     loss_log: list[tuple[int, int, float, str]] = []
@@ -119,7 +119,7 @@ def train(
 
         val_probs = dm.predict_in_chunks(model, val_batch, config.batch_size)
         val_loss = dm.batch_loss(val_probs, val_batch.labels)
-        if not (np.isfinite(val_loss) and all(np.isfinite(p).all() for p in model.all_params().values())):
+        if not (np.isfinite(val_loss) and all(np.isfinite(p).all() for p in model.params.values())):
             raise TrainingError(f"epoch {epoch} ends with a non-finite parameter or validation loss (loss {val_loss})")
         val_f1 = f1_at_half(val_probs, val_batch.labels)
         loss_log.append((step, epoch, float(val_loss), "val"))
@@ -127,9 +127,9 @@ def train(
         if (val_f1, -val_loss) > best:
             best = (val_f1, -val_loss)
             best_epoch = epoch
-            best_state = copy.deepcopy(model.all_params())
+            best_state = copy.deepcopy(model.params)
 
-    for name, arr in model.all_params().items():
+    for name, arr in model.params.items():
         arr[...] = best_state[name]
     return TrainResult(model=model, loss_log=loss_log, val_history=val_history, best_epoch=best_epoch, best_val_f1=best[0])
 
@@ -146,7 +146,7 @@ def save_checkpoint(model: DeltaModel, vocab: Vocabulary, path: str | Path, extr
     config = {
         "variant": model.variant,
         "encoder": model.config.to_dict(),
-        "shared_encoders": model.shared_encoders,
+        "shared_encoders": not VARIANTS[model.variant].own_encoders,
         "merges": vocab.merges,
         "extra": extra_config or {},
     }
@@ -156,9 +156,8 @@ def save_checkpoint(model: DeltaModel, vocab: Vocabulary, path: str | Path, extr
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(config_bytes)))
         fh.write(config_bytes)
-        params = model.all_params()
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name], dtype="<f4")
+        for name in sorted(model.params):
+            arr = np.ascontiguousarray(model.params[name], dtype="<f4")
             name_b = name.encode("utf-8")
             fh.write(struct.pack("<H", len(name_b)))
             fh.write(name_b)
@@ -223,7 +222,7 @@ def load_checkpoint(path: str | Path) -> tuple[DeltaModel, Vocabulary, dict]:
         raise CheckpointError(f"{path}: bad model config ({type(exc).__name__}: {exc})") from exc
     if vocab.size != enc_config.vocab_size:
         raise CheckpointError(f"{path}: vocabulary has {vocab.size} tokens but the encoder embeds {enc_config.vocab_size}")
-    for prefix in ("enc_before.",) if shared else ("enc_before.", "enc_after."):
+    for prefix in dm.ENCODER_PREFIXES[config["variant"]]:
         expected.update({prefix + k: v for k, v in param_shapes(enc_config).items()})
     tensors: Params = {}
     for name in sorted(expected.keys() | raw.keys()):
@@ -238,17 +237,4 @@ def load_checkpoint(path: str | Path) -> tuple[DeltaModel, Vocabulary, dict]:
         if not np.isfinite(tensors[name]).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
 
-    before = {k.removeprefix("enc_before."): v for k, v in tensors.items() if k.startswith("enc_before.")}
-    head = {k.removeprefix("head."): v for k, v in tensors.items() if k.startswith("head.")}
-    if shared:
-        after = before
-    else:
-        after = {k.removeprefix("enc_after."): v for k, v in tensors.items() if k.startswith("enc_after.")}
-    model = DeltaModel(
-        variant=config["variant"],
-        config=enc_config,
-        encoder_before=before,
-        encoder_after=after,
-        head=head,
-    )
-    return model, vocab, extra
+    return DeltaModel(config["variant"], enc_config, tensors), vocab, extra

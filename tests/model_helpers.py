@@ -39,9 +39,7 @@ def cast_params(params: Params, dtype) -> Params:
 
 
 def cast_model(model: DeltaModel, dtype) -> DeltaModel:
-    before = cast_params(model.encoder_before, dtype)
-    after = before if model.shared_encoders else cast_params(model.encoder_after, dtype)
-    return DeltaModel(model.variant, model.config, before, after, cast_params(model.head, dtype))
+    return DeltaModel(model.variant, model.config, cast_params(model.params, dtype))
 
 
 def equivalent_concat_model(m: DeltaModel) -> DeltaModel:
@@ -52,15 +50,9 @@ def equivalent_concat_model(m: DeltaModel) -> DeltaModel:
     """
     if m.variant != EMBED_SUBTRACT_DUO:
         raise ValueError("equivalence construction requires an EmbedSubtract_Duo model")
-    before = copy.deepcopy(m.encoder_before)
-    after = copy.deepcopy(m.encoder_after)
-    head = {
-        "w1": np.concatenate([m.head["w1"], -m.head["w1"]], axis=0),
-        "b1": m.head["b1"].copy(),
-        "w2": m.head["w2"].copy(),
-        "b2": m.head["b2"].copy(),
-    }
-    return DeltaModel(variant=EMBED_CONCAT_DUO, config=m.config, encoder_before=before, encoder_after=after, head=head)
+    params = copy.deepcopy(m.params)
+    params["head.w1"] = np.concatenate([m.params["head.w1"], -m.params["head.w1"]], axis=0)
+    return DeltaModel(EMBED_CONCAT_DUO, m.config, params)
 
 
 def token_bytes(vocab: Vocabulary) -> dict[int, bytes]:

@@ -82,7 +82,7 @@ def test_criterion_1_gradient_correctness(capfd):
             model = cast_model(init_model(variant, GRAD_CFG, seed=seed), np.float64)
             batch = _random_batch(variant, rng)
             _, grads, _ = loss_and_grads(model, batch)
-            for name, arr in model.all_params().items():
+            for name, arr in model.params.items():
                 flat = arr.reshape(-1)
                 for i in rng.choice(flat.size, size=min(2, flat.size), replace=False):
                     orig = flat[i]

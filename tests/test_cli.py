@@ -23,7 +23,7 @@ import fixhound.trainer as tr
 from conftest import commit_files, init_repo, make_planted_commits, make_planted_repo
 from fixhound.change_builder import VARIANTS, BuiltExample
 from fixhound.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _split_and_downsample, main, workdir_lock
-from fixhound.config import MIN_VOCAB_SIZE, EncoderConfig, RunConfig, TrainConfig, atomic_write, load_config, read_jsonl, write_jsonl
+from fixhound.config import MIN_VOCAB_SIZE, EncoderConfig, RunConfig, TrainConfig, atomic_write, load_config, param_shapes, read_jsonl, write_jsonl
 from fixhound.evaluation import CommitPrediction
 from fixhound.records import NVF, CommitRecord, FileChange, Hunk, SplitSpec, Window, read_commits_jsonl, write_commits_jsonl
 from fixhound.tokenizer import MIN_VOCAB
@@ -69,11 +69,11 @@ def seeded_workdir(tmp_path, n_commits=40):
 
 
 def _resaved_head(change):
-    """Checkpoint damage: load, change the head tensors, save again."""
+    """Checkpoint damage: load, change the head tensors in the parameter map, save again."""
 
     def damage(ckpt):
         model, vocab, extra = tr.load_checkpoint(ckpt)
-        change(model.head)
+        change(model.params)
         tr.save_checkpoint(model, vocab, ckpt, extra)
 
     return damage
@@ -476,7 +476,7 @@ class TestPipeline:
         for command in ("build", "train"):
             assert main(["--config", config, command]) == EXIT_OK, command
         model, vocab, extra = tr.load_checkpoint(workdir / "checkpoint.bin")
-        model.encoder_before["pos_emb"][...] = 3e38  # finite weights whose sums overflow float32
+        model.params["enc_before.pos_emb"][...] = 3e38  # finite weights whose sums overflow float32
         tr.save_checkpoint(model, vocab, workdir / "checkpoint.bin", extra)
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
@@ -502,9 +502,9 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "damage, message, variant",
         [
-            (_resaved_head(lambda head: head.pop("b2")), "missing tensor 'head.b2'", "RawGitDiff"),
+            (_resaved_head(lambda params: params.pop("head.b2")), "missing tensor 'head.b2'", "RawGitDiff"),
             (
-                _resaved_head(lambda head: head.update(w1=np.zeros((2 * head["w1"].shape[0], head["w1"].shape[1]), np.float32))),
+                _resaved_head(lambda params: params.update({"head.w1": np.zeros((2 * params["head.w1"].shape[0], params["head.w1"].shape[1]), np.float32)})),
                 "'head.w1' has shape",
                 "RawGitDiff",
             ),
@@ -896,7 +896,8 @@ class TestGuards:
         # CodeBERT's size: 85M parameters besides tok_emb, under the 2^27 bound
         encoder = {"dim": 768, "layers": 12, "heads": 12, "ffn_mult": 4}
         cfg = load_config(None, {"encoder": encoder, "max_len": 512, "vocab_size": 2**31})
-        assert cfg.encoder_config(cfg.vocab_size).params_besides_tok_emb == 85_449_216
+        shapes = param_shapes(cfg.encoder_config(cfg.vocab_size))
+        assert sum(math.prod(shape) for name, shape in shapes.items() if name != "tok_emb") == 85_449_216
 
 
 def _path_case(tmp_path, case: str) -> list[str]:

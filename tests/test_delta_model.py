@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -15,6 +16,7 @@ from fixhound.change_builder import (
     build_example,
 )
 from fixhound.delta_model import (
+    ENCODER_PREFIXES,
     batch_loss,
     encode_examples,
     forward_model,
@@ -22,6 +24,7 @@ from fixhound.delta_model import (
     fusion_width,
     init_model,
     loss_and_grads,
+    params_under,
     predict_batch,
     predict_in_chunks,
 )
@@ -81,28 +84,36 @@ class TestFuse:
         assert fusion_width(CODE_CONCAT, 8) == 8
 
 
+def prefixes(m) -> set[str]:
+    return {name.split(".")[0] + "." for name in m.params}
+
+
+def stream_encoders(m) -> list[dict]:
+    return [params_under(m.params, prefix) for prefix in ENCODER_PREFIXES[m.variant]]
+
+
 class TestStructure:
     def test_dual_variants_have_independent_encoders(self):
         for variant in [v for v, spec in VARIANTS.items() if spec.own_encoders]:
             m = init_model(variant, CFG, seed=0)
-            assert not m.shared_encoders
-            assert any(not np.array_equal(m.encoder_before[n], m.encoder_after[n]) for n in m.encoder_before)
-            assert any(name.startswith("enc_after.") for name in m.all_params())
+            assert prefixes(m) == {"enc_before.", "enc_after.", "head."}, variant
+            before, after = stream_encoders(m)
+            assert any(not np.array_equal(before[n], after[n]) for n in before)
 
     def test_single_encoder_variants_alias(self):
         for variant in (EMBED_SUBTRACT_SINGLE, CODE_CONCAT, CODE_CONCAT_NOCONTEXT, RAW_GIT_DIFF):
             m = init_model(variant, CFG, seed=0)
-            assert m.shared_encoders
-            # writes through one handle are visible through the other
-            m.encoder_before["tok_emb"][0, 0] = 123.0
-            assert m.encoder_after["tok_emb"][0, 0] == 123.0
-            assert not any(name.startswith("enc_after.") for name in m.all_params())
+            assert prefixes(m) == {"enc_before.", "head."}, variant
+        # the shared-encoder variant's two streams read the same arrays
+        before, after = stream_encoders(init_model(EMBED_SUBTRACT_SINGLE, CFG, seed=0))
+        assert before.keys() == after.keys() and all(before[n] is after[n] for n in before)
 
     def test_init_deterministic(self):
         a = init_model(EMBED_SUBTRACT_DUO, CFG, seed=5)
         b = init_model(EMBED_SUBTRACT_DUO, CFG, seed=5)
-        for name in a.all_params():
-            assert np.array_equal(a.all_params()[name], b.all_params()[name])
+        assert a.params.keys() == b.params.keys()
+        for name in a.params:
+            assert np.array_equal(a.params[name], b.params[name])
 
 
 class TestForward:
@@ -110,7 +121,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         for variant in VARIANTS:
             m = init_model(variant, CFG, seed=0)
-            m.head["w2"][:] = 0.0
+            m.params["head.w2"][:] = 0.0
             probs = predict_batch(m, random_batch(variant, rng))
             assert np.all(probs == 0.5), variant
 
@@ -122,11 +133,7 @@ class TestForward:
         ids = rng.integers(0, CFG.vocab_size, size=(2, CFG.max_len))
         lens = np.array([9, 16])
         batch = padded_batch(ids_a=ids, lens_a=lens, ids_b=ids.copy(), lens_b=lens.copy())
-        # the single-stream variant normally gets one stream; drive fusion directly
-        m_dual = init_model(EMBED_SUBTRACT_DUO, CFG, seed=3)
-        m_dual.encoder_after = m_dual.encoder_before
-        m_dual.head = m.head
-        probs = predict_batch(m_dual, batch)
+        probs = predict_batch(m, batch)
         assert np.all(probs == 0.5)
 
     def test_stream_arity_mismatch_rejected(self):
@@ -137,6 +144,27 @@ class TestForward:
         m2 = init_model(EMBED_SUBTRACT_DUO, CFG, seed=0)
         with pytest.raises(ValueError):
             forward_model(m2, random_batch(CODE_CONCAT, rng))
+
+    def test_predict_batch_frees_each_streams_activations(self):
+        # forward_model keeps every stream's cache for backward; predict_batch
+        # keeps only the first stream's pooled embedding while the second runs
+        cfg = EncoderConfig(vocab_size=280, dim=8, layers=1, heads=2, max_len=512, ffn_mult=2)
+        m = init_model(EMBED_SUBTRACT_DUO, cfg, seed=0)
+        rng = np.random.default_rng(6)
+        ids = rng.integers(0, cfg.vocab_size, size=(2, 4, cfg.max_len))
+        lens = np.full(4, cfg.max_len)
+        batch = padded_batch(ids_a=ids[0], lens_a=lens, ids_b=ids[1], lens_b=lens)
+        attention_bytes = 4 * cfg.heads * cfg.max_len**2 * np.dtype(np.float32).itemsize
+
+        def peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run(m, batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(forward_model) - peak(predict_batch) >= attention_bytes
 
     def test_probabilities_in_unit_interval(self):
         rng = np.random.default_rng(4)
@@ -174,9 +202,8 @@ def check_variant_gradients(variant: str, seed: int) -> list:
     m = cast_model(init_model(variant, CFG, seed=0), np.float64)
     batch = random_batch(variant, rng, n=2, with_labels=True)
     _, grads, _ = loss_and_grads(m, batch)
-    params = m.all_params()
-    assert grads.keys() == params.keys()
-    return fd_mismatches(lambda: loss_and_grads(m, batch)[0], params, grads, rng, per_tensor=4)
+    assert grads.keys() == m.params.keys()
+    return fd_mismatches(lambda: loss_and_grads(m, batch)[0], m.params, grads, rng, per_tensor=4)
 
 
 class TestGradients:
@@ -186,15 +213,14 @@ class TestGradients:
         assert check_variant_gradients(variant, zlib.crc32(variant.encode())) == []
 
     def test_shared_encoder_grads_sum_both_streams(self):
-        # drive the subtract fusion with two different streams through one
-        # shared encoder; the enc_before grad must cover both paths
-        m = cast_model(init_model(EMBED_SUBTRACT_DUO, CFG, seed=1), np.float64)
-        m.encoder_after = m.encoder_before
+        # two different streams through one shared encoder; the enc_before
+        # grad must cover both paths
+        m = cast_model(init_model(EMBED_SUBTRACT_SINGLE, CFG, seed=1), np.float64)
         rng = np.random.default_rng(9)
-        batch = random_batch(EMBED_SUBTRACT_DUO, rng, n=2, with_labels=True)
+        batch = random_batch(EMBED_SUBTRACT_SINGLE, rng, n=2, with_labels=True)
         _, grads, _ = loss_and_grads(m, batch)
         assert not any(n.startswith("enc_after.") for n in grads)
-        tok_emb = {"enc_before.tok_emb": m.encoder_before["tok_emb"]}
+        tok_emb = {"enc_before.tok_emb": m.params["enc_before.tok_emb"]}
         assert fd_mismatches(lambda: loss_and_grads(m, batch)[0], tok_emb, grads, rng, per_tensor=6) == []
 
 
@@ -218,9 +244,9 @@ class TestEquivalence:
     def test_head_shape_doubles(self):
         sub = init_model(EMBED_SUBTRACT_DUO, CFG, seed=0)
         cat = equivalent_concat_model(sub)
-        assert cat.head["w1"].shape == (2 * CFG.dim, CFG.dim)
-        assert np.array_equal(cat.head["w1"][: CFG.dim], sub.head["w1"])
-        assert np.array_equal(cat.head["w1"][CFG.dim :], -sub.head["w1"])
+        assert cat.params["head.w1"].shape == (2 * CFG.dim, CFG.dim)
+        assert np.array_equal(cat.params["head.w1"][: CFG.dim], sub.params["head.w1"])
+        assert np.array_equal(cat.params["head.w1"][CFG.dim :], -sub.params["head.w1"])
 
 
 class TestEncodeInput:

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 import encoder_oracle
-from fixhound import encoder
-from fixhound.config import EncoderConfig
+from fixhound import config, encoder
+from fixhound.config import EncoderConfig, param_shapes
 from fixhound.encoder import (
     LN_EPS,
     backward_batch,
     forward_batch,
     init_params,
-    param_shapes,
 )
 from gradcheck import fd_mismatches
 from model_helpers import cast_params, cut
@@ -339,7 +338,12 @@ class TestInit:
             EncoderConfig.from_dict({"vocab_size": 300, "dim": 8, "layers": -1, "heads": 2, "max_len": 8})
 
     @pytest.mark.parametrize("layers, ffn_mult", [(0, 1), (1, 4), (3, 2)])
-    def test_parameter_bound_counts_what_param_shapes_gives(self, layers, ffn_mult):
-        cfg = EncoderConfig(vocab_size=11, dim=8, layers=layers, heads=2, max_len=12, ffn_mult=ffn_mult)
-        sizes = [math.prod(shape) for name, shape in param_shapes(cfg).items() if name != "tok_emb"]
-        assert cfg.params_besides_tok_emb == sum(sizes)
+    def test_parameter_bound_counts_what_param_shapes_gives(self, monkeypatch, layers, ffn_mult):
+        # a cap of exactly that count admits the config, and one less refuses it
+        values = {"vocab_size": 300, "dim": 8, "layers": layers, "heads": 2, "max_len": 12, "ffn_mult": ffn_mult}
+        sizes = [math.prod(shape) for name, shape in param_shapes(EncoderConfig(**values)).items() if name != "tok_emb"]
+        monkeypatch.setattr(config, "MAX_ENCODER_PARAMS", sum(sizes))
+        EncoderConfig.from_dict(values)
+        monkeypatch.setattr(config, "MAX_ENCODER_PARAMS", sum(sizes) - 1)
+        with pytest.raises(ValueError, match=f"parameters besides tok_emb must be at most 2\\^27, got {sum(sizes)}$"):
+            EncoderConfig.from_dict(values)

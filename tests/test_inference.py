@@ -176,7 +176,7 @@ def equivalence_case(variant, max_len):
     commits = equivalence_corpus()
     cfg = EncoderConfig(vocab_size=VOCAB.size, dim=8, layers=1, heads=2, max_len=max_len, ffn_mult=2)
     model = init_model(variant, cfg, seed=0)
-    model.head["w2"] *= 50  # spread the probabilities away from 0.5
+    model.params["head.w2"] *= 50  # spread the probabilities away from 0.5
     truncated = {
         seq.truncated
         for c in commits

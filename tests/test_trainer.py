@@ -14,6 +14,7 @@ from fixhound.records import CROSS_PROJECT, NVF, TEMPORAL, VF, CommitRecord, Spl
 from fixhound.tokenizer import BYTE_BASE, MIN_VOCAB, Vocabulary
 from fixhound.trainer import AdamW, CheckpointError, f1_at_half, load_checkpoint, save_checkpoint, train, write_loss_log
 from model_helpers import cast_model, padded_batch
+from test_cli import _rewritten_config
 
 CFG = EncoderConfig(vocab_size=64, dim=8, layers=1, heads=2, max_len=12, ffn_mult=2)
 
@@ -194,8 +195,8 @@ class TestTrainLoop:
         cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=16, seed=0)
         init = init_model(EMBED_SUBTRACT_DUO, CFG, seed=cfg.seed)
         result = train(EMBED_SUBTRACT_DUO, CFG, dual, dual, cfg)  # 16 rows, batch_size 16, 1 epoch: one step
-        trained = result.model.all_params()
-        reference = init.all_params()
+        trained = result.model.params
+        reference = init.params
         for group in ("enc_before.", "enc_after.", "head."):
             moved = any(
                 not np.array_equal(trained[name], reference[name])
@@ -274,7 +275,7 @@ class TestPredictInChunks:
             kw = {"ids_b": rng.integers(0, CFG.vocab_size, size=(n, CFG.max_len)), "lens_b": rng.permutation(lens_a)}
         batch = padded_batch(ids_a=rng.integers(0, CFG.vocab_size, size=(n, CFG.max_len)), lens_a=lens_a, **kw)
         model = cast_model(init_model(variant, CFG, seed=2), dtype)
-        model.head["w2"] *= 50  # spread the probabilities away from 0.5
+        model.params["head.w2"] *= 50  # spread the probabilities away from 0.5
 
         expected = predict_batch(model, batch)
         # rows are told apart far beyond the tolerance, so a permutation shows
@@ -306,15 +307,16 @@ class TestCheckpoints:
         assert vocab.merges == VOCAB.merges
         assert loaded.variant == model.variant
         assert loaded.config == model.config
-        for name, arr in model.all_params().items():
-            assert np.array_equal(loaded.all_params()[name], arr), name
+        assert loaded.params.keys() == model.params.keys()
+        for name, arr in model.params.items():
+            assert np.array_equal(loaded.params[name], arr), name
 
     def test_shared_encoder_round_trip_stays_shared(self, tmp_path):
         model = self._trained(RAW_GIT_DIFF)
         path = tmp_path / "m.bin"
         save_checkpoint(model, VOCAB, path)
         loaded, _, _ = load_checkpoint(path)
-        assert loaded.shared_encoders
+        assert {name.split(".")[0] for name in loaded.params} == {"enc_before", "head"}
 
     def test_same_seed_byte_identical_files(self, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -348,14 +350,13 @@ class TestCheckpoints:
     @pytest.mark.parametrize(
         "damage, match",
         [
-            (lambda m: m.encoder_after.pop("layer0.ffn.w1"), "missing tensor 'enc_after.layer0.ffn.w1'"),
-            (lambda m: m.head.update(extra=np.zeros(1, np.float32)), "unexpected tensor 'head.extra'"),
-            (lambda m: m.encoder_before.update(pos_emb=np.zeros((CKPT_CFG.max_len + 1, CKPT_CFG.dim), np.float32)), "'enc_before.pos_emb' has shape"),
-            (lambda m: setattr(m, "variant", "Nope"), "bad model config"),
+            (lambda m: m.params.pop("enc_after.layer0.ffn.w1"), "missing tensor 'enc_after.layer0.ffn.w1'"),
+            (lambda m: m.params.update({"head.extra": np.zeros(1, np.float32)}), "unexpected tensor 'head.extra'"),
+            (lambda m: m.params.update({"enc_before.pos_emb": np.zeros((CKPT_CFG.max_len + 1, CKPT_CFG.dim), np.float32)}), "'enc_before.pos_emb' has shape"),
             (lambda m: setattr(m, "config", replace(m.config, vocab_size=VOCAB.size + 1)), "vocabulary has 263 tokens but the encoder embeds 264"),
-            (lambda m: m.head["b2"].fill(np.nan), "tensor 'head.b2' holds non-finite values"),
+            (lambda m: m.params["head.b2"].fill(np.nan), "tensor 'head.b2' holds non-finite values"),
         ],
-        ids=["missing", "unexpected", "wrong-shape", "unknown-variant", "vocab-size", "non-finite"],
+        ids=["missing", "unexpected", "wrong-shape", "vocab-size", "non-finite"],
     )
     def test_names_and_shapes_checked(self, tmp_path, damage, match):
         model = self._trained()
@@ -363,6 +364,15 @@ class TestCheckpoints:
         path = tmp_path / "m.bin"
         save_checkpoint(model, VOCAB, path)
         with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_unknown_variant_checked(self, tmp_path):
+        # save_checkpoint reads the variant's encoder sharing from the table, so
+        # the unknown name goes into a saved file's config block
+        path = tmp_path / "m.bin"
+        save_checkpoint(self._trained(), VOCAB, path)
+        _rewritten_config(lambda c: c.update(variant="Nope"))(path)
+        with pytest.raises(CheckpointError, match="bad model config"):
             load_checkpoint(path)
 
     def test_loaded_model_predicts_identically(self, tmp_path):
