@@ -8,8 +8,8 @@ the process exits for any reason, and it leaves no file behind (POSIX only).
 
 Each command loads only the modules it runs: this module imports no other
 fixhound module at load time, so `--help` and a usage error load none, and
-each `cmd_*` imports what it uses (`repo_miner` for mine alone, numpy for
-the model commands alone).
+each `cmd_*` imports what it uses (`repo_miner` for mine alone, the model
+layer for the model commands alone).
 """
 
 from __future__ import annotations
@@ -164,18 +164,14 @@ def _train_vocab(cfg: RunConfig, train_examples: list[BuiltExample]):
 
 def _train_and_save(cfg: RunConfig, variant: str, train_examples, val_examples, vocab, workdir: Path, suffix: str = ""):
     """Train `variant`, then write checkpoint{suffix}.bin (model and vocabulary) and loss_log{suffix}.csv."""
-    import numpy as np
-
     from . import delta_model as dm
     from . import trainer as tr
     from .config import TrainingError
 
     try:
-        # An overflow shows as a non-finite loss, which train refuses.
-        with np.errstate(over="ignore", invalid="ignore"):
-            train_batch = dm.encode_examples(train_examples, variant, vocab, cfg.max_len)
-            val_batch = dm.encode_examples(val_examples, variant, vocab, cfg.max_len)
-            result = tr.train(variant, cfg.encoder_config(vocab.size), train_batch, val_batch, cfg.train_config())
+        train_batch = dm.encode_examples(train_examples, variant, vocab, cfg.max_len)
+        val_batch = dm.encode_examples(val_examples, variant, vocab, cfg.max_len)
+        result = tr.train(variant, cfg.encoder_config(vocab.size), train_batch, val_batch, cfg.train_config())
     except MemoryError as exc:  # the load checks bound the model's size, not this machine's memory
         raise TrainingError(f"out of memory: {exc}") from None
     tr.save_checkpoint(result.model, vocab, workdir / f"checkpoint{suffix}.bin", {"k": cfg.k, "seed": cfg.seed})
@@ -205,11 +201,6 @@ def cmd_train(cfg: RunConfig, workdir: Path) -> int:
 # ---------------------------------------------------------------- predict / evaluate
 
 def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
-    import math
-    import reprlib
-
-    import numpy as np
-
     from .change_builder import build_examples
     from .config import DataError, write_jsonl
     from .inference import predict_corpus
@@ -222,11 +213,7 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
     if extra.get("k") != cfg.k:
         raise DataError(f"checkpoint context window k={extra.get('k')} does not match configured k={cfg.k}")
     commits = _read_commits(workdir / "test_commits.jsonl", cfg.k)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite probability, refused below
-        preds = predict_corpus(build_examples(commits, cfg.k), model, vocab, cfg.train_config().batch_size)
-    for pred in preds:
-        if not math.isfinite(pred.commit_prob):  # the mean of the file probabilities, so any NaN shows here
-            raise DataError(f"{ckpt_path} gives commit {reprlib.repr(pred.commit_hash)} a probability of {pred.commit_prob}: its weights overflow")
+    preds = predict_corpus(build_examples(commits, cfg.k), model, vocab, cfg.train_config().batch_size)
     write_jsonl(preds, workdir / "predictions.jsonl")
     write_manifest(workdir, "predict", cfg, ["predictions.jsonl"])
     print(f"predicted {len(preds)} commits")

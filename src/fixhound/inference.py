@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import reprlib
 from typing import Iterable
 
+import numpy as np
+
 from .change_builder import BuiltExample
+from .config import DataError
 from .delta_model import DeltaModel, encode_examples, predict_in_chunks
 from .evaluation import CommitPrediction
 from .records import NVF, VF
 from .tokenizer import Vocabulary
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite probability, refused below
 def predict_corpus(
     examples: Iterable[BuiltExample], model: DeltaModel, vocab: Vocabulary, chunk: int
 ) -> list[CommitPrediction]:
@@ -21,7 +26,7 @@ def predict_corpus(
     call. A commit's probability is the mean of its file probabilities,
     strict > 0.5 for a VF verdict. A commit's files are processed in
     sorted-path order and summed in 64-bit, so the result is bitwise
-    independent of the input file order.
+    independent of the input file order; a non-finite one is a DataError.
     """
     by_commit: dict[tuple[str, str], list[BuiltExample]] = {}
     for ex in examples:
@@ -36,6 +41,8 @@ def predict_corpus(
         for _, p in file_probs:
             total += p
         commit_prob = total / len(file_probs)
+        if not np.isfinite(commit_prob):
+            raise DataError(f"{model.variant} gives commit {reprlib.repr(files[0].commit_hash)} a probability of {commit_prob}: its weights overflow")
         preds.append(
             CommitPrediction(
                 repo_id=files[0].repo_id,

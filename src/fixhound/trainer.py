@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import delta_model as dm
-from .change_builder import VARIANTS
 from .config import DataError, EncoderConfig, TrainConfig, TrainingError, atomic_write, param_shapes, read_bytes
 from .delta_model import DeltaModel, EncodedBatch
 from .encoder import Params
@@ -77,6 +76,7 @@ class TrainResult:
     best_val_f1: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite loss, refused below
 def train(
     variant: str,
     enc_config: EncoderConfig,
@@ -146,7 +146,6 @@ def save_checkpoint(model: DeltaModel, vocab: Vocabulary, path: str | Path, extr
     config = {
         "variant": model.variant,
         "encoder": model.config.to_dict(),
-        "shared_encoders": not VARIANTS[model.variant].own_encoders,
         "merges": vocab.merges,
         "extra": extra_config or {},
     }
@@ -171,9 +170,8 @@ def load_checkpoint(path: str | Path) -> tuple[DeltaModel, Vocabulary, dict]:
     """Read a checkpoint; returns the model, its vocabulary and the extra config dict.
 
     Raises CheckpointError when the file is malformed, its merges are not a
-    vocabulary of the size the encoder embeds, its shared_encoders flag is
-    not the variant's, or its tensor names, shapes and values are not exactly
-    those of the model its config describes.
+    vocabulary of the size the encoder embeds, or its tensor names, shapes
+    and values are not exactly those of the model its config describes.
     """
     data = read_bytes(path)
     off = 0
@@ -214,10 +212,6 @@ def load_checkpoint(path: str | Path) -> tuple[DeltaModel, Vocabulary, dict]:
         if not isinstance(extra, dict):
             raise TypeError(f"extra is {extra!r}, not an object")
         expected = {"head." + k: v for k, v in dm.head_shapes(config["variant"], enc_config).items()}
-        shared = not VARIANTS[config["variant"]].own_encoders  # the table decides; the stored flag must agree
-        if config["shared_encoders"] is not shared:
-            sharing = "shares one encoder" if shared else "has two encoders"
-            raise ValueError(f"shared_encoders is {config['shared_encoders']!r}, but {config['variant']} {sharing}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model config ({type(exc).__name__}: {exc})") from exc
     if vocab.size != enc_config.vocab_size:

@@ -482,13 +482,40 @@ class TestPipeline:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["--config", config, "predict"]) == EXIT_DATA
-        assert [str(w.message) for w in caught] == []  # the overflow stays inside cmd_predict's errstate
-        one_line_error(capsys, "checkpoint.bin gives commit '", "a probability of nan: its weights overflow")
+        assert [str(w.message) for w in caught] == []  # the overflow stays inside predict_corpus's errstate
+        one_line_error(capsys, "RawGitDiff gives commit '", "a probability of nan: its weights overflow")
         assert not (workdir / "predictions.jsonl").exists()
         path = workdir / "test_commits.jsonl"
         path.write_text("".join(json.dumps({**json.loads(line), "commit_hash": f"a\nb{i}"}) + "\n" for i, line in enumerate(path.read_text().splitlines())))
         assert main(["--config", config, "predict"]) == EXIT_DATA
-        one_line_error(capsys, "checkpoint.bin gives commit 'a\\nb", "a probability of nan: its weights overflow")  # the newline stays on the one line
+        one_line_error(capsys, "RawGitDiff gives commit 'a\\nb", "a probability of nan: its weights overflow")  # the newline stays on the one line
+
+    def test_ablate_refuses_a_non_finite_probability(self, tmp_path, capsys, monkeypatch):
+        """`ablate` scores through `predict`'s path, so an overflowing variant stops it as it stops `predict`."""
+        workdir, _ = seeded_workdir(tmp_path)
+        config = str(write_config(tmp_path, workdir))
+        train = tr.train
+
+        def overflowing(variant, *args):
+            result = train(variant, *args)
+            if variant == cb.CODE_CONCAT:
+                result.model.params["enc_before.pos_emb"][...] = 3e38  # finite weights whose sums overflow float32
+            return result
+
+        monkeypatch.setattr(tr, "train", overflowing)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", config, "ablate"]) == EXIT_DATA
+        assert [str(w.message) for w in caught] == []
+        one_line_error(capsys, "CodeConcat gives commit '", "a probability of nan")
+        assert not (workdir / "predictions_CodeConcat.jsonl").exists()
+        earlier = list(VARIANTS)[: list(VARIANTS).index(cb.CODE_CONCAT)]
+        assert len(earlier) == 2
+        for variant in earlier:
+            assert (workdir / f"predictions_{variant}.jsonl").is_file(), variant
+        rows = (workdir / "ablation_report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == earlier  # the partial report of the variants before it
 
     def test_train_on_examples_built_at_another_k_is_data_error(self, tmp_path, capsys):
         workdir, _ = seeded_workdir(tmp_path)
@@ -514,16 +541,11 @@ class TestPipeline:
             (_first_dim(2**63), "truncated tensor", "RawGitDiff"),
             (_rewritten_config(lambda c: c.update(extra=0)), "extra is 0, not an object", "RawGitDiff"),
             # two trained encoders relabelled as a variant that shares one
-            (
-                _rewritten_config(lambda c: c.update(variant="EmbedSubtract_Single")),
-                "shared_encoders is False, but EmbedSubtract_Single shares one encoder",
-                "EmbedSubtract_Duo",
-            ),
-            (_rewritten_config(lambda c: c.update(shared_encoders="no")), "shared_encoders is 'no'", "RawGitDiff"),
+            (_rewritten_config(lambda c: c.update(variant="EmbedSubtract_Single")), "unexpected tensor 'enc_after.", "EmbedSubtract_Duo"),
         ],
         ids=[
             "missing-head-b2", "wrong-shape-head-w1", "config-not-json", "config-not-utf8", "version-1", "dim-2^63",
-            "extra-not-object", "variant-disagrees-with-sharing", "sharing-not-bool",
+            "extra-not-object", "variant-disagrees-with-sharing",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, damage, message, variant):

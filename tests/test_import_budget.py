@@ -9,8 +9,10 @@ reports the modules in `sys.modules` when `main` returns:
 - the data stages (`mine`, `build`, `evaluate`) do not load numpy.
 
 `train` and `predict` load the model layer, and the pipeline must still
-succeed stage by stage."""
+succeed stage by stage. Only the model layer's modules import numpy, at
+any depth (read from their source, not from a run)."""
 
+import ast
 import json
 import os
 import subprocess
@@ -23,6 +25,9 @@ import fixhound
 from conftest import make_planted_repo
 
 SRC = Path(fixhound.__file__).resolve().parents[1]
+
+# The README Layout table's model layer: its "numpy-free: no" rows.
+MODEL_LAYER = {"tokenizer", "encoder", "delta_model", "trainer", "inference"}
 
 # Modules a fresh interpreter may hold only if the command needs them.
 WATCHED = ("numpy", "subprocess", "difflib", "csv")
@@ -106,3 +111,19 @@ def test_only_predict_and_evaluate_load_evaluation(pipeline):
     for stage, result in pipeline.items():
         assert ("fixhound.evaluation" in result["fixhound"]) == (stage in ("predict", "evaluate")), stage
 
+
+def test_only_the_model_layer_imports_numpy():
+    """An `import numpy` anywhere in a module, function bodies included, lies in a model-layer module."""
+    importers = []
+    for path in sorted((SRC / "fixhound").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append((path.stem, node.lineno))
+    assert "trainer" in {module for module, _ in importers}  # the walk sees a module-level import
+    assert [site for site in importers if site[0] not in MODEL_LAYER] == []

@@ -367,8 +367,7 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_unknown_variant_checked(self, tmp_path):
-        # save_checkpoint reads the variant's encoder sharing from the table, so
-        # the unknown name goes into a saved file's config block
+        # a name outside the variant table gives load_checkpoint no tensor names to expect
         path = tmp_path / "m.bin"
         save_checkpoint(self._trained(), VOCAB, path)
         _rewritten_config(lambda c: c.update(variant="Nope"))(path)
