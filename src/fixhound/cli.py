@@ -152,13 +152,17 @@ def cmd_build(cfg: RunConfig, workdir: Path) -> int:
 
 # ---------------------------------------------------------------- train
 
-def _train_vocab(cfg: RunConfig, train_examples: list[BuiltExample]):
-    """BPE vocabulary over both views of every training example."""
+def _train_vocab(cfg: RunConfig, train_examples: list[BuiltExample], val_examples: list[BuiltExample]):
+    """BPE vocabulary over both views of every training example, once both splits are fit to train on."""
     from .config import DataError
+    from .records import VF
     from .tokenizer import train_vocab
 
-    if not train_examples:
-        raise DataError("the train split holds no examples to learn a vocabulary from")
+    for split, examples in (("train", train_examples), ("val", val_examples)):
+        if not examples:
+            raise DataError(f"the {split} split holds no examples to train on")
+    if not any(ex.label == VF for ex in train_examples):
+        raise DataError("the train split holds no VF example to learn from")
     return train_vocab([text for ex in train_examples for text in (ex.code_before, ex.code_after)], cfg.vocab_size)
 
 
@@ -191,7 +195,7 @@ def cmd_train(cfg: RunConfig, workdir: Path) -> int:
         for ex in examples:
             if ex.k != cfg.k:
                 raise DataError(f"{path} holds examples built at k={ex.k}, but train is configured with k={cfg.k}; re-run build")
-    vocab = _train_vocab(cfg, train_examples)
+    vocab = _train_vocab(cfg, train_examples, val_examples)
     result = _train_and_save(cfg, cfg.variant, train_examples, val_examples, vocab, workdir)
     write_manifest(workdir, "train", cfg, ["checkpoint.bin", "loss_log.csv"])
     print(f"trained {cfg.variant}: best epoch {result.best_epoch}, val F1 {result.best_val_f1:.3f}")
@@ -208,6 +212,8 @@ def cmd_predict(cfg: RunConfig, workdir: Path, checkpoint: str | None) -> int:
 
     ckpt_path = Path(checkpoint) if checkpoint else workdir / "checkpoint.bin"
     model, vocab, extra = load_checkpoint(ckpt_path)
+    if model.variant != cfg.variant:
+        raise DataError(f"checkpoint variant {model.variant} does not match configured variant {cfg.variant}")
     if model.config.max_len != cfg.max_len:
         raise DataError(f"checkpoint max_len {model.config.max_len} does not match configured max_len {cfg.max_len}")
     if extra.get("k") != cfg.k:
@@ -251,7 +257,7 @@ def cmd_ablate(cfg: RunConfig, workdir: Path, sweep_k: list[int] | None) -> int:
         # Each k learns its own vocabulary, as `--k <k> build` and `train` would.
         sub = replace(cfg, k=k)
         train, val, test = (build_examples(parts[split], k) for split in ("train", "val", "test"))
-        vocab = _train_vocab(sub, train)
+        vocab = _train_vocab(sub, train, val)
         for variant in variants:
             tag, key = (f"{variant}_k{k}", f"{variant}@k={k}") if sweep_k else (variant, variant)
             result = _train_and_save(sub, variant, train, val, vocab, workdir, f"_{tag}")
@@ -308,10 +314,10 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "sweep_k", None) is not None:
             try:
                 sweep_k = [int(x) for x in args.sweep_k.split(",") if x.strip()]
-                if not sweep_k or min(sweep_k) < 0:
-                    raise ValueError("no k, or a negative k")
+                if not sweep_k or min(sweep_k) < 0 or len(set(sweep_k)) < len(sweep_k):
+                    raise ValueError("no k, a negative k or a repeated k")
             except ValueError:
-                raise UsageError(f"bad --sweep-k list {args.sweep_k!r}: expected one or more non-negative integers")
+                raise UsageError(f"bad --sweep-k list {args.sweep_k!r}: expected one or more distinct non-negative integers")
         with workdir_lock(workdir):
             if args.command == "mine":
                 return cmd_mine(cfg, workdir)

@@ -21,7 +21,7 @@ import math
 import os
 import reprlib
 import stat
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -188,13 +188,6 @@ class EncoderConfig:
     max_len: int = field(metadata=MAX_LEN)
     ffn_mult: int = field(default=4, metadata=at_least(1))
 
-    @property
-    def ffn_hidden(self) -> int:
-        return self.ffn_mult * self.dim
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict, **given) -> "EncoderConfig":
         """A run config's encoder block (vocab_size and max_len `given`) or a
@@ -210,7 +203,7 @@ class EncoderConfig:
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """The shape of each encoder parameter, by name."""
-    d, h = config.dim, config.ffn_hidden
+    d, h = config.dim, config.ffn_mult * config.dim
     shapes: dict[str, tuple[int, ...]] = {
         "tok_emb": (config.vocab_size, d),
         "pos_emb": (config.max_len, d),

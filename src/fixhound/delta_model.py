@@ -6,7 +6,8 @@ stream, each padded right before its encoder (`Stream.padded`), and
 dual-stream variants fuse their two embeddings by element-wise subtraction
 (delta) or concatenation. The streams run one after the other on the
 caller's thread. A model is one parameter map keyed by checkpoint tensor
-name, and each stream reads its encoder from it by prefix (`ENCODER_PREFIXES`).
+name (`tensor_shapes` gives every name and shape), and each stream reads its
+encoder from it by prefix (`ENCODER_PREFIXES`).
 """
 
 from __future__ import annotations
@@ -18,16 +19,13 @@ import numpy as np
 
 from . import encoder as enc
 from .change_builder import VARIANTS, BuiltExample
-from .config import EncoderConfig
+from .config import EncoderConfig, param_shapes
 from .encoder import Params
 from .records import VF
 from .tokenizer import PAD, TokenSequence, Vocabulary, encode, encode_pair, tokenize_batch
 
 PROB_CLAMP = 1e-7
-
-
-def fusion_width(variant: str, dim: int) -> int:
-    return 2 * dim if VARIANTS[variant].fusion == "Concat" else dim
+INIT_STD = 0.02
 
 
 # The parameter-name prefix of each input stream's encoder, in stream order:
@@ -51,19 +49,28 @@ def params_under(params: Params, prefix: str) -> Params:
     return {name.removeprefix(prefix): arr for name, arr in params.items() if name.startswith(prefix)}
 
 
-def head_shapes(variant: str, config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    width, hidden = fusion_width(variant, config.dim), config.dim
-    return {"w1": (width, hidden), "b1": (hidden,), "w2": (hidden, 1), "b2": (1,)}
+def tensor_shapes(variant: str, config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every tensor of a `variant` model by checkpoint name, in draw order: each
+    encoder's, then the head's, whose input is twice as wide for a Concat variant."""
+    shapes = {prefix + name: shape for prefix in dict.fromkeys(ENCODER_PREFIXES[variant]) for name, shape in param_shapes(config).items()}
+    width, hidden = (2 if VARIANTS[variant].fusion == "Concat" else 1) * config.dim, config.dim
+    return {**shapes, "head.w1": (width, hidden), "head.b1": (hidden,), "head.w2": (hidden, 1), "head.b2": (1,)}
 
 
 def init_model(variant: str, config: EncoderConfig, seed: int) -> DeltaModel:
-    """Seeded float32 parameters: the encoder(s) at seed and seed + 1, the head at seed + 2."""
+    """Seeded float32 parameters: a layer-norm gain starts at 1 and a bias at 0;
+    every other tensor is drawn with std INIT_STD from its part's generator,
+    enc_before at seed, enc_after at seed + 1 and head at seed + 2."""
+    rngs = {part: np.random.default_rng(seed + i) for i, part in enumerate(("enc_before", "enc_after", "head"))}
     params: Params = {}
-    for offset, prefix in enumerate(dict.fromkeys(ENCODER_PREFIXES[variant])):
-        params.update({prefix + name: arr for name, arr in enc.init_params(config, seed + offset).items()})
-    rng = np.random.default_rng(seed + 2)
-    for name, shape in head_shapes(variant, config).items():  # w1 then w2 drawn; b1, b2 zero
-        params["head." + name] = rng.normal(0.0, enc.INIT_STD, size=shape).astype(np.float32) if name[0] == "w" else np.zeros(shape, np.float32)
+    for name, shape in tensor_shapes(variant, config).items():
+        part, *_, last = name.split(".")
+        if last == "g":
+            params[name] = np.ones(shape, dtype=np.float32)
+        elif last[0] == "b":
+            params[name] = np.zeros(shape, dtype=np.float32)
+        else:
+            params[name] = rngs[part].normal(0.0, INIT_STD, size=shape).astype(np.float32)
     return DeltaModel(variant, config, params)
 
 

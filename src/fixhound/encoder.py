@@ -17,26 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import EncoderConfig, param_shapes
+from .config import EncoderConfig
 
 LN_EPS = 1e-5
-INIT_STD = 0.02
 
 Params = dict[str, np.ndarray]
-
-
-def init_params(config: EncoderConfig, seed: int) -> Params:
-    """Scaled-normal float32 weights (std 0.02), layer-norm gain 1 / bias 0."""
-    rng = np.random.default_rng(seed)
-    params: Params = {}
-    for name, shape in param_shapes(config).items():
-        if name.endswith(".g"):
-            params[name] = np.ones(shape, dtype=np.float32)
-        elif name.endswith((".b", ".b1", ".b2", "bq", "bk", "bv", "bo")):
-            params[name] = np.zeros(shape, dtype=np.float32)
-        else:
-            params[name] = rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
-    return params
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):

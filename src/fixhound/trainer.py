@@ -14,13 +14,13 @@ import copy
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import delta_model as dm
-from .config import DataError, EncoderConfig, TrainConfig, TrainingError, atomic_write, param_shapes, read_bytes
+from .config import DataError, EncoderConfig, TrainConfig, TrainingError, atomic_write, read_bytes
 from .delta_model import DeltaModel, EncodedBatch
 from .encoder import Params
 from .records import f1_score
@@ -90,11 +90,6 @@ def train(
     The per-step training loss and per-epoch validation loss are logged as
     (step, epoch, loss, split) rows.
     """
-    if train_batch.size == 0 or val_batch.size == 0:
-        raise TrainingError("train and validation sets must be non-empty")
-    if not np.any(train_batch.labels > 0.5):
-        raise TrainingError("training set contains no VF example")
-
     model = dm.init_model(variant, enc_config, config.seed)
     opt = AdamW(model.params, config)
     rng = np.random.default_rng(config.seed)
@@ -145,7 +140,7 @@ def save_checkpoint(model: DeltaModel, vocab: Vocabulary, path: str | Path, extr
     """Write the binary checkpoint (magic VFDC, versioned, little-endian)."""
     config = {
         "variant": model.variant,
-        "encoder": model.config.to_dict(),
+        "encoder": asdict(model.config),
         "merges": vocab.merges,
         "extra": extra_config or {},
     }
@@ -211,13 +206,11 @@ def load_checkpoint(path: str | Path) -> tuple[DeltaModel, Vocabulary, dict]:
         extra = config["extra"]
         if not isinstance(extra, dict):
             raise TypeError(f"extra is {extra!r}, not an object")
-        expected = {"head." + k: v for k, v in dm.head_shapes(config["variant"], enc_config).items()}
+        expected = dm.tensor_shapes(config["variant"], enc_config)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model config ({type(exc).__name__}: {exc})") from exc
     if vocab.size != enc_config.vocab_size:
         raise CheckpointError(f"{path}: vocabulary has {vocab.size} tokens but the encoder embeds {enc_config.vocab_size}")
-    for prefix in dm.ENCODER_PREFIXES[config["variant"]]:
-        expected.update({prefix + k: v for k, v in param_shapes(enc_config).items()})
     tensors: Params = {}
     for name in sorted(expected.keys() | raw.keys()):
         if name not in raw:

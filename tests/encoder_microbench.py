@@ -34,6 +34,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
@@ -50,6 +51,7 @@ sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 import encoder_oracle  # noqa: E402
 from fixhound import encoder  # noqa: E402
 from fixhound.config import EncoderConfig  # noqa: E402
+from model_helpers import init_params  # noqa: E402
 
 CONFIG = EncoderConfig(vocab_size=512, dim=32, layers=1, heads=2, max_len=512, ffn_mult=2)
 BATCH_SIZES = (4, 32)
@@ -87,7 +89,7 @@ def _attention_core(q, k, v, scale, block: int):
 
 def bench_batch(batch: int, repeats: int, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
-    params = encoder.init_params(CONFIG, seed=seed)
+    params = init_params(CONFIG, seed=seed)
     ids = rng.integers(0, CONFIG.vocab_size, size=(batch, CONFIG.max_len))
     lens = np.full(batch, CONFIG.max_len)
     d_pooled = rng.normal(size=(batch, CONFIG.dim)).astype(np.float32)
@@ -154,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=15, help="timed runs per side and batch size")
     args = parser.parse_args(argv)
     result = {
-        "config": CONFIG.to_dict(),
+        "config": dataclasses.asdict(CONFIG),
         "dtype": "float32",
         "repeats": args.repeats,
         "batches": {str(b): bench_batch(b, args.repeats) for b in BATCH_SIZES},

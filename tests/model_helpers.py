@@ -1,5 +1,8 @@
 """Model and tokenizer helpers that only the tests use.
 
+- `init_params` and `init_reference` are the two init rules that
+  `delta_model.init_model` replaced, kept as its oracle: the encoder's,
+  keyed by name suffix, and the head's, which draws `w*` and zeroes `b*`.
 - `cast_params` / `cast_model` copy a model into another float type, so the
   gradient checks (acceptance criterion 1) can run in float64.
 - `equivalent_concat_model` builds the concatenation model whose logits
@@ -25,13 +28,42 @@ from typing import Iterable
 
 import numpy as np
 
-from fixhound.change_builder import EMBED_CONCAT_DUO, EMBED_SUBTRACT_DUO
-from fixhound.delta_model import DeltaModel, EncodedBatch, Stream
+from fixhound.change_builder import EMBED_CONCAT_DUO, EMBED_SUBTRACT_DUO, VARIANTS
+from fixhound.config import EncoderConfig, param_shapes
+from fixhound.delta_model import ENCODER_PREFIXES, DeltaModel, EncodedBatch, Stream
 from fixhound.encoder import Params
 from fixhound.tokenizer import BOS, BYTE_BASE, EOS, MIN_VOCAB, PAD, SEP, UNK, TokenSequence, Vocabulary, tokenize_batch
 
 # How `decode` renders the SEP token; texts are never split at it.
 SEP_MARKER = " ⟨SEP⟩ "
+
+INIT_STD = 0.02
+
+
+def init_params(config: EncoderConfig, seed: int) -> Params:
+    """Scaled-normal float32 weights (std 0.02), layer-norm gain 1 / bias 0."""
+    rng = np.random.default_rng(seed)
+    params: Params = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".g"):
+            params[name] = np.ones(shape, dtype=np.float32)
+        elif name.endswith((".b", ".b1", ".b2", "bq", "bk", "bv", "bo")):
+            params[name] = np.zeros(shape, dtype=np.float32)
+        else:
+            params[name] = rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
+    return params
+
+
+def init_reference(variant: str, config: EncoderConfig, seed: int) -> Params:
+    """Seeded float32 parameters: the encoder(s) at seed and seed + 1, the head at seed + 2."""
+    params: Params = {}
+    for offset, prefix in enumerate(dict.fromkeys(ENCODER_PREFIXES[variant])):
+        params.update({prefix + name: arr for name, arr in init_params(config, seed + offset).items()})
+    width, hidden = 2 * config.dim if VARIANTS[variant].fusion == "Concat" else config.dim, config.dim
+    rng = np.random.default_rng(seed + 2)
+    for name, shape in {"w1": (width, hidden), "b1": (hidden,), "w2": (hidden, 1), "b2": (1,)}.items():  # w1 then w2 drawn; b1, b2 zero
+        params["head." + name] = rng.normal(0.0, INIT_STD, size=shape).astype(np.float32) if name[0] == "w" else np.zeros(shape, np.float32)
+    return params
 
 
 def cast_params(params: Params, dtype) -> Params:

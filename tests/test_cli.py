@@ -370,6 +370,17 @@ class TestPipeline:
         assert main(["--config", str(bad), "predict"]) == EXIT_DATA
         one_line_error(capsys, "max_len")
 
+    def test_variant_mismatch_is_data_error(self, tmp_path, capsys):
+        """`evaluate` names its report row after the configured variant, so `predict` scores only with a checkpoint of it."""
+        workdir, _ = seeded_workdir(tmp_path)
+        config = write_config(tmp_path, workdir)
+        assert main(["--config", str(config), "build"]) == EXIT_OK
+        assert main(["--config", str(config), "--variant", "CodeConcat", "train"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["--config", str(config), "predict"]) == EXIT_DATA
+        one_line_error(capsys, "checkpoint variant CodeConcat does not match configured variant RawGitDiff")
+        assert not (workdir / "predictions.jsonl").exists()
+
     def test_k_mismatch_is_data_error(self, tmp_path, capsys):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
@@ -432,7 +443,8 @@ class TestPipeline:
         for command in ("build", "ablate"):
             assert main(["--config", config, command]) == EXIT_OK, command
         for variant in VARIANTS:
-            assert main(["--config", config, "predict", "--checkpoint", str(workdir / f"checkpoint_{variant}.bin")]) == EXIT_OK
+            checkpoint = str(workdir / f"checkpoint_{variant}.bin")
+            assert main(["--config", config, "--variant", variant, "predict", "--checkpoint", checkpoint]) == EXIT_OK
             assert (workdir / "predictions.jsonl").read_bytes() == (workdir / f"predictions_{variant}.jsonl").read_bytes(), variant
 
     @pytest.mark.parametrize("sweep, ks", [([], [3]), (["--sweep-k", "0,7"], [0, 7])], ids=["variants", "sweep"])
@@ -865,7 +877,7 @@ class TestGuards:
     def test_bad_sweep_k_is_usage_error(self, tmp_path, capsys):
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
-        for sweep in ("3,x", "3,-1", ","):
+        for sweep in ("3,x", "3,-1", ",", "3,3", "0,7,0"):
             assert main(["--config", str(config), "ablate", "--sweep-k", sweep]) == EXIT_USAGE
             one_line_error(capsys, "--sweep-k", sweep)
         assert [p.name for p in workdir.iterdir()] == ["commits.jsonl"]
@@ -971,14 +983,26 @@ class TestControlCharactersInPaths:
 class TestBadArtifacts:
     """Artifacts that do not hold what the next stage needs end with exit 2 and one line."""
 
-    def test_empty_train_split_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "split, keep, message",
+        [
+            ("train", lambda ex: False, "the train split holds no examples"),
+            ("val", lambda ex: False, "the val split holds no examples"),
+            ("train", lambda ex: ex.label == NVF, "the train split holds no VF example"),
+        ],
+        ids=["train", "val", "no-vf"],
+    )
+    def test_empty_train_split_is_data_error(self, tmp_path, capsys, split, keep, message):
+        """A split that cannot train a model is an input fault, however late train finds it."""
         workdir, _ = seeded_workdir(tmp_path)
         config = write_config(tmp_path, workdir)
         assert main(["--config", str(config), "build"]) == EXIT_OK
-        (workdir / "train.jsonl").write_text("")
+        path = workdir / f"{split}.jsonl"
+        write_jsonl([ex for ex in read_jsonl(path, BuiltExample.from_dict) if keep(ex)], path)
         capsys.readouterr()
         assert main(["--config", str(config), "train"]) == EXIT_DATA
-        one_line_error(capsys, "train split holds no examples")
+        one_line_error(capsys, message)
+        assert not (workdir / "checkpoint.bin").exists()
 
     def test_no_vf_commit_in_test_split_is_data_error(self, tmp_path, capsys):
         workdir = tmp_path / "out"

@@ -21,12 +21,12 @@ from fixhound.delta_model import (
     encode_examples,
     forward_model,
     fuse,
-    fusion_width,
     init_model,
     loss_and_grads,
     params_under,
     predict_batch,
     predict_in_chunks,
+    tensor_shapes,
 )
 from fixhound.config import EncoderConfig
 from fixhound.records import NVF, VF
@@ -37,6 +37,7 @@ from model_helpers import (
     cast_model,
     cut,
     equivalent_concat_model,
+    init_reference,
     padded_batch,
     padded_encode,
     padded_encode_pair,
@@ -79,9 +80,9 @@ class TestFuse:
         assert np.array_equal(fuse(a, b, "Concat"), np.array([[1.0, 2.0, 3.0, 4.0]]))
 
     def test_widths(self):
-        assert fusion_width(EMBED_SUBTRACT_DUO, 8) == 8
-        assert fusion_width(EMBED_CONCAT_DUO, 8) == 16
-        assert fusion_width(CODE_CONCAT, 8) == 8
+        assert tensor_shapes(EMBED_SUBTRACT_DUO, CFG)["head.w1"] == (8, 8)
+        assert tensor_shapes(EMBED_CONCAT_DUO, CFG)["head.w1"] == (16, 8)
+        assert tensor_shapes(CODE_CONCAT, CFG)["head.w1"] == (8, 8)
 
 
 def prefixes(m) -> set[str]:
@@ -107,6 +108,17 @@ class TestStructure:
         # the shared-encoder variant's two streams read the same arrays
         before, after = stream_encoders(init_model(EMBED_SUBTRACT_SINGLE, CFG, seed=0))
         assert before.keys() == after.keys() and all(before[n] is after[n] for n in before)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("layers, ffn_mult", [(0, 2), (2, 4)])
+    def test_init_matches_the_two_rules_it_replaced(self, variant, seed, layers, ffn_mult):
+        cfg = EncoderConfig(vocab_size=280, dim=8, layers=layers, heads=2, max_len=16, ffn_mult=ffn_mult)
+        got, want = init_model(variant, cfg, seed).params, init_reference(variant, cfg, seed)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].dtype == want[name].dtype == np.float32, name
+            assert got[name].shape == want[name].shape and got[name].tobytes() == want[name].tobytes(), name
 
     def test_init_deterministic(self):
         a = init_model(EMBED_SUBTRACT_DUO, CFG, seed=5)

@@ -11,10 +11,9 @@ from fixhound.encoder import (
     LN_EPS,
     backward_batch,
     forward_batch,
-    init_params,
 )
 from gradcheck import fd_mismatches
-from model_helpers import cast_params, cut
+from model_helpers import cast_params, cut, init_params
 
 CFG = EncoderConfig(vocab_size=11, dim=16, layers=2, heads=2, max_len=12)
 
@@ -58,7 +57,7 @@ def reference_forward(params, config, ids_row, attn_len):
         x = [[x[t][j] + out[t][j] for j in range(d)] for t in range(T)]
 
         h2 = [ln(x[t], params[p + "ln2.g"], params[p + "ln2.b"]) for t in range(T)]
-        hidden = config.ffn_hidden
+        hidden = config.ffn_mult * d
         u = [[np.tanh(sum(h2[t][i] * float(params[p + "ffn.w1"][i, j]) for i in range(d)) + float(params[p + "ffn.b1"][j])) for j in range(hidden)] for t in range(T)]
         f = [[sum(u[t][i] * float(params[p + "ffn.w2"][i, j]) for i in range(hidden)) + float(params[p + "ffn.b2"][j]) for j in range(d)] for t in range(T)]
         x = [[x[t][j] + f[t][j] for j in range(d)] for t in range(T)]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import make_planted_commits
 import fixhound.delta_model as dm
 from fixhound.change_builder import EMBED_SUBTRACT_DUO, RAW_GIT_DIFF
-from fixhound.delta_model import EncodedBatch, init_model, predict_batch, predict_in_chunks
-from fixhound.config import EncoderConfig, TrainConfig, TrainingError
+from fixhound.delta_model import init_model, predict_batch, predict_in_chunks
+from fixhound.config import EncoderConfig, TrainConfig
 from fixhound.records import CROSS_PROJECT, NVF, TEMPORAL, VF, CommitRecord, SplitError, SplitSpec, split_dataset
 from fixhound.tokenizer import BYTE_BASE, MIN_VOCAB, Vocabulary
 from fixhound.trainer import AdamW, CheckpointError, f1_at_half, load_checkpoint, save_checkpoint, train, write_loss_log
@@ -165,20 +165,6 @@ def _toy_batches(n=16, seed=0):
 
 
 class TestTrainLoop:
-    def test_empty_sets_rejected(self):
-        train_b, val_b = _toy_batches()
-        empty = train_b.take(slice(0, 0))
-        with pytest.raises(TrainingError):
-            train(RAW_GIT_DIFF, CFG, empty, val_b, TrainConfig())
-        with pytest.raises(TrainingError):
-            train(RAW_GIT_DIFF, CFG, train_b, empty, TrainConfig())
-
-    def test_all_nvf_training_set_rejected(self):
-        train_b, val_b = _toy_batches()
-        train_b = EncodedBatch(train_b.streams, labels=np.zeros(train_b.size))
-        with pytest.raises(TrainingError):
-            train(RAW_GIT_DIFF, CFG, train_b, val_b, TrainConfig())
-
     def test_one_step_updates_every_parameter_group(self):
         # joint training: a single step must move the before-encoder, the
         # after-encoder, and the head all at once
